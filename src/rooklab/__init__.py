@@ -23,6 +23,7 @@ from .chordal import (
     is_chordal,
 )
 from .errors import (
+    BadCellError,
     BadCharacterError,
     CellNotInPolyominoError,
     DuplicateCellError,
@@ -60,12 +61,12 @@ from .polyomino import (
     canonical_cells,
     canonical_form,
     maximal_intervals,
-    min_changes_of_direction,
     parse_ascii,
     parse_cells,
     render_ascii,
     shape_predicates,
 )
+from .record import ShapeRecord
 from .regularity import (
     BrushVectors,
     MatchingCertificate,
@@ -76,13 +77,11 @@ from .regularity import (
     check_sigma_identities,
     elementary_symmetric,
     induced_matching_number,
-    is_interval_matching,
     regularity_pure_thin,
     sigma_triples,
     single_cell_intervals,
 )
 from .rook_complex import (
-    AttackGraph,
     PurityResult,
     RookComplex,
     attack_graph,
@@ -90,7 +89,6 @@ from .rook_complex import (
     f_vector,
     facets,
     h_from_f,
-    independent_set_count,
     is_face,
     is_pure,
     is_vertex_decomposable,

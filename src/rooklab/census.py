@@ -15,35 +15,16 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .chordal import (
-    brush_decomposition,
-    classify_chordality,
-    complement_graph,
-    induced_cycle_lengths,
-    is_chordal,
-)
-from .errors import NotSimpleThinError, RankOutOfRangeError, UnknownCheckError
-from .partition import check_purity_theorem, find_embedding, super_partitions
-from .polyomino import (
-    Cell,
-    Polyomino,
-    canonical_cells,
-    maximal_intervals,
-    render_ascii,
-    shape_predicates,
-)
-from .regularity import (
-    brush_fh,
-    check_reg_eq_nu,
-    check_sigma_identities,
-    induced_matching_number,
-    regularity_pure_thin,
-    single_cell_intervals,
-)
-from .rook_complex import attack_graph, f_vector, h_from_f, is_pure
+from .chordal import induced_cycle_lengths
+from .errors import RankOutOfRangeError, UnknownCheckError
+from .partition import find_embedding
+from .polyomino import Cell, Polyomino, canonical_cells, render_ascii
+from .record import ShapeRecord
+from .regularity import brush_fh, check_sigma_identities, single_cell_intervals
+from .rook_complex import f_vector, h_from_f
 
 DEFAULT_MAX_RANK = 10
 MAX_RANK_ENV = "ROOKLAB_MAX_RANK"
@@ -57,7 +38,10 @@ def max_rank_limit() -> int:
     raw = os.environ.get(MAX_RANK_ENV)
     if raw is None:
         return DEFAULT_MAX_RANK
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise RankOutOfRangeError(f"{MAX_RANK_ENV}={raw!r} is not an integer rank") from None
 
 
 def _half_plane_neighbors(cell: Cell) -> Iterator[Cell]:
@@ -157,110 +141,85 @@ def _violation(poly: Polyomino, detail: str) -> Violation:
     return Violation(poly.sorted_cells, render_ascii(poly), detail)
 
 
-def _check_purity_theorem(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        if poly.rank < 2:
+def _check_purity_theorem(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if rec.poly.rank < 2:
             continue
-        rep = check_purity_theorem(poly)
+        rep = rec.purity_theorem
         if not rep.consistent:
-            out.append(
-                _violation(
-                    poly,
-                    f"pure={rep.pure} super_exists={rep.super_exists} "
-                    f"sizes_match={rep.sizes_match}",
-                )
+            yield _violation(
+                rec.poly,
+                f"pure={rep.pure} super_exists={rep.super_exists} "
+                f"sizes_match={rep.sizes_match}",
             )
-    return out
 
 
 def _is_square(poly: Polyomino) -> bool:
     return poly.width == poly.height and poly.rank == poly.width * poly.height
 
 
-def _check_square_superpartitions(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        if poly.rank < 2:
+def _check_square_superpartitions(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if rec.poly.rank < 2:
             continue
-        two = len(super_partitions(poly)) == 2
-        if two != _is_square(poly):
-            out.append(_violation(poly, f"two_supers={two} square={_is_square(poly)}"))
-    return out
+        two = len(rec.super_partitions) == 2
+        if two != _is_square(rec.poly):
+            yield _violation(rec.poly, f"two_supers={two} square={_is_square(rec.poly)}")
 
 
-def _check_embedded_complement(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        if poly.rank < 2 or _is_square(poly):
+def _check_embedded_complement(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if rec.poly.rank < 2 or _is_square(rec.poly):
             continue
-        supers = super_partitions(poly)
+        supers = rec.super_partitions
         if len(supers) != 1:
             continue
         members = set(supers[0].intervals)
-        for iv in maximal_intervals(poly):
+        for iv in rec.intervals:
             if iv in members:
                 continue
-            if find_embedding(poly, iv) is None:
-                out.append(_violation(poly, f"interval {iv!r} outside the super partition is not embedded"))
-    return out
+            if find_embedding(rec, iv) is None:
+                yield _violation(rec.poly, f"interval {iv!r} outside the super partition is not embedded")
 
 
-def _check_cycle_lengths(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        comp = complement_graph(attack_graph(poly))
-        lengths = induced_cycle_lengths(comp, max(poly.rank, 3))
+def _check_cycle_lengths(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        lengths = induced_cycle_lengths(rec.complement, max(rec.poly.rank, 3))
         if not lengths <= {3, 4, 6}:
-            out.append(_violation(poly, f"induced complement cycles of lengths {sorted(lengths)}"))
-    return out
+            yield _violation(rec.poly, f"induced complement cycles of lengths {sorted(lengths)}")
 
 
-def _check_chordal_classification(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        if not shape_predicates(poly).simple:
+def _check_chordal_classification(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if not rec.predicates.simple:
             continue
-        rep = classify_chordality(poly)
+        rep = rec.classification
         if not rep.consistent:
-            out.append(
-                _violation(poly, f"chordal={rep.complement_chordal} class={rep.category}")
-            )
-    return out
+            yield _violation(rec.poly, f"chordal={rep.complement_chordal} class={rep.category}")
 
 
-def _check_nonsimple_nonchordal(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        if shape_predicates(poly).simple:
+def _check_nonsimple_nonchordal(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if not rec.predicates.simple and rec.chordality.chordal:
+            yield _violation(rec.poly, "non-simple polyomino with chordal complement")
+
+
+def _check_prop_geq2(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if not rec.chordality.chordal:
             continue
-        if is_chordal(complement_graph(attack_graph(poly))).chordal:
-            out.append(_violation(poly, "non-simple polyomino with chordal complement"))
-    return out
-
-
-def _check_prop_geq2(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        if not is_chordal(complement_graph(attack_graph(poly))).chordal:
-            continue
-        long_runs = [iv for iv in maximal_intervals(poly) if iv.length > 2]
+        long_runs = [iv for iv in rec.intervals if iv.length > 2]
         if len(long_runs) >= 2:
-            out.append(
-                _violation(poly, f"chordal complement with {len(long_runs)} intervals longer than 2")
-            )
-    return out
+            yield _violation(rec.poly, f"chordal complement with {len(long_runs)} intervals longer than 2")
 
 
-def _check_sigma_identities(census: Sequence[Polyomino]) -> list[Violation]:
+def _check_sigma_identities(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
     rng = random.Random(_SIGMA_SEED)
-    out = []
     for _ in range(_SIGMA_SAMPLES):
         d = rng.randint(1, 8)
         lengths = tuple(rng.randint(2, 9) for _ in range(d))
         if not check_sigma_identities(lengths):
-            out.append(Violation((), "", f"sigma identities fail for lengths={lengths}"))
-    return out
+            yield Violation((), "", f"sigma identities fail for lengths={lengths}")
 
 
 def pure_brush_realizations(lengths: Sequence[int]) -> list[Polyomino]:
@@ -269,14 +228,16 @@ def pure_brush_realizations(lengths: Sequence[int]) -> list[Polyomino]:
     Built with a horizontal handle and one vertical bristle per handle
     cell, sliding each bristle through every offset; candidates are
     deduplicated by canonical form and validated by the recognizer. The
-    single-bristle case degenerates to a straight interval.
+    single-bristle case degenerates to a straight interval. Each
+    candidate is recognized once, in its canonical orientation.
     """
     lengths = tuple(sorted(lengths))
     d = len(lengths)
     if d == 1:
         return [Polyomino.from_cells([(x, 0) for x in range(lengths[0])])]
 
-    results: dict[tuple[Cell, ...], Polyomino] = {}
+    # Canonical key -> the realization, or None for a rejected candidate.
+    results: dict[tuple[Cell, ...], Polyomino | None] = {}
     remaining: list[int | None] = list(lengths)
 
     def place(col: int, chosen: list[tuple[int, int]]) -> None:
@@ -284,16 +245,12 @@ def pure_brush_realizations(lengths: Sequence[int]) -> list[Polyomino]:
             cells = []
             for x, (length, offset) in enumerate(chosen):
                 cells.extend((x, y) for y in range(-offset, length - offset))
-            poly = Polyomino.from_cells(cells)
-            key = canonical_cells(poly.cells)
-            if key in results:
-                return
-            try:
-                brush = brush_decomposition(poly)
-            except NotSimpleThinError:
-                return
-            if brush is not None and brush.pure_brush and tuple(sorted(brush.lengths)) == lengths:
-                results[key] = Polyomino(frozenset(key))
+            key = canonical_cells(cells)
+            if key not in results:
+                rec = ShapeRecord(Polyomino(frozenset(key)))
+                brush = rec.brush
+                ok = brush is not None and brush.pure_brush and tuple(sorted(brush.lengths)) == lengths
+                results[key] = rec.poly if ok else None
             return
         seen_lengths = set()
         for idx, length in enumerate(remaining):
@@ -312,136 +269,121 @@ def pure_brush_realizations(lengths: Sequence[int]) -> list[Polyomino]:
             remaining[idx] = length
 
     place(0, [])
-    return [results[k] for k in sorted(results)]
+    return [results[k] for k in sorted(results) if results[k] is not None]
 
 
-def _check_brush_fh(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
+def _check_brush_fh(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
     for d in range(1, 5):
         for lengths in combinations_with_replacement(range(2, 6), d):
             realizations = pure_brush_realizations(lengths)
             if not realizations:
-                out.append(Violation((), "", f"no pure brush realization for lengths={lengths}"))
+                yield Violation((), "", f"no pure brush realization for lengths={lengths}")
                 continue
             expected = brush_fh(lengths)
             for poly in realizations:
                 rc = f_vector(poly)
                 h = h_from_f(rc.f_vector, rc.rook_number)
                 if rc.rook_number != d or rc.f_vector != expected.f or h != expected.h:
-                    out.append(
-                        _violation(
-                            poly,
-                            f"lengths={lengths}: closed form f={expected.f} h={expected.h}, "
-                            f"brute force f={rc.f_vector} h={h}",
-                        )
+                    yield _violation(
+                        poly,
+                        f"lengths={lengths}: closed form f={expected.f} h={expected.h}, "
+                        f"brute force f={rc.f_vector} h={h}",
                     )
-    return out
 
 
-def _check_matching_bound(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        if poly.rank < 2 or not shape_predicates(poly).simple:
+def _check_matching_bound(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if rec.poly.rank < 2 or not rec.predicates.simple:
             continue
-        nu = induced_matching_number(attack_graph(poly)).size
-        singles = len(single_cell_intervals(poly))
+        nu = rec.matching.size
+        singles = len(single_cell_intervals(rec))
         if nu < singles:
-            out.append(_violation(poly, f"nu={nu} below single-cell interval count {singles}"))
-    return out
+            yield _violation(rec.poly, f"nu={nu} below single-cell interval count {singles}")
 
 
-def _pure_brushes(census: Sequence[Polyomino]):
-    for poly in census:
-        if poly.rank < 2:
+def _check_reg_eq_nu(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        brush = rec.brush
+        if brush is None or not brush.pure_brush:
             continue
-        preds = shape_predicates(poly)
-        if not (preds.simple and preds.thin):
-            continue
-        brush = brush_decomposition(poly)
-        if brush is not None and brush.pure_brush:
-            yield poly, brush
-
-
-def _check_reg_eq_nu(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly, brush in _pure_brushes(census):
-        rep = check_reg_eq_nu(poly)
+        rep = rec.reg_nu
         if not rep.consistent:
-            out.append(
-                _violation(
-                    poly,
-                    f"reg={rep.regularity} nu={rep.nu} singles={rep.single_interval_count}",
-                )
+            yield _violation(
+                rec.poly,
+                f"reg={rep.regularity} nu={rep.nu} singles={rep.single_interval_count}",
             )
         if any(l == 2 for l in brush.lengths):
             # Mixed-length case: with t bristles of length >= 3, the
             # matching number is t + 1 and the h-vector vanishes above t + 1.
             t = sum(1 for l in brush.lengths if l >= 3)
             if rep.nu != t + 1:
-                out.append(_violation(poly, f"nu={rep.nu}, expected {t + 1} for lengths={brush.lengths}"))
-            rc = f_vector(poly)
-            h = h_from_f(rc.f_vector, rc.rook_number)
-            if any(v != 0 for v in h[t + 2 :]):
-                out.append(_violation(poly, f"h={h} does not vanish above degree {t + 1}"))
-    return out
+                yield _violation(rec.poly, f"nu={rep.nu}, expected {t + 1} for lengths={brush.lengths}")
+            if any(v != 0 for v in rec.h_vector[t + 2 :]):
+                yield _violation(rec.poly, f"h={rec.h_vector} does not vanish above degree {t + 1}")
 
 
-def _check_katzman(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        preds = shape_predicates(poly)
-        if not (preds.simple and preds.thin) or not is_pure(poly).pure:
+def _pure_simple_thin(rec: ShapeRecord) -> bool:
+    return rec.predicates.simple and rec.predicates.thin and rec.purity.pure
+
+
+def _check_katzman(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if _pure_simple_thin(rec) and rec.regularity < rec.matching.size:
+            yield _violation(rec.poly, f"reg={rec.regularity} below nu={rec.matching.size}")
+
+
+def _check_froberg(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+    for rec in records:
+        if not _pure_simple_thin(rec):
             continue
-        reg = regularity_pure_thin(poly)
-        nu = induced_matching_number(attack_graph(poly)).size
-        if reg < nu:
-            out.append(_violation(poly, f"reg={reg} below nu={nu}"))
-    return out
+        chordal = rec.chordality.chordal
+        if (rec.regularity <= 1) != chordal:
+            yield _violation(rec.poly, f"reg={rec.regularity} but complement chordal={chordal}")
 
 
-def _check_froberg(census: Sequence[Polyomino]) -> list[Violation]:
-    out = []
-    for poly in census:
-        preds = shape_predicates(poly)
-        if not (preds.simple and preds.thin) or not is_pure(poly).pure:
-            continue
-        reg = regularity_pure_thin(poly)
-        chordal = is_chordal(complement_graph(attack_graph(poly))).chordal
-        if (reg <= 1) != chordal:
-            out.append(_violation(poly, f"reg={reg} but complement chordal={chordal}"))
-    return out
+def _attacks(cells: frozenset[Cell], a: Cell, b: Cell) -> bool:
+    """Whether two cells share a maximal interval, read off the cell set."""
+    (ax, ay), (bx, by) = a, b
+    if ay == by:
+        return all((x, ay) in cells for x in range(min(ax, bx), max(ax, bx) + 1))
+    if ax == bx:
+        return all((ax, y) in cells for y in range(min(ay, by), max(ay, by) + 1))
+    return False
 
 
-def _check_brush_corollary(census: Sequence[Polyomino]) -> list[Violation]:
+def _is_chordless_complement_cycle(poly: Polyomino, cycle: Sequence[Cell]) -> bool:
+    """Check a claimed chordless cycle of the attack-graph complement
+    against attacks rebuilt from the cells: at least 4 distinct cells,
+    consecutive ones not attacking, every other pair attacking."""
+    n = len(cycle)
+    if n < 4 or len(set(cycle)) != n or not set(cycle) <= poly.cells:
+        return False
+    for i, j in combinations(range(n), 2):
+        consecutive = j - i == 1 or (i == 0 and j == n - 1)
+        if _attacks(poly.cells, cycle[i], cycle[j]) == consecutive:
+            return False
+    return True
+
+
+def _check_brush_corollary(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
     """Probe: brushes (not necessarily short) whose complement fails to be
-    chordal. Findings are informational and re-confirmed on the witness."""
-    out = []
-    for poly in census:
-        if poly.rank < 2:
+    chordal. Findings are informational; each witness cycle is re-confirmed
+    by an independent check against the cells."""
+    for rec in records:
+        if rec.brush is None or rec.chordality.chordal:
             continue
-        preds = shape_predicates(poly)
-        if not (preds.simple and preds.thin):
-            continue
-        brush = brush_decomposition(poly)
-        if brush is None:
-            continue
-        res = is_chordal(complement_graph(attack_graph(poly)))
-        if not res.chordal:
-            confirmed = not is_chordal(complement_graph(attack_graph(poly))).chordal
-            out.append(
-                _violation(
-                    poly,
-                    f"brush lengths={brush.lengths} has non-chordal complement; "
-                    f"chordless cycle of length {len(res.chordless_cycle)}; "
-                    f"reconfirmed={confirmed}",
-                )
-            )
-    return out
+        cycle = rec.chordality.chordless_cycle
+        yield _violation(
+            rec.poly,
+            f"brush lengths={rec.brush.lengths} has non-chordal complement; "
+            f"chordless cycle of length {len(cycle)}; "
+            f"reconfirmed={_is_chordless_complement_cycle(rec.poly, cycle)}",
+        )
 
 
 @dataclass(frozen=True)
 class CheckSpec:
-    func: Callable[[Sequence[Polyomino]], list[Violation]]
+    func: Callable[[Sequence[ShapeRecord]], Iterable[Violation]]
     informational: bool
     summary: str
 
@@ -496,10 +438,10 @@ CHECKS: dict[str, CheckSpec] = {
 }
 
 
-def _run_check(args: tuple[str, tuple[Polyomino, ...]]) -> CheckResult:
-    name, census = args
+def _run_check(args: tuple[str, tuple[ShapeRecord, ...]]) -> CheckResult:
+    name, records = args
     spec = CHECKS[name]
-    violations = tuple(spec.func(census))
+    violations = tuple(spec.func(records))
     return CheckResult(name, not violations, violations, spec.informational)
 
 
@@ -508,7 +450,11 @@ def verify_corpus(
     checks: Iterable[str] | None = None,
     jobs: int = 1,
 ) -> CensusReport:
-    """Run the named checks over the free census of rank 1..n_max."""
+    """Run the named checks over the free census of rank 1..n_max.
+
+    One record per shape is built here and handed to every check, so each
+    shape is analyzed once per process.
+    """
     limit = max_rank_limit()
     if not 1 <= n_max <= limit:
         raise RankOutOfRangeError(f"max rank {n_max} outside 1..{limit}")
@@ -516,11 +462,11 @@ def verify_corpus(
     for name in names:
         if name not in CHECKS:
             raise UnknownCheckError(f"unknown check {name!r}")
-    census = free_census(n_max)
-    tasks = [(name, census) for name in names]
+    records = tuple(ShapeRecord(poly) for poly in free_census(n_max))
+    tasks = [(name, records) for name in names]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = tuple(pool.map(_run_check, tasks))
     else:
         results = tuple(_run_check(t) for t in tasks)
-    return CensusReport(n_max, "free", len(census), results)
+    return CensusReport(n_max, "free", len(records), results)

@@ -14,17 +14,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .errors import NotSimpleThinError, RankTooSmallError
-from .graphs import SimpleGraph
-from .polyomino import (
-    CellInterval,
-    Polyomino,
-    canonical_cells,
-    maximal_intervals,
-    shape_predicates,
-)
-from .rook_complex import attack_graph, f_vector
+from .graphs import SimpleGraph, bits
+# shape_predicates is unused here but stays bound: perfbench/test_checkers.py
+# checks that the tracer patches a layer function in a module importing it.
+from .polyomino import CellInterval, canonical_cells, shape_predicates  # noqa: F401
+
+if TYPE_CHECKING:
+    from .record import ShapeRecord
 
 SHORT_BRUSH = "short_brush"
 EXCEPTIONAL_NONTHIN = "exceptional_nonthin"
@@ -66,44 +65,42 @@ class ChordalityClassification:
 
 def complement_graph(graph: SimpleGraph) -> SimpleGraph:
     """Same vertices; edge exactly where the input has a non-edge."""
-    verts = graph.vertices
-    edges = frozenset(
-        frozenset((u, v))
-        for u, v in combinations(verts, 2)
-        if not graph.adjacent(u, v)
+    full = (1 << graph.n) - 1
+    return SimpleGraph(
+        graph.vertices, tuple(full ^ (1 << i) ^ mask for i, mask in enumerate(graph.masks))
     )
-    return SimpleGraph(verts, edges)
 
 
-def _mcs_order(graph: SimpleGraph) -> list:
-    """Maximum cardinality search visit order, ties broken by vertex order."""
-    weight = {v: 0 for v in graph.vertices}
-    unnumbered = set(graph.vertices)
+def _mcs_order(graph: SimpleGraph) -> list[int]:
+    """Maximum cardinality search visit order as vertex positions, ties
+    broken by vertex order."""
+    weight = [0] * graph.n
+    unnumbered = (1 << graph.n) - 1
     order = []
     while unnumbered:
-        v = max(sorted(unnumbered), key=lambda u: weight[u])
+        v = max(bits(unnumbered), key=weight.__getitem__)
         order.append(v)
-        unnumbered.remove(v)
-        for u in graph.neighbors(v):
-            if u in unnumbered:
-                weight[u] += 1
+        unnumbered ^= 1 << v
+        for u in bits(graph.masks[v] & unnumbered):
+            weight[u] += 1
     return order
 
 
-def _verify_elimination(graph: SimpleGraph, elim: list) -> tuple | None:
-    """Return a failing triple (v, w, x) if ``elim`` is not a perfect
-    elimination order: w is v's first later neighbor and x a later
-    neighbor not adjacent to w."""
-    pos = {v: i for i, v in enumerate(elim)}
+def _is_perfect_elimination(graph: SimpleGraph, elim: list[int]) -> bool:
+    """Whether in ``elim`` every vertex's later neighbours are all adjacent
+    to the first of them."""
+    pos = [0] * graph.n
+    for p, v in enumerate(elim):
+        pos[v] = p
+    later_than = (1 << graph.n) - 1
     for v in elim:
-        later = [u for u in graph.neighbors(v) if pos[u] > pos[v]]
-        if not later:
-            continue
-        w = min(later, key=lambda u: pos[u])
-        for x in later:
-            if x != w and not graph.adjacent(w, x):
-                return (v, w, x)
-    return None
+        later_than ^= 1 << v
+        later = graph.masks[v] & later_than
+        if later:
+            w = min(bits(later), key=pos.__getitem__)
+            if later & ~(1 << w) & ~graph.masks[w]:
+                return False
+    return True
 
 
 def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple | None:
@@ -113,32 +110,34 @@ def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple | None:
     avoiding the rest of b's closed neighborhood closes into a chordless
     cycle through b; scanning all triples finds a globally shortest one.
     """
+    masks = graph.masks
+    full = (1 << graph.n) - 1
     best: tuple | None = None
-    for b in graph.vertices:
-        nbrs = sorted(graph.neighbors(b))
-        blocked = set(nbrs) | {b}
-        for a, c in combinations(nbrs, 2):
-            if graph.adjacent(a, c):
+    for b in range(graph.n):
+        blocked = masks[b] | (1 << b)
+        for a, c in combinations(bits(masks[b]), 2):
+            if masks[a] >> c & 1:
                 continue
             if best is not None and len(best) == 4:
                 return best
-            allowed = (set(graph.vertices) - blocked) | {a, c}
+            # Vertices the search may still visit; a is visited first.
+            allowed = (full & ~blocked) | (1 << c)
             parent = {a: None}
             queue = deque([a])
             while queue:
                 u = queue.popleft()
                 if u == c:
                     break
-                for w in sorted(graph.neighbors(u)):
-                    if w in allowed and w not in parent:
-                        parent[w] = u
-                        queue.append(w)
+                for w in bits(masks[u] & allowed):
+                    parent[w] = u
+                    allowed ^= 1 << w
+                    queue.append(w)
             if c not in parent:
                 continue
             path = [c]
             while path[-1] != a:
                 path.append(parent[path[-1]])
-            cycle = tuple([b] + path[::-1])
+            cycle = tuple(graph.vertices[v] for v in [b] + path[::-1])
             if best is None or len(cycle) < len(best):
                 best = cycle
     return best
@@ -151,8 +150,8 @@ def is_chordal(graph: SimpleGraph) -> ChordalityResult:
     failure it is a shortest chordless cycle of length at least 4.
     """
     elim = _mcs_order(graph)[::-1]
-    if _verify_elimination(graph, elim) is None:
-        return ChordalityResult(True, tuple(elim), None)
+    if _is_perfect_elimination(graph, elim):
+        return ChordalityResult(True, tuple(graph.vertices[v] for v in elim), None)
     cycle = _shortest_chordless_cycle(graph)
     if cycle is None:
         raise RuntimeError("elimination check failed but no chordless cycle found")
@@ -168,31 +167,37 @@ def induced_cycle_lengths(graph: SimpleGraph, max_len: int) -> set[int]:
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
     lengths: set[int] = set()
-    verts = sorted(graph.vertices)
+    masks = graph.masks
 
-    def extend(start, path: tuple) -> None:
-        last = path[-1]
-        interior = path[1:-1]
-        for w in sorted(graph.neighbors(last)):
-            if w <= start or w in path:
-                continue
-            if any(graph.adjacent(w, u) for u in interior):
-                continue
+    def extend(start: int, above: int, path: int, first: int, last: int, interior: int, size: int) -> None:
+        # ``path`` holds the path's vertices, ``interior`` the neighbours of
+        # its interior ones; ``first`` is the vertex after ``start``.
+        for w in bits(masks[last] & above & ~path & ~interior):
             # The first step is always an extension; afterwards adjacency
             # to the start closes the cycle and blocks further growth.
-            if len(path) >= 2 and graph.adjacent(w, start):
-                if path[1] < w:
-                    lengths.add(len(path) + 1)
+            if size >= 2 and masks[w] >> start & 1:
+                if first < w:
+                    lengths.add(size + 1)
                 continue
-            if len(path) + 1 < max_len:
-                extend(start, path + (w,))
+            if size + 1 < max_len:
+                extend(
+                    start,
+                    above,
+                    path | (1 << w),
+                    w if size == 1 else first,
+                    w,
+                    interior | masks[last] if size >= 2 else 0,
+                    size + 1,
+                )
 
-    for s in verts:
-        extend(s, (s,))
+    full = (1 << graph.n) - 1
+    for s in range(graph.n):
+        above = full >> (s + 1) << (s + 1)
+        extend(s, above, 1 << s, -1, s, 0, 1)
     return {l for l in lengths if l <= max_len}
 
 
-def brush_decomposition(poly: Polyomino) -> BrushDecomposition | None:
+def brush_decomposition(rec: ShapeRecord) -> BrushDecomposition | None:
     """Decompose a simple thin polyomino as a handle plus bristles.
 
     Tries every maximal interval as the handle; valid when all remaining
@@ -202,12 +207,12 @@ def brush_decomposition(poly: Polyomino) -> BrushDecomposition | None:
     to partition the cells with handle length = bristle count = rook
     number.
     """
-    preds = shape_predicates(poly)
+    preds = rec.predicates
     if not (preds.simple and preds.thin):
         raise NotSimpleThinError("brush recognition needs a simple thin polyomino")
-    if poly.rank < 2:
+    if rec.poly.rank < 2:
         raise RankTooSmallError("rank 1 has no maximal intervals")
-    ivs = maximal_intervals(poly)
+    ivs = rec.intervals
     found: list[BrushDecomposition] = []
     for handle in ivs:
         bristles = tuple(iv for iv in ivs if iv != handle)
@@ -227,11 +232,11 @@ def brush_decomposition(poly: Polyomino) -> BrushDecomposition | None:
                 disjoint = False
                 break
             covered |= iv.cell_set
-        d = f_vector(poly).rook_number
+        d = rec.rook_complex.rook_number
         pure = (
             bool(bristles)
             and disjoint
-            and covered == set(poly.cells)
+            and covered == rec.poly.cells
             and handle.length == len(bristles) == d
         )
         found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))
@@ -241,7 +246,7 @@ def brush_decomposition(poly: Polyomino) -> BrushDecomposition | None:
     return found[0]
 
 
-def classify_chordality(poly: Polyomino) -> ChordalityClassification:
+def classify_chordality(rec: ShapeRecord) -> ChordalityClassification:
     """Classify a polyomino against the chordality characterization.
 
     ``consistent`` holds when the complement of the attack graph is
@@ -249,14 +254,14 @@ def classify_chordality(poly: Polyomino) -> ChordalityClassification:
     shapes. The monomino counts as a degenerate short brush: it has no
     intervals at all and its one-vertex complement is chordal.
     """
-    chordal = is_chordal(complement_graph(attack_graph(poly))).chordal
-    preds = shape_predicates(poly)
-    if poly.rank == 1:
+    chordal = rec.chordality.chordal
+    preds = rec.predicates
+    if rec.poly.rank == 1:
         category = SHORT_BRUSH
     elif preds.simple and preds.thin:
-        brush = brush_decomposition(poly)
+        brush = rec.brush
         category = SHORT_BRUSH if brush is not None and brush.short else OTHER
-    elif preds.simple and canonical_cells(poly.cells) in _EXCEPTIONAL_KEYS:
+    elif preds.simple and canonical_cells(rec.poly.cells) in _EXCEPTIONAL_KEYS:
         category = EXCEPTIONAL_NONTHIN
     else:
         category = OTHER

@@ -11,25 +11,16 @@ import json
 import sys
 
 from . import census as census_mod
-from .chordal import (
-    brush_decomposition,
-    classify_chordality,
-    complement_graph,
-    is_chordal,
-)
 from .errors import (
     NotApplicableError,
     NotPureBrushError,
-    NotSimpleThinError,
     RankOutOfRangeError,
-    RankTooSmallError,
     RookLabError,
     UnknownCheckError,
 )
-from .partition import check_purity_theorem, super_partitions
-from .polyomino import Polyomino, parse_ascii, parse_cells, render_ascii, shape_predicates
-from .regularity import check_reg_eq_nu, induced_matching_number, regularity_pure_thin
-from .rook_complex import attack_graph, f_vector, h_from_f, is_pure
+from .polyomino import Polyomino, parse_ascii, parse_cells, render_ascii
+from .record import GraphRecord, ShapeRecord
+from .rook_complex import INTERVAL
 
 SCHEMA_VERSION = 1
 REG_NOT_DETERMINED = "not combinatorially determined by this toolkit"
@@ -52,7 +43,7 @@ def _load_polyomino(path: str, fmt: str) -> Polyomino:
         text = fh.read()
     if fmt == "json":
         data = json.loads(text)
-        return parse_cells([tuple(c) for c in data["cells"]])
+        return parse_cells(data["cells"])
     return parse_ascii(text)
 
 
@@ -60,51 +51,55 @@ def _cells_json(cells) -> list[list[int]]:
     return [[x, y] for x, y in sorted(cells)]
 
 
-def analyze_polyomino(poly: Polyomino, convention: str = "interval") -> dict:
-    """Full analysis report as a JSON-ready dict with frozen field names."""
-    preds = shape_predicates(poly)
-    rc = f_vector(poly, convention)
-    h = h_from_f(rc.f_vector, rc.rook_number)
-    purity = is_pure(poly, convention)
-    graph = attack_graph(poly, convention)
-    chord = is_chordal(complement_graph(graph))
-    classification = classify_chordality(poly)
-    matching = induced_matching_number(graph)
+def analyze_polyomino(poly: Polyomino, convention: str = INTERVAL) -> dict:
+    """Full analysis report as a JSON-ready dict with frozen field names.
+
+    The graph-dependent fields follow ``convention``; partitions, the
+    brush, the class, regularity and the checks always follow the
+    interval convention.
+    """
+    rec = ShapeRecord(poly)
+    view = rec if convention == INTERVAL else GraphRecord(poly, convention)
+    preds = rec.predicates
+    rc = view.rook_complex
+    purity = view.purity
+    chord = view.chordality
+    classification = rec.classification
+    matching = view.matching
 
     supers = []
     purity_flag = None
     if poly.rank >= 2:
-        for part in super_partitions(poly):
+        for part in rec.super_partitions:
             supers.append(
                 {
                     "orientation": part.orientation,
                     "intervals": [_cells_json(iv.cells) for iv in part.intervals],
                 }
             )
-        purity_flag = check_purity_theorem(poly).consistent
+        purity_flag = rec.purity_theorem.consistent
 
     brush_field = None
-    if poly.rank >= 2 and preds.simple and preds.thin:
-        brush = brush_decomposition(poly)
-        if brush is not None:
-            brush_field = {
-                "handle": _cells_json(brush.handle.cells),
-                "bristles": [_cells_json(iv.cells) for iv in brush.bristles],
-                "lengths": list(brush.lengths),
-                "short": brush.short,
-                "pureBrush": brush.pure_brush,
-                "d": brush.d,
-            }
+    brush = rec.brush
+    if brush is not None:
+        brush_field = {
+            "handle": _cells_json(brush.handle.cells),
+            "bristles": [_cells_json(iv.cells) for iv in brush.bristles],
+            "lengths": list(brush.lengths),
+            "short": brush.short,
+            "pureBrush": brush.pure_brush,
+            "d": brush.d,
+        }
 
     try:
-        regularity = regularity_pure_thin(poly)
+        regularity = rec.regularity
     except NotApplicableError:
         regularity = REG_NOT_DETERMINED
 
     reg_nu_flag = None
     try:
-        reg_nu_flag = check_reg_eq_nu(poly).consistent
-    except (NotPureBrushError, NotSimpleThinError, RankTooSmallError):
+        reg_nu_flag = rec.reg_nu.consistent
+    except NotPureBrushError:
         pass
 
     if chord.chordal:
@@ -126,7 +121,7 @@ def analyze_polyomino(poly: Polyomino, convention: str = "interval") -> dict:
             "convex": preds.convex,
         },
         "fVector": list(rc.f_vector),
-        "hVector": list(h),
+        "hVector": list(view.h_vector),
         "rookNumber": rc.rook_number,
         "pure": purity.pure,
         "pureWitness": None
@@ -259,7 +254,7 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     try:
         shapes = list(census_mod.generate(args.rank, args.mode))
-    except (RankOutOfRangeError, ValueError) as exc:
+    except RankOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     blocks = []

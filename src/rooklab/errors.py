@@ -22,6 +22,10 @@ class BadCharacterError(RookLabError):
         super().__init__(f"bad character {char!r} at line {line}, column {column}")
 
 
+class BadCellError(RookLabError):
+    """A coordinate-list entry is not a pair of integers."""
+
+
 class DuplicateCellError(RookLabError):
     """A coordinate list names the same cell twice."""
 
@@ -50,7 +54,8 @@ class RankTooSmallError(RookLabError):
 
 
 class RankOutOfRangeError(RookLabError):
-    """Requested rank is outside 1..configured maximum."""
+    """Requested rank is outside 1..configured maximum, or the maximum
+    configured in the environment is not an integer."""
 
 
 class LengthMismatchError(RookLabError):

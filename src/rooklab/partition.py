@@ -13,18 +13,13 @@ partition whose size equals the rook number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import IntervalNotInPolyominoError, RankTooSmallError
-from .polyomino import (
-    Cell,
-    CellInterval,
-    HORIZONTAL,
-    Polyomino,
-    VERTICAL,
-    maximal_intervals,
-)
-from .rook_complex import attack_graph, f_vector, is_pure
+from .polyomino import Cell, CellInterval, HORIZONTAL, VERTICAL
+
+if TYPE_CHECKING:
+    from .record import ShapeRecord
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,7 @@ class PurityTheoremReport:
     consistent: bool
 
 
-def embeddings(poly: Polyomino, interval: CellInterval) -> Iterator[Embedding]:
+def embeddings(rec: ShapeRecord, interval: CellInterval) -> Iterator[Embedding]:
     """Every embedding of ``interval``, in lexicographic order of the
     rook tuple aligned with the interval's cells.
 
@@ -65,11 +60,11 @@ def embeddings(poly: Polyomino, interval: CellInterval) -> Iterator[Embedding]:
     itself, and candidates per target cell are exactly the other cells of
     its perpendicular interval.
     """
-    ivs = maximal_intervals(poly)
+    ivs = rec.intervals
     if interval not in ivs:
         raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
-    graph = attack_graph(poly)
-    candidates: list[list[Cell]] = []
+    graph = rec.attack
+    candidates: list[list[int]] = []
     for cell in interval.cells:
         perp = [
             iv
@@ -78,36 +73,37 @@ def embeddings(poly: Polyomino, interval: CellInterval) -> Iterator[Embedding]:
         ]
         if not perp:
             return
-        candidates.append([c for c in perp[0].cells if c != cell])
+        candidates.append([graph.index(c) for c in perp[0].cells if c != cell])
 
-    chosen: list[Cell] = []
+    chosen: list[int] = []
 
-    def extend(i: int) -> Iterator[Embedding]:
+    def extend(i: int, blocked: int) -> Iterator[Embedding]:
+        # ``blocked`` holds the chosen rooks and every cell they attack.
         if i == len(candidates):
-            yield Embedding(interval, tuple(chosen))
+            yield Embedding(interval, tuple(graph.vertices[c] for c in chosen))
             return
         for cand in candidates[i]:
-            if any(cand == c or graph.adjacent(cand, c) for c in chosen):
+            if blocked >> cand & 1:
                 continue
             chosen.append(cand)
-            yield from extend(i + 1)
+            yield from extend(i + 1, blocked | graph.masks[cand] | (1 << cand))
             chosen.pop()
 
-    yield from extend(0)
+    yield from extend(0, 0)
 
 
-def find_embedding(poly: Polyomino, interval: CellInterval) -> Embedding | None:
+def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None:
     """First embedding of ``interval`` in deterministic order, or None."""
-    return next(embeddings(poly, interval), None)
+    return next(embeddings(rec, interval), None)
 
 
-def is_embedding(poly: Polyomino, interval: CellInterval, rooks: tuple[Cell, ...]) -> bool:
+def is_embedding(rec: ShapeRecord, interval: CellInterval, rooks: tuple[Cell, ...]) -> bool:
     """Validate a claimed embedding independently of the search."""
     if len(rooks) != interval.length or len(set(rooks)) != len(rooks):
         return False
-    graph = attack_graph(poly)
-    if any(r not in poly.cells for r in rooks):
+    if any(r not in rec.poly.cells for r in rooks):
         return False
+    graph = rec.attack
     paired = all(graph.adjacent(r, c) for r, c in zip(rooks, interval.cells))
     free = not any(
         graph.adjacent(rooks[i], rooks[j])
@@ -117,44 +113,43 @@ def is_embedding(poly: Polyomino, interval: CellInterval, rooks: tuple[Cell, ...
     return paired and free
 
 
-def partitions(poly: Polyomino) -> list[PartitionSet]:
+def partitions(rec: ShapeRecord) -> list[PartitionSet]:
     """The at most two partitions of the polyomino into maximal intervals.
 
     The horizontal family qualifies exactly when every cell lies in a
     horizontal interval, and likewise vertically; members of one family
     are automatically pairwise disjoint.
     """
-    if poly.rank < 2:
+    if rec.poly.rank < 2:
         raise RankTooSmallError("a monomino has no partitions: its interval family is empty")
-    ivs = maximal_intervals(poly)
     out: list[PartitionSet] = []
     for orientation in (HORIZONTAL, VERTICAL):
-        members = tuple(iv for iv in ivs if iv.orientation == orientation)
+        members = tuple(iv for iv in rec.intervals if iv.orientation == orientation)
         covered: set[Cell] = set()
         for iv in members:
             covered |= iv.cell_set
-        if covered == set(poly.cells):
-            is_super = all(find_embedding(poly, iv) is None for iv in members)
+        if covered == rec.poly.cells:
+            is_super = all(find_embedding(rec, iv) is None for iv in members)
             out.append(PartitionSet(members, orientation, is_super))
     return out
 
 
-def super_partitions(poly: Polyomino) -> list[PartitionSet]:
+def super_partitions(rec: ShapeRecord) -> list[PartitionSet]:
     """The partitions none of whose members is embedded."""
-    return [p for p in partitions(poly) if p.is_super]
+    return [p for p in partitions(rec) if p.is_super]
 
 
-def check_purity_theorem(poly: Polyomino) -> PurityTheoremReport:
-    """Brute-force both sides of the purity characterization.
+def check_purity_theorem(rec: ShapeRecord) -> PurityTheoremReport:
+    """Compare both sides of the purity characterization, as read off the record.
 
     ``consistent`` holds when purity of the rook complex coincides with
     the existence of a super partition whose size is the rook number.
     """
-    if poly.rank < 2:
+    if rec.poly.rank < 2:
         raise RankTooSmallError("rank 1 is a documented trivial case (pure, no partitions)")
-    pure = is_pure(poly).pure
-    d = f_vector(poly).rook_number
-    supers = super_partitions(poly)
+    pure = rec.purity.pure
+    d = rec.rook_complex.rook_number
+    supers = rec.super_partitions
     super_exists = bool(supers)
     sizes_match = any(len(p.intervals) == d for p in supers)
     consistent = pure == (super_exists and sizes_match)

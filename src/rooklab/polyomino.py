@@ -1,5 +1,5 @@
-"""Polyomino geometry: parsing, normalization, maximal cell intervals,
-path metrics and shape predicates.
+"""Polyomino geometry: parsing, normalization, maximal cell intervals
+and shape predicates.
 
 Cells are unit lattice squares identified by their lower-left corner
 ``(x, y)``. A polyomino is a finite, edge-connected, non-empty set of
@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    BadCellError,
     BadCharacterError,
-    CellNotInPolyominoError,
     DuplicateCellError,
     EmptyInputError,
     NotConnectedError,
@@ -171,18 +171,28 @@ def parse_ascii(text: str) -> Polyomino:
     return Polyomino.from_cells(cells)
 
 
-def parse_cells(pairs: Iterable[tuple[int, int]]) -> Polyomino:
-    """Build a polyomino from a list of (x, y) pairs, rejecting duplicates."""
-    pairs = [tuple(p) for p in pairs]
-    if not pairs:
+def parse_cells(pairs: Iterable[Sequence[int]]) -> Polyomino:
+    """Build a polyomino from (x, y) integer pairs given as tuples or
+    lists, rejecting any other entry (a bool coordinate included) and
+    duplicates."""
+    cells: list[Cell] = []
+    for p in pairs:
+        if not (
+            isinstance(p, (tuple, list))
+            and len(p) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in p)
+        ):
+            raise BadCellError(f"cell {p!r} is not a pair of integers")
+        cells.append(tuple(p))
+    if not cells:
         raise EmptyInputError("cell list is empty")
-    if len(set(pairs)) != len(pairs):
+    if len(set(cells)) != len(cells):
         seen: set[Cell] = set()
-        for p in pairs:
+        for p in cells:
             if p in seen:
                 raise DuplicateCellError(f"cell {p} appears twice")
             seen.add(p)
-    return Polyomino.from_cells(pairs)
+    return Polyomino.from_cells(cells)
 
 
 def render_ascii(poly: Polyomino) -> str:
@@ -228,13 +238,6 @@ def maximal_intervals(poly: Polyomino) -> list[CellInterval]:
                 out.append(CellInterval(VERTICAL, tuple((x, y) for y in run)))
     out.sort(key=lambda iv: (iv.orientation, iv.anchor))
     return out
-
-
-def intervals_through(poly: Polyomino, cell: Cell) -> list[CellInterval]:
-    """The at most two maximal intervals containing ``cell``."""
-    if cell not in poly.cells:
-        raise CellNotInPolyominoError(f"{cell} is not a cell of the polyomino")
-    return [iv for iv in maximal_intervals(poly) if cell in iv]
 
 
 def shape_predicates(poly: Polyomino) -> ShapePredicates:
@@ -285,56 +288,6 @@ def shape_predicates(poly: Polyomino) -> ShapePredicates:
         column_convex=column_convex,
         convex=row_convex and column_convex,
     )
-
-
-def min_changes_of_direction(poly: Polyomino, start: Cell, goal: Cell) -> int:
-    """Minimum number of direction changes over all cell paths from
-    ``start`` to ``goal``.
-
-    A step is horizontal or vertical; a change of direction is a switch
-    of axis between consecutive steps. Computed by 0-1 BFS over
-    (cell, axis) states; loops can always be cut without increasing the
-    change count, so the walk minimum equals the path minimum.
-    """
-    for c in (start, goal):
-        if c not in poly.cells:
-            raise CellNotInPolyominoError(f"{c} is not a cell of the polyomino")
-    if start == goal:
-        return 0
-    dist: dict[tuple[Cell, int], int] = {}
-    dq: deque[tuple[Cell, int, int]] = deque()
-    for dx, dy in _STEPS:
-        nb = (start[0] + dx, start[1] + dy)
-        if nb in poly.cells:
-            axis = 0 if dy == 0 else 1
-            state = (nb, axis)
-            if dist.get(state, 1 << 30) > 0:
-                dist[state] = 0
-                dq.append((nb, axis, 0))
-    best = None
-    while dq:
-        cell, axis, d = dq.popleft()
-        if dist.get((cell, axis), 1 << 30) < d:
-            continue
-        if cell == goal:
-            best = d if best is None else min(best, d)
-            continue
-        for dx, dy in _STEPS:
-            nb = (cell[0] + dx, cell[1] + dy)
-            if nb not in poly.cells:
-                continue
-            nxt_axis = 0 if dy == 0 else 1
-            nd = d + (1 if nxt_axis != axis else 0)
-            state = (nb, nxt_axis)
-            if dist.get(state, 1 << 30) > nd:
-                dist[state] = nd
-                if nd == d:
-                    dq.appendleft((nb, nxt_axis, nd))
-                else:
-                    dq.append((nb, nxt_axis, nd))
-    if best is None:
-        raise NotConnectedError((start, goal))
-    return best
 
 
 def canonical_cells(cells: Iterable[Cell], mode: str = "free") -> tuple[Cell, ...]:

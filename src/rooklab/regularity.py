@@ -13,18 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .chordal import brush_decomposition
 from .errors import (
     IndexOutOfRangeError,
     NotApplicableError,
     NotPureBrushError,
     RankTooSmallError,
 )
-from .graphs import SimpleGraph
-from .polyomino import Cell, CellInterval, Polyomino, maximal_intervals, shape_predicates
-from .rook_complex import attack_graph, f_vector, h_from_f, is_pure
+from .graphs import SimpleGraph, bits
+from .polyomino import Cell, CellInterval
+
+if TYPE_CHECKING:
+    from .record import ShapeRecord
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,22 @@ def brush_fh(lengths: Sequence[int]) -> BrushVectors:
 
 
 def _conflict_masks(graph: SimpleGraph) -> tuple[list[tuple[Cell, Cell]], list[int]]:
-    edges = graph.edge_pairs()
-    masks = [0] * len(edges)
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            a, b = edges[i], edges[j]
-            touching = bool(set(a) & set(b)) or any(
-                graph.adjacent(u, v) for u in a for v in b
-            )
-            if touching:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return edges, masks
+    """The edges as sorted pairs in sorted order, and for each edge the
+    mask of the edges it conflicts with: those with an endpoint in the
+    closed neighbourhood of either of its endpoints."""
+    masks = graph.masks
+    ends = [(i, j) for i, mask in enumerate(masks) for j in bits((mask >> (i + 1)) << (i + 1))]
+    incident = [0] * graph.n
+    for e, (i, j) in enumerate(ends):
+        incident[i] |= 1 << e
+        incident[j] |= 1 << e
+    conflict = []
+    for e, (i, j) in enumerate(ends):
+        touched = 0
+        for v in bits(masks[i] | masks[j] | (1 << i) | (1 << j)):
+            touched |= incident[v]
+        conflict.append(touched & ~(1 << e))
+    return [(graph.vertices[i], graph.vertices[j]) for i, j in ends], conflict
 
 
 def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
@@ -195,13 +200,7 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
 
     expand(avail0, 0, 0)
 
-    picked = []
-    m = best_mask
-    while m:
-        b = m & -m
-        picked.append(edges[b.bit_length() - 1])
-        m ^= b
-    picked.sort()
+    picked = sorted(edges[i] for i in bits(best_mask))
     _verify_induced_matching(graph, picked)
     return MatchingCertificate(tuple(picked), best_size)
 
@@ -216,78 +215,40 @@ def _verify_induced_matching(graph: SimpleGraph, edges: list[tuple[Cell, Cell]])
             raise RuntimeError("matching certificate is not induced")
 
 
-def is_interval_matching(poly: Polyomino, edges: Sequence[tuple[Cell, Cell]]) -> bool:
-    """Interval-level validation view of an induced matching.
-
-    The edges must be pairwise disjoint attacking pairs, each inside its
-    maximal interval, and no interval may cross two of those intervals
-    inside the matched pairs. This is implied by the graph-level
-    definition but is strictly weaker: a foreign matched endpoint lying
-    on the same interval as a pair, beyond it, is not detected here.
-    """
-    ivs = maximal_intervals(poly)
-    graph = attack_graph(poly)
-    matched: set[Cell] = set()
-    homes: list[CellInterval] = []
-    pairs: list[frozenset[Cell]] = []
-    for a, b in edges:
-        if a in matched or b in matched or a == b:
-            return False
-        matched |= {a, b}
-        if not graph.adjacent(a, b):
-            return False
-        home = [iv for iv in ivs if a in iv and b in iv]
-        if len(home) != 1:
-            return False
-        homes.append(home[0])
-        pairs.append(frozenset((a, b)))
-    for j in range(len(edges)):
-        for k in range(j + 1, len(edges)):
-            for connector in ivs:
-                meets_j = connector.cell_set & homes[j].cell_set
-                meets_k = connector.cell_set & homes[k].cell_set
-                if meets_j and meets_k and meets_j <= pairs[j] and meets_k <= pairs[k]:
-                    return False
-    return True
-
-
-def single_cell_intervals(poly: Polyomino) -> list[CellInterval]:
+def single_cell_intervals(rec: ShapeRecord) -> list[CellInterval]:
     """Intervals owning at least two cells that belong to no other interval."""
-    if poly.rank < 2:
+    if rec.poly.rank < 2:
         raise RankTooSmallError("rank 1 has no maximal intervals")
-    ivs = maximal_intervals(poly)
-    membership: dict[Cell, int] = {c: 0 for c in poly.cells}
-    for iv in ivs:
+    membership: dict[Cell, int] = {c: 0 for c in rec.poly.cells}
+    for iv in rec.intervals:
         for c in iv.cells:
             membership[c] += 1
     out = []
-    for iv in ivs:
+    for iv in rec.intervals:
         singles = sum(1 for c in iv.cells if membership[c] == 1)
         if singles >= 2:
             out.append(iv)
     return out
 
 
-def regularity_pure_thin(poly: Polyomino) -> int:
+def regularity_pure_thin(rec: ShapeRecord) -> int:
     """Degree of the h-vector, licensed only for pure simple thin input."""
-    preds = shape_predicates(poly)
+    preds = rec.predicates
     if not (preds.simple and preds.thin):
         raise NotApplicableError("regularity formula needs a simple thin polyomino")
-    if not is_pure(poly).pure:
+    if not rec.purity.pure:
         raise NotApplicableError("regularity formula needs a pure rook complex")
-    rc = f_vector(poly)
-    h = h_from_f(rc.f_vector, rc.rook_number)
-    return max(k for k, v in enumerate(h) if v != 0)
+    return max(k for k, v in enumerate(rec.h_vector) if v != 0)
 
 
-def check_reg_eq_nu(poly: Polyomino) -> RegularityMatchReport:
+def check_reg_eq_nu(rec: ShapeRecord) -> RegularityMatchReport:
     """Compare the h-vector degree with the exact induced matching number
     on a pure brush, together with the single-cell lower bound."""
-    brush = brush_decomposition(poly)
+    brush = rec.brush
     if brush is None or not brush.pure_brush:
         raise NotPureBrushError("input is not a pure brush polyomino")
-    reg = regularity_pure_thin(poly)
-    nu = induced_matching_number(attack_graph(poly)).size
-    singles = len(single_cell_intervals(poly))
+    reg = rec.regularity
+    nu = rec.matching.size
+    singles = len(single_cell_intervals(rec))
     consistent = (reg == nu) and (nu >= singles)
     return RegularityMatchReport(reg, nu, singles, consistent)

@@ -12,21 +12,16 @@ independent sets of the attack graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import CellNotInPolyominoError, LengthMismatchError, NotPureError
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, bits
 from .polyomino import Cell, Polyomino, maximal_intervals
 
 INTERVAL = "interval"
 LINE = "line"
-
-
-@dataclass(frozen=True)
-class AttackGraph(SimpleGraph):
-    convention: str = INTERVAL
 
 
 @dataclass(frozen=True)
@@ -48,26 +43,43 @@ class PurityResult:
     witness: tuple[frozenset, frozenset] | None
 
 
-@lru_cache(maxsize=None)
-def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> AttackGraph:
+def _per_shape_cache(func):
+    """An unbounded lru_cache keyed on (poly, convention) however the
+    convention is passed, so that ``f(p)`` and ``f(p, "interval")`` share
+    one entry. ``cache_info`` and ``cache_clear`` are the cache's own."""
+    cached = lru_cache(maxsize=None)(func)
+
+    @wraps(func)
+    def lookup(poly: Polyomino, convention: str = INTERVAL):
+        return cached(poly, convention)
+
+    lookup.cache_info = cached.cache_info
+    lookup.cache_clear = cached.cache_clear
+    return lookup
+
+
+@_per_shape_cache
+def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
     """The graph on the cells of ``poly`` whose edges are attacking pairs."""
-    pairs: set[frozenset] = set()
+    cells = poly.sorted_cells
     if convention == INTERVAL:
-        for iv in maximal_intervals(poly):
-            cells = iv.cells
-            for i in range(len(cells)):
-                for j in range(i + 1, len(cells)):
-                    pairs.add(frozenset((cells[i], cells[j])))
+        index = {c: i for i, c in enumerate(cells)}
+        lines = [[index[c] for c in iv.cells] for iv in maximal_intervals(poly)]
     elif convention == LINE:
-        cells = poly.sorted_cells
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                a, b = cells[i], cells[j]
-                if a[0] == b[0] or a[1] == b[1]:
-                    pairs.add(frozenset((a, b)))
+        rows: dict[int, list[int]] = {}
+        cols: dict[int, list[int]] = {}
+        for i, (x, y) in enumerate(cells):
+            rows.setdefault(y, []).append(i)
+            cols.setdefault(x, []).append(i)
+        lines = [*rows.values(), *cols.values()]
     else:
         raise ValueError(f"unknown attack convention {convention!r}")
-    return AttackGraph(poly.sorted_cells, frozenset(pairs), convention)
+    masks = [0] * len(cells)
+    for line in lines:
+        line_mask = sum(1 << i for i in line)
+        for i in line:
+            masks[i] |= line_mask ^ (1 << i)
+    return SimpleGraph(cells, tuple(masks))
 
 
 def _enumerate_complex(graph: SimpleGraph) -> tuple[list[frozenset], list[int]]:
@@ -78,12 +90,7 @@ def _enumerate_complex(graph: SimpleGraph) -> tuple[list[frozenset], list[int]]:
     """
     verts = graph.vertices
     n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * n
-    for e in graph.edges:
-        u, v = tuple(e)
-        adj[index[u]] |= 1 << index[v]
-        adj[index[v]] |= 1 << index[u]
+    adj = graph.masks
     closed = [adj[i] | (1 << i) for i in range(n)]
     full = (1 << n) - 1
     counts = [0] * (n + 1)
@@ -107,20 +114,12 @@ def _enumerate_complex(graph: SimpleGraph) -> tuple[list[frozenset], list[int]]:
 
     visit(0, 0, full, 0)
 
-    facets = []
-    for mask in facet_masks:
-        cells = []
-        m = mask
-        while m:
-            b = m & -m
-            cells.append(verts[b.bit_length() - 1])
-            m ^= b
-        facets.append(frozenset(cells))
+    facets = [frozenset(verts[i] for i in bits(mask)) for mask in facet_masks]
     facets.sort(key=lambda f: tuple(sorted(f)))
     return facets, counts
 
 
-@lru_cache(maxsize=None)
+@_per_shape_cache
 def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     """Exact face counts of the rook complex, with its facets.
 
@@ -215,26 +214,3 @@ def is_vertex_decomposable(poly: Polyomino, convention: str = INTERVAL) -> bool:
     if not is_pure(poly, convention).pure:
         raise NotPureError("vertex decomposability is only defined for pure complexes")
     return _vertex_decomposable(frozenset(rc.facets))
-
-
-def independent_set_count(graph: SimpleGraph) -> int:
-    """Count independent sets by deletion/contraction on a vertex.
-
-    Independent of the backtracking enumerator; used as a cross-check
-    against the face-count total.
-    """
-
-    def count(vertices: frozenset, edges: frozenset) -> int:
-        if not vertices:
-            return 1
-        if not edges:
-            return 2 ** len(vertices)
-        v = max(vertices, key=lambda u: (sum(1 for e in edges if u in e), u))
-        closed = {v} | {w for e in edges for w in e if v in e and w != v}
-        without = vertices - {v}
-        e_without = frozenset(e for e in edges if v not in e)
-        rest = vertices - closed
-        e_rest = frozenset(e for e in edges if not (e & closed))
-        return count(without, e_without) + count(rest, e_rest)
-
-    return count(frozenset(graph.vertices), graph.edges)

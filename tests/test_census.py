@@ -132,6 +132,19 @@ class TestVerifyCorpus:
         parallel = verify_corpus(4, names, jobs=2)
         assert sequential == parallel
 
+    def test_cycle_certificate_rejects_corrupted_cycles(self):
+        from rooklab.census import _is_chordless_complement_cycle
+        from rooklab.polyomino import parse_ascii
+
+        rect = parse_ascii("###\n###")
+        cycle = is_chordal(complement_graph(attack_graph(rect))).chordless_cycle
+        assert _is_chordless_complement_cycle(rect, cycle)
+        swapped = (cycle[1], cycle[0]) + cycle[2:]
+        assert not _is_chordless_complement_cycle(rect, swapped)
+        assert not _is_chordless_complement_cycle(rect, cycle[:-1])
+        assert not _is_chordless_complement_cycle(rect, cycle[:-1] + (cycle[0],))
+        assert not _is_chordless_complement_cycle(rect, cycle[:-1] + ((5, 5),))
+
     def test_violations_render_witnesses(self):
         report = verify_corpus(6, ["brush-corollary"])
         result = report.results[0]

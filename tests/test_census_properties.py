@@ -1,6 +1,7 @@
 """Census-wide invariants at the ranks where they are stated."""
 
 from rooklab import (
+    ShapeRecord,
     attack_graph,
     facets,
     find_embedding,
@@ -37,19 +38,21 @@ class TestProofSteps:
         # Embedded members of a partition of a pure-complex polyomino are
         # none or all.
         for poly in census8:
+            rec = ShapeRecord(poly)
             if poly.rank < 2 or not is_pure(poly).pure:
                 continue
-            for part in partitions(poly):
-                flags = [find_embedding(poly, iv) is not None for iv in part.intervals]
+            for part in partitions(rec):
+                flags = [find_embedding(rec, iv) is not None for iv in part.intervals]
                 assert all(flags) or not any(flags)
 
     def test_unembedded_interval_meets_every_facet(self, census8):
         for poly in census8:
+            rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
             fs = facets(poly)
             for iv in maximal_intervals(poly):
-                if find_embedding(poly, iv) is None:
+                if find_embedding(rec, iv) is None:
                     assert all(f & iv.cell_set for f in fs)
 
 

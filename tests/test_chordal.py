@@ -4,6 +4,7 @@ import pytest
 
 from rooklab import (
     NotSimpleThinError,
+    ShapeRecord,
     SimpleGraph,
     attack_graph,
     brush_decomposition,
@@ -11,7 +12,6 @@ from rooklab import (
     complement_graph,
     induced_cycle_lengths,
     is_chordal,
-    min_changes_of_direction,
     parse_ascii,
     parse_cells,
 )
@@ -165,7 +165,7 @@ class TestInducedCycleLengths:
 
 class TestBrushDecomposition:
     def test_skew(self):
-        brush = brush_decomposition(SKEW)
+        brush = brush_decomposition(ShapeRecord(SKEW))
         assert brush.handle.cells == ((1, 0), (1, 1))
         assert [iv.cells for iv in brush.bristles] == [
             ((0, 0), (1, 0)),
@@ -175,29 +175,29 @@ class TestBrushDecomposition:
         assert brush.short and brush.pure_brush and brush.d == 2
 
     def test_l_tromino(self):
-        brush = brush_decomposition(L_TROMINO)
+        brush = brush_decomposition(ShapeRecord(L_TROMINO))
         assert brush.handle.cells == ((0, 0), (1, 0))
         assert brush.lengths == (2,)
         assert brush.short and not brush.pure_brush
 
     def test_t_comb_long_bristles(self):
-        brush = brush_decomposition(T_COMB)
+        brush = brush_decomposition(ShapeRecord(T_COMB))
         assert brush.lengths == (3, 3)
         assert not brush.short
 
     def test_straight_interval_has_no_bristles(self):
         bar = parse_ascii("####")
-        brush = brush_decomposition(bar)
+        brush = brush_decomposition(ShapeRecord(bar))
         assert brush.bristles == ()
         assert brush.short and not brush.pure_brush
 
     def test_square_rejected(self):
         with pytest.raises(NotSimpleThinError):
-            brush_decomposition(SQUARE)
+            brush_decomposition(ShapeRecord(SQUARE))
 
     def test_t_tetromino_prefers_short_handle(self):
         t = parse_cells([(0, 0), (1, 0), (2, 0), (1, 1)])
-        brush = brush_decomposition(t)
+        brush = brush_decomposition(ShapeRecord(t))
         assert brush.lengths == (2,)
         assert brush.short
 
@@ -237,7 +237,7 @@ class TestBrushDecomposition:
                     and handle.length == len(bristles) == d
                 )
                 variants.append((short, pure))
-            chosen = brush_decomposition(poly)
+            chosen = brush_decomposition(ShapeRecord(poly))
             if not variants:
                 assert chosen is None
                 continue
@@ -247,37 +247,37 @@ class TestBrushDecomposition:
 
 class TestClassifyChordality:
     def test_square_tetromino(self):
-        rep = classify_chordality(SQUARE)
+        rep = classify_chordality(ShapeRecord(SQUARE))
         assert rep.complement_chordal
         assert rep.category == "exceptional_nonthin"
         assert rep.consistent
 
     def test_p_pentomino(self):
-        rep = classify_chordality(P_PENTOMINO)
+        rep = classify_chordality(ShapeRecord(P_PENTOMINO))
         assert rep.complement_chordal
         assert rep.category == "exceptional_nonthin"
         assert rep.consistent
 
     def test_skew(self):
-        rep = classify_chordality(SKEW)
+        rep = classify_chordality(ShapeRecord(SKEW))
         assert rep.complement_chordal and rep.category == "short_brush" and rep.consistent
 
     def test_rectangle(self):
-        rep = classify_chordality(RECT_2X3)
+        rep = classify_chordality(ShapeRecord(RECT_2X3))
         assert not rep.complement_chordal and rep.category == "other" and rep.consistent
 
     def test_monomino_degenerate(self):
-        rep = classify_chordality(parse_cells([(0, 0)]))
+        rep = classify_chordality(ShapeRecord(parse_cells([(0, 0)])))
         assert rep.complement_chordal and rep.category == "short_brush" and rep.consistent
 
     def test_non_simple_is_other(self):
         ring = parse_ascii("###\n#.#\n###")
-        rep = classify_chordality(ring)
+        rep = classify_chordality(ShapeRecord(ring))
         assert not rep.complement_chordal and rep.category == "other" and rep.consistent
 
 
 class TestChordalityConsequences:
-    def test_chordal_complement_bounds_connectivity(self, census6):
+    def test_chordal_complement_bounds_connectivity(self, census6, min_changes_of_direction):
         # With a chordal complement every pair of cells is reachable with
         # fewer than 3 changes of direction.
         for poly in census6:

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import pytest
 
 from rooklab import census as census_mod
+from rooklab import parse_cells, regularity
 from rooklab.census import CensusReport, CheckResult, Violation
-from rooklab.cli import main, report_exit_code
+from rooklab.cli import analyze_polyomino, main, report_exit_code
 
 SKEW_TEXT = ".##\n##.\n"
 
@@ -95,7 +97,15 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "payload",
-        ['{"cells": [["a", "b"]]}', '{"cells": [[0]]}', '{"wrong": []}', "not json"],
+        [
+            '{"cells": [["a", "b"]]}',
+            '{"cells": [[0]]}',
+            '{"wrong": []}',
+            "not json",
+            '{"cells": [[0.5, 0], [1.5, 0]]}',
+            '{"cells": [[0, 0], [true, 0]]}',
+            '{"cells": [[0, 0, 0], [1, 0, 0]]}',
+        ],
     )
     def test_malformed_json_exit_2(self, capsys, tmp_path, payload):
         path = tmp_path / "bad.json"
@@ -107,6 +117,22 @@ class TestAnalyze:
     def test_usage_error_exit_1(self, capsys, skew_file):
         code, _, _ = run(capsys, "analyze", skew_file, "--out", "yaml")
         assert code == 1
+
+    def test_pure_brush_matching_computed_once(self, monkeypatch):
+        original = regularity.induced_matching_number
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rooklab") and getattr(module, "induced_matching_number", None) is original:
+                monkeypatch.setattr(module, "induced_matching_number", counted)
+        brush = parse_cells([(0, 0), (0, 1), (0, 2), (1, 0), (1, -1), (1, -2)])
+        report = analyze_polyomino(brush)
+        assert report["brush"]["pureBrush"] and report["checks"]["regEqNu"]
+        assert len(calls) == 1
 
 
 class TestVerify:
@@ -151,6 +177,17 @@ class TestVerify:
         monkeypatch.setenv(census_mod.MAX_RANK_ENV, "3")
         code, _, err = run(capsys, "verify", "--max-rank", "4", "--check", "purity-theorem")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify", "--max-rank", "4", "--check", "purity-theorem"), ("enumerate", "--rank", "3")],
+    )
+    def test_malformed_env_ceiling_exit_1(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv(census_mod.MAX_RANK_ENV, "abc")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err and census_mod.MAX_RANK_ENV in err
 
 
 class TestEnumerate:

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from rooklab import (
+    ShapeRecord,
     IntervalNotInPolyominoError,
     RankTooSmallError,
     check_purity_theorem,
@@ -33,28 +34,29 @@ def interval_of(poly, orientation, anchor):
 
 class TestPartitions:
     def test_rectangle_has_two(self):
-        parts = partitions(RECT_2X3)
+        parts = partitions(ShapeRecord(RECT_2X3))
         assert [p.orientation for p in parts] == ["horizontal", "vertical"]
         assert [p.is_super for p in parts] == [True, False]
 
     def test_skew_has_one(self):
-        parts = partitions(SKEW)
+        parts = partitions(ShapeRecord(SKEW))
         assert len(parts) == 1
         assert parts[0].orientation == "horizontal"
         assert parts[0].is_super
 
     def test_l_tromino_has_none(self):
-        assert partitions(L_TROMINO) == []
+        assert partitions(ShapeRecord(L_TROMINO)) == []
 
     def test_monomino_raises(self):
         with pytest.raises(RankTooSmallError):
-            partitions(MONOMINO)
+            partitions(ShapeRecord(MONOMINO))
 
     def test_disjoint_and_covering(self, census6):
         for poly in census6:
+            rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
-            for part in partitions(poly):
+            for part in partitions(rec):
                 seen = set()
                 for iv in part.intervals:
                     assert not (seen & iv.cell_set)
@@ -66,6 +68,7 @@ class TestPartitions:
         # the disjoint covering families are exactly the partitions, and
         # none mixes orientations.
         for poly in census6:
+            rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
             ivs = maximal_intervals(poly)
@@ -79,18 +82,18 @@ class TestPartitions:
                         found.append(frozenset(family))
             for family in found:
                 assert len({iv.orientation for iv in family}) == 1
-            assert {frozenset(p.intervals) for p in partitions(poly)} == set(found)
+            assert {frozenset(p.intervals) for p in partitions(rec)} == set(found)
 
 
 class TestFindEmbedding:
     def test_rectangle_column_embedded(self):
         col0 = interval_of(RECT_2X3, "vertical", (0, 0))
-        emb = find_embedding(RECT_2X3, col0)
+        emb = find_embedding(ShapeRecord(RECT_2X3), col0)
         assert emb is not None
         assert emb.rooks == ((1, 0), (2, 1))
-        assert is_embedding(RECT_2X3, col0, emb.rooks)
+        assert is_embedding(ShapeRecord(RECT_2X3), col0, emb.rooks)
         # The worked witness pairing the top cell with (1, 1) is also valid.
-        assert is_embedding(RECT_2X3, col0, ((2, 0), (1, 1)))
+        assert is_embedding(ShapeRecord(RECT_2X3), col0, ((2, 0), (1, 1)))
 
     def test_rectangle_all_columns_have_worked_witnesses(self):
         # One witness per column of the 2-row rectangle, pairing
@@ -102,22 +105,22 @@ class TestFindEmbedding:
         }
         for anchor, rooks in witnesses.items():
             col = interval_of(RECT_2X3, "vertical", anchor)
-            assert is_embedding(RECT_2X3, col, rooks)
+            assert is_embedding(ShapeRecord(RECT_2X3), col, rooks)
 
     def test_skew_handle_embedded(self):
         handle = interval_of(SKEW, "vertical", (1, 0))
-        emb = find_embedding(SKEW, handle)
+        emb = find_embedding(ShapeRecord(SKEW), handle)
         assert emb.rooks == ((0, 0), (2, 1))
 
     def test_skew_bottom_row_not_embedded(self):
         bottom = interval_of(SKEW, "horizontal", (0, 0))
-        assert find_embedding(SKEW, bottom) is None
+        assert find_embedding(ShapeRecord(SKEW), bottom) is None
 
     def test_foreign_interval_rejected(self):
         bar = parse_cells([(0, 0), (1, 0), (2, 0)])
         foreign = maximal_intervals(bar)[0]
         with pytest.raises(IntervalNotInPolyominoError):
-            find_embedding(SKEW, foreign)
+            find_embedding(ShapeRecord(SKEW), foreign)
 
     def test_matches_subset_oracle(self, census6):
         # An embedding is an independent set, disjoint from the interval,
@@ -125,6 +128,7 @@ class TestFindEmbedding:
         from rooklab import attack_graph
 
         for poly in census6:
+            rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
             graph = attack_graph(poly)
@@ -146,42 +150,42 @@ class TestFindEmbedding:
                     if ok and targets == iv.cell_set:
                         exists = True
                         break
-                assert (find_embedding(poly, iv) is not None) == exists
+                assert (find_embedding(rec, iv) is not None) == exists
 
 
 class TestSuperPartitions:
     def test_skew(self):
-        supers = super_partitions(SKEW)
+        supers = super_partitions(ShapeRecord(SKEW))
         assert len(supers) == 1
         assert supers[0].orientation == "horizontal"
 
     def test_rectangle_rows_only(self):
-        supers = super_partitions(RECT_2X3)
+        supers = super_partitions(ShapeRecord(RECT_2X3))
         assert [p.orientation for p in supers] == ["horizontal"]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_square_has_two(self, n):
         square = parse_cells([(x, y) for x in range(n) for y in range(n)])
-        assert len(super_partitions(square)) == 2
+        assert len(super_partitions(ShapeRecord(square))) == 2
 
 
 class TestPurityTheorem:
     def test_rectangle(self):
-        rep = check_purity_theorem(RECT_2X3)
+        rep = check_purity_theorem(ShapeRecord(RECT_2X3))
         assert rep.pure and rep.super_exists and rep.sizes_match and rep.consistent
 
     def test_l_tromino(self):
-        rep = check_purity_theorem(L_TROMINO)
+        rep = check_purity_theorem(ShapeRecord(L_TROMINO))
         assert not rep.pure and not rep.super_exists and rep.consistent
 
     def test_square_tetromino(self):
         square = parse_ascii("##\n##")
-        rep = check_purity_theorem(square)
+        rep = check_purity_theorem(ShapeRecord(square))
         assert rep.pure and rep.super_exists and rep.consistent
 
     def test_monomino_raises(self):
         with pytest.raises(RankTooSmallError):
-            check_purity_theorem(MONOMINO)
+            check_purity_theorem(ShapeRecord(MONOMINO))
 
 
 class TestProofStepInvariants:
@@ -189,28 +193,31 @@ class TestProofStepInvariants:
         # In a partition of a polyomino with pure complex, the embedded
         # members are none or all.
         for poly in census6:
+            rec = ShapeRecord(poly)
             if poly.rank < 2 or not is_pure(poly).pure:
                 continue
-            for part in partitions(poly):
-                flags = [find_embedding(poly, iv) is not None for iv in part.intervals]
+            for part in partitions(rec):
+                flags = [find_embedding(rec, iv) is not None for iv in part.intervals]
                 assert all(flags) or not any(flags)
 
     def test_unembedded_interval_meets_every_facet(self, census6):
         for poly in census6:
+            rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
             for iv in maximal_intervals(poly):
-                if find_embedding(poly, iv) is None:
+                if find_embedding(rec, iv) is None:
                     assert all(f & iv.cell_set for f in facets(poly))
 
     def test_embedding_can_be_steered_into_crossing_interval(self, census6):
         # If an interval is embedded and some interval meets both it and
         # another interval, then some embedding meets that other interval.
         for poly in census6:
+            rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
             ivs = maximal_intervals(poly)
-            embedded = {iv: find_embedding(poly, iv) is not None for iv in ivs}
+            embedded = {iv: find_embedding(rec, iv) is not None for iv in ivs}
             for first in ivs:
                 if not embedded[first]:
                     continue
@@ -223,19 +230,20 @@ class TestProofStepInvariants:
                     )
                     if linked:
                         assert any(
-                            e.rook_set & other.cell_set for e in embeddings(poly, first)
+                            e.rook_set & other.cell_set for e in embeddings(rec, first)
                         )
 
     def test_outside_unique_super_partition_all_embedded(self, census6):
         for poly in census6:
+            rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
             if poly.width == poly.height and poly.rank == poly.width * poly.height:
                 continue
-            supers = super_partitions(poly)
+            supers = super_partitions(rec)
             if len(supers) != 1:
                 continue
             members = set(supers[0].intervals)
             for iv in maximal_intervals(poly):
                 if iv not in members:
-                    assert find_embedding(poly, iv) is not None
+                    assert find_embedding(rec, iv) is not None

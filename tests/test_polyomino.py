@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rooklab import (
+    BadCellError,
     BadCharacterError,
     CellNotInPolyominoError,
     DuplicateCellError,
@@ -12,7 +13,6 @@ from rooklab import (
     Polyomino,
     canonical_form,
     maximal_intervals,
-    min_changes_of_direction,
     parse_ascii,
     parse_cells,
     render_ascii,
@@ -54,6 +54,19 @@ class TestParseAscii:
 
 
 class TestParseCells:
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0.5, 0), (1.5, 0)],
+            [(0, 0), (True, 0)],
+            [(0, 0, 0), (1, 0, 0)],
+            [(0, 0), 7],
+        ],
+    )
+    def test_rejects_non_integer_pairs(self, cells):
+        with pytest.raises(BadCellError):
+            parse_cells(cells)
+
     def test_skew(self):
         assert SKEW.cells == frozenset({(0, 0), (1, 0), (1, 1), (2, 1)})
 
@@ -124,19 +137,19 @@ class TestShapePredicates:
 
 
 class TestMinChangesOfDirection:
-    def test_skew_corner_to_corner(self):
+    def test_skew_corner_to_corner(self, min_changes_of_direction):
         assert min_changes_of_direction(SKEW, (0, 0), (2, 1)) == 2
 
-    def test_same_row(self):
+    def test_same_row(self, min_changes_of_direction):
         assert min_changes_of_direction(RECT_2X3, (0, 0), (2, 0)) == 0
 
-    def test_l_tromino(self):
+    def test_l_tromino(self, min_changes_of_direction):
         assert min_changes_of_direction(L_TROMINO, (0, 0), (1, 1)) == 1
 
-    def test_same_cell(self):
+    def test_same_cell(self, min_changes_of_direction):
         assert min_changes_of_direction(SKEW, (1, 1), (1, 1)) == 0
 
-    def test_outside_cell(self):
+    def test_outside_cell(self, min_changes_of_direction):
         with pytest.raises(CellNotInPolyominoError):
             min_changes_of_direction(SKEW, (0, 0), (5, 5))
 
@@ -164,12 +177,12 @@ class TestMinChangesOfDirection:
         walk([start])
         return best[0]
 
-    def test_matches_path_oracle(self, census5):
+    def test_matches_path_oracle(self, census5, min_changes_of_direction):
         for poly in census5:
             for a, b in combinations(poly.sorted_cells, 2):
                 assert min_changes_of_direction(poly, a, b) == self._oracle(poly, a, b)
 
-    def test_symmetry_and_triangle_bound(self, census5):
+    def test_symmetry_and_triangle_bound(self, census5, min_changes_of_direction):
         for poly in census5:
             cells = poly.sorted_cells
             for a, b in combinations(cells, 2):

@@ -8,6 +8,7 @@ from rooklab import (
     NotApplicableError,
     NotPureBrushError,
     RankTooSmallError,
+    ShapeRecord,
     SimpleGraph,
     attack_graph,
     brush_fh,
@@ -17,7 +18,6 @@ from rooklab import (
     f_vector,
     h_from_f,
     induced_matching_number,
-    is_interval_matching,
     maximal_intervals,
     parse_ascii,
     parse_cells,
@@ -208,6 +208,41 @@ class TestInducedMatching:
                     assert frozenset((u, v)) in chosen
 
 
+def is_interval_matching(poly, edges):
+    """Interval-level validation view of an induced matching.
+
+    The edges must be pairwise disjoint attacking pairs, each inside its
+    maximal interval, and no interval may cross two of those intervals
+    inside the matched pairs. This is implied by the graph-level
+    definition but is strictly weaker: a foreign matched endpoint lying
+    on the same interval as a pair, beyond it, is not detected here.
+    """
+    ivs = maximal_intervals(poly)
+    graph = attack_graph(poly)
+    matched = set()
+    homes = []
+    pairs = []
+    for a, b in edges:
+        if a in matched or b in matched or a == b:
+            return False
+        matched |= {a, b}
+        if not graph.adjacent(a, b):
+            return False
+        home = [iv for iv in ivs if a in iv and b in iv]
+        if len(home) != 1:
+            return False
+        homes.append(home[0])
+        pairs.append(frozenset((a, b)))
+    for j in range(len(edges)):
+        for k in range(j + 1, len(edges)):
+            for connector in ivs:
+                meets_j = connector.cell_set & homes[j].cell_set
+                meets_k = connector.cell_set & homes[k].cell_set
+                if meets_j and meets_k and meets_j <= pairs[j] and meets_k <= pairs[k]:
+                    return False
+    return True
+
+
 class TestIntervalMatchingView:
     def _graph_level(self, g, edges):
         matched = [v for e in edges for v in e]
@@ -258,56 +293,56 @@ class TestIntervalMatchingView:
 class TestSingleCellIntervals:
     def test_straight_interval(self):
         bar = parse_ascii("####")
-        assert single_cell_intervals(bar) == maximal_intervals(bar)
+        assert single_cell_intervals(ShapeRecord(bar)) == maximal_intervals(bar)
 
     def test_skew_has_none(self):
-        assert single_cell_intervals(SKEW) == []
+        assert single_cell_intervals(ShapeRecord(SKEW)) == []
 
     def test_brush_33_has_both_bristles(self):
-        singles = single_cell_intervals(BRUSH_33)
+        singles = single_cell_intervals(ShapeRecord(BRUSH_33))
         assert len(singles) == 2
         assert all(iv.length == 3 for iv in singles)
 
     def test_monomino_raises(self):
         with pytest.raises(RankTooSmallError):
-            single_cell_intervals(parse_cells([(0, 0)]))
+            single_cell_intervals(ShapeRecord(parse_cells([(0, 0)])))
 
 
 class TestRegularity:
     def test_skew(self):
-        assert regularity_pure_thin(SKEW) == 1
+        assert regularity_pure_thin(ShapeRecord(SKEW)) == 1
 
     def test_monomino(self):
-        assert regularity_pure_thin(parse_cells([(0, 0)])) == 0
+        assert regularity_pure_thin(ShapeRecord(parse_cells([(0, 0)]))) == 0
 
     def test_brush_33(self):
-        assert regularity_pure_thin(BRUSH_33) == 2
+        assert regularity_pure_thin(ShapeRecord(BRUSH_33)) == 2
 
     def test_not_thin_rejected(self):
         with pytest.raises(NotApplicableError):
-            regularity_pure_thin(SQUARE)
+            regularity_pure_thin(ShapeRecord(SQUARE))
 
     def test_not_pure_rejected(self):
         with pytest.raises(NotApplicableError):
-            regularity_pure_thin(L_TROMINO)
+            regularity_pure_thin(ShapeRecord(L_TROMINO))
 
 
 class TestRegEqNu:
     def test_skew(self):
-        rep = check_reg_eq_nu(SKEW)
+        rep = check_reg_eq_nu(ShapeRecord(SKEW))
         assert (rep.regularity, rep.nu, rep.single_interval_count) == (1, 1, 0)
         assert rep.consistent
 
     def test_brush_33(self):
-        rep = check_reg_eq_nu(BRUSH_33)
+        rep = check_reg_eq_nu(ShapeRecord(BRUSH_33))
         assert (rep.regularity, rep.nu, rep.single_interval_count) == (2, 2, 2)
         assert rep.consistent
 
     def test_brush_322_mixed_case(self):
-        rep = check_reg_eq_nu(BRUSH_322)
+        rep = check_reg_eq_nu(ShapeRecord(BRUSH_322))
         assert rep.regularity == rep.nu == 2
         assert rep.consistent
 
     def test_rejects_non_brush(self):
         with pytest.raises(NotPureBrushError):
-            check_reg_eq_nu(L_TROMINO)
+            check_reg_eq_nu(ShapeRecord(L_TROMINO))

@@ -12,7 +12,6 @@ from rooklab import (
     f_vector,
     facets,
     h_from_f,
-    independent_set_count,
     induced_cycle_lengths,
     is_face,
     is_pure,
@@ -55,6 +54,16 @@ class TestAttackGraph:
             for iv in maximal_intervals(poly):
                 for a, b in combinations(iv.cells, 2):
                     assert graph.adjacent(a, b)
+
+    def test_one_cache_entry_per_shape(self):
+        # The default convention and the explicit one share a cache entry.
+        attack_graph.cache_clear()
+        f_vector.cache_clear()
+        f_vector(SKEW)
+        f_vector(SKEW, "interval")
+        attack_graph(SKEW)
+        assert f_vector.cache_info().misses == 1
+        assert attack_graph.cache_info().misses == 1
 
     def test_conventions_agree_on_convex(self, census6):
         for poly in census6:
@@ -136,6 +145,29 @@ class TestFVector:
     def test_face_total_matches_independent_set_count(self, census6):
         for poly in census6:
             assert sum(f_vector(poly).f_vector) == independent_set_count(attack_graph(poly))
+
+
+def independent_set_count(graph):
+    """Count independent sets by deletion/contraction on a vertex.
+
+    Independent of the backtracking enumerator; used as a cross-check
+    against the face-count total.
+    """
+
+    def count(vertices, edges):
+        if not vertices:
+            return 1
+        if not edges:
+            return 2 ** len(vertices)
+        v = max(vertices, key=lambda u: (sum(1 for e in edges if u in e), u))
+        closed = {v} | {w for e in edges for w in e if v in e and w != v}
+        without = vertices - {v}
+        e_without = frozenset(e for e in edges if v not in e)
+        rest = vertices - closed
+        e_rest = frozenset(e for e in edges if not (e & closed))
+        return count(without, e_without) + count(rest, e_rest)
+
+    return count(frozenset(graph.vertices), graph.edges)
 
 
 class TestIsPure:
