@@ -4,8 +4,9 @@ verification harness.
 Generation uses the classic untried-set growth over the half-plane
 lattice, which emits every fixed polyomino exactly once; free mode keeps
 the shapes that equal their own dihedral canonical form. The harness
-runs named checks over the free census and aggregates violations, each
-rendered as an ASCII witness.
+walks the free census shape by shape: it builds each shape's record, runs
+every selected per-shape check on it and drops it, then runs the
+census-wide checks once. Each violation is rendered as an ASCII witness.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,6 +32,9 @@ MAX_RANK_ENV = "ROOKLAB_MAX_RANK"
 
 _SIGMA_SEED = 94160451
 _SIGMA_SAMPLES = 500
+
+# Shape chunks per worker under --jobs: the costly high-rank shapes come last.
+_CHUNKS_PER_JOB = 16
 
 
 def max_rank_limit() -> int:
@@ -76,14 +80,13 @@ def _fixed_cell_sets(n: int) -> Iterator[tuple[Cell, ...]]:
     yield from grow([(0, 0)], {(0, 0)})
 
 
-@lru_cache(maxsize=None)
-def _fixed_rank(n: int) -> tuple[tuple[Cell, ...], ...]:
-    return tuple(sorted(_fixed_cell_sets(n)))
-
-
-@lru_cache(maxsize=None)
-def _free_rank(n: int) -> tuple[tuple[Cell, ...], ...]:
-    return tuple(s for s in _fixed_rank(n) if canonical_cells(s) == s)
+def _rank_cells(n: int, mode: str) -> list[tuple[Cell, ...]]:
+    """The sorted cell tuples of rank n; free mode keeps the fixed shapes
+    that are their own canonical form."""
+    shapes = _fixed_cell_sets(n)
+    if mode == "free":
+        shapes = (s for s in shapes if canonical_cells(s) == s)
+    return sorted(shapes)
 
 
 def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
@@ -91,23 +94,18 @@ def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
     limit = max_rank_limit()
     if not 1 <= n <= limit:
         raise RankOutOfRangeError(f"rank {n} outside 1..{limit}")
-    if mode == "fixed":
-        shapes = _fixed_rank(n)
-    elif mode == "free":
-        shapes = _free_rank(n)
-    else:
+    if mode not in ("free", "fixed"):
         raise ValueError(f"unknown mode {mode!r}")
-    for cells in shapes:
+    for cells in _rank_cells(n, mode):
         yield Polyomino(frozenset(cells))
 
 
 @lru_cache(maxsize=None)
 def free_census(n_max: int) -> tuple[Polyomino, ...]:
     """All free polyominoes of rank 1..n_max, by rank then cell order."""
-    out: list[Polyomino] = []
-    for n in range(1, n_max + 1):
-        out.extend(Polyomino(frozenset(cells)) for cells in _free_rank(n))
-    return tuple(out)
+    return tuple(
+        Polyomino(frozenset(cells)) for n in range(1, n_max + 1) for cells in _rank_cells(n, "free")
+    )
 
 
 @dataclass(frozen=True)
@@ -141,79 +139,78 @@ def _violation(poly: Polyomino, detail: str) -> Violation:
     return Violation(poly.sorted_cells, render_ascii(poly), detail)
 
 
-def _check_purity_theorem(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if rec.poly.rank < 2:
-            continue
-        rep = rec.purity_theorem
-        if not rep.consistent:
-            yield _violation(
-                rec.poly,
-                f"pure={rep.pure} super_exists={rep.super_exists} "
-                f"sizes_match={rep.sizes_match}",
-            )
+def _check_purity_theorem(rec: ShapeRecord) -> Iterator[Violation]:
+    """Pure rook complex iff super partition of size d."""
+    if rec.poly.rank < 2:
+        return
+    rep = rec.purity_theorem
+    if not rep.consistent:
+        yield _violation(
+            rec.poly,
+            f"pure={rep.pure} super_exists={rep.super_exists} "
+            f"sizes_match={rep.sizes_match}",
+        )
 
 
 def _is_square(poly: Polyomino) -> bool:
     return poly.width == poly.height and poly.rank == poly.width * poly.height
 
 
-def _check_square_superpartitions(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if rec.poly.rank < 2:
-            continue
-        two = len(rec.super_partitions) == 2
-        if two != _is_square(rec.poly):
-            yield _violation(rec.poly, f"two_supers={two} square={_is_square(rec.poly)}")
+def _check_square_superpartitions(rec: ShapeRecord) -> Iterator[Violation]:
+    """Two super partitions iff square."""
+    if rec.poly.rank < 2:
+        return
+    two = len(rec.super_partitions) == 2
+    if two != _is_square(rec.poly):
+        yield _violation(rec.poly, f"two_supers={two} square={_is_square(rec.poly)}")
 
 
-def _check_embedded_complement(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if rec.poly.rank < 2 or _is_square(rec.poly):
-            continue
-        supers = rec.super_partitions
-        if len(supers) != 1:
-            continue
-        members = set(supers[0].intervals)
-        for iv in rec.intervals:
-            if iv in members:
-                continue
-            if find_embedding(rec, iv) is None:
-                yield _violation(rec.poly, f"interval {iv!r} outside the super partition is not embedded")
+def _check_embedded_complement(rec: ShapeRecord) -> Iterator[Violation]:
+    """Outside a unique super partition every interval is embedded."""
+    if rec.poly.rank < 2 or _is_square(rec.poly):
+        return
+    supers = rec.super_partitions
+    if len(supers) != 1:
+        return
+    members = set(supers[0].intervals)
+    for iv in rec.intervals:
+        if iv not in members and find_embedding(rec, iv) is None:
+            yield _violation(rec.poly, f"interval {iv!r} outside the super partition is not embedded")
 
 
-def _check_cycle_lengths(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        lengths = induced_cycle_lengths(rec.complement, max(rec.poly.rank, 3))
-        if not lengths <= {3, 4, 6}:
-            yield _violation(rec.poly, f"induced complement cycles of lengths {sorted(lengths)}")
+def _check_cycle_lengths(rec: ShapeRecord) -> Iterator[Violation]:
+    """Induced complement cycles have length 3, 4 or 6."""
+    lengths = induced_cycle_lengths(rec.complement, max(rec.poly.rank, 3))
+    if not lengths <= {3, 4, 6}:
+        yield _violation(rec.poly, f"induced complement cycles of lengths {sorted(lengths)}")
 
 
-def _check_chordal_classification(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if not rec.predicates.simple:
-            continue
-        rep = rec.classification
-        if not rep.consistent:
-            yield _violation(rec.poly, f"chordal={rep.complement_chordal} class={rep.category}")
+def _check_chordal_classification(rec: ShapeRecord) -> Iterator[Violation]:
+    """Complement chordal iff short brush or exceptional non-thin."""
+    if not rec.predicates.simple:
+        return
+    rep = rec.classification
+    if not rep.consistent:
+        yield _violation(rec.poly, f"chordal={rep.complement_chordal} class={rep.category}")
 
 
-def _check_nonsimple_nonchordal(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if not rec.predicates.simple and rec.chordality.chordal:
-            yield _violation(rec.poly, "non-simple polyomino with chordal complement")
+def _check_nonsimple_nonchordal(rec: ShapeRecord) -> Iterator[Violation]:
+    """Non-simple implies non-chordal complement."""
+    if not rec.predicates.simple and rec.chordality.chordal:
+        yield _violation(rec.poly, "non-simple polyomino with chordal complement")
 
 
-def _check_prop_geq2(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if not rec.chordality.chordal:
-            continue
-        long_runs = [iv for iv in rec.intervals if iv.length > 2]
-        if len(long_runs) >= 2:
-            yield _violation(rec.poly, f"chordal complement with {len(long_runs)} intervals longer than 2")
+def _check_prop_geq2(rec: ShapeRecord) -> Iterator[Violation]:
+    """Chordal complement admits at most one interval longer than 2."""
+    if not rec.chordality.chordal:
+        return
+    long_runs = [iv for iv in rec.intervals if iv.length > 2]
+    if len(long_runs) >= 2:
+        yield _violation(rec.poly, f"chordal complement with {len(long_runs)} intervals longer than 2")
 
 
-def _check_sigma_identities(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+def _check_sigma_identities() -> Iterator[Violation]:
+    """Binomial relations among shifted symmetric polynomials."""
     rng = random.Random(_SIGMA_SEED)
     for _ in range(_SIGMA_SAMPLES):
         d = rng.randint(1, 8)
@@ -272,7 +269,8 @@ def pure_brush_realizations(lengths: Sequence[int]) -> list[Polyomino]:
     return [results[k] for k in sorted(results) if results[k] is not None]
 
 
-def _check_brush_fh(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
+def _check_brush_fh() -> Iterator[Violation]:
+    """Closed-form f and h of pure brushes match brute force."""
     for d in range(1, 5):
         for lengths in combinations_with_replacement(range(2, 6), d):
             realizations = pure_brush_realizations(lengths)
@@ -291,54 +289,54 @@ def _check_brush_fh(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
                     )
 
 
-def _check_matching_bound(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if rec.poly.rank < 2 or not rec.predicates.simple:
-            continue
-        nu = rec.matching.size
-        singles = len(single_cell_intervals(rec))
-        if nu < singles:
-            yield _violation(rec.poly, f"nu={nu} below single-cell interval count {singles}")
+def _check_matching_bound(rec: ShapeRecord) -> Iterator[Violation]:
+    """Induced matching number at least the single-cell intervals."""
+    if rec.poly.rank < 2 or not rec.predicates.simple:
+        return
+    nu = rec.matching.size
+    singles = len(single_cell_intervals(rec))
+    if nu < singles:
+        yield _violation(rec.poly, f"nu={nu} below single-cell interval count {singles}")
 
 
-def _check_reg_eq_nu(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        brush = rec.brush
-        if brush is None or not brush.pure_brush:
-            continue
-        rep = rec.reg_nu
-        if not rep.consistent:
-            yield _violation(
-                rec.poly,
-                f"reg={rep.regularity} nu={rep.nu} singles={rep.single_interval_count}",
-            )
-        if any(l == 2 for l in brush.lengths):
-            # Mixed-length case: with t bristles of length >= 3, the
-            # matching number is t + 1 and the h-vector vanishes above t + 1.
-            t = sum(1 for l in brush.lengths if l >= 3)
-            if rep.nu != t + 1:
-                yield _violation(rec.poly, f"nu={rep.nu}, expected {t + 1} for lengths={brush.lengths}")
-            if any(v != 0 for v in rec.h_vector[t + 2 :]):
-                yield _violation(rec.poly, f"h={rec.h_vector} does not vanish above degree {t + 1}")
+def _check_reg_eq_nu(rec: ShapeRecord) -> Iterator[Violation]:
+    """Regularity equals induced matching number on pure brushes."""
+    brush = rec.brush
+    if brush is None or not brush.pure_brush:
+        return
+    rep = rec.reg_nu
+    if not rep.consistent:
+        yield _violation(
+            rec.poly,
+            f"reg={rep.regularity} nu={rep.nu} singles={rep.single_interval_count}",
+        )
+    if any(l == 2 for l in brush.lengths):
+        # Mixed-length case: with t bristles of length >= 3, the
+        # matching number is t + 1 and the h-vector vanishes above t + 1.
+        t = sum(1 for l in brush.lengths if l >= 3)
+        if rep.nu != t + 1:
+            yield _violation(rec.poly, f"nu={rep.nu}, expected {t + 1} for lengths={brush.lengths}")
+        if any(v != 0 for v in rec.h_vector[t + 2 :]):
+            yield _violation(rec.poly, f"h={rec.h_vector} does not vanish above degree {t + 1}")
 
 
 def _pure_simple_thin(rec: ShapeRecord) -> bool:
     return rec.predicates.simple and rec.predicates.thin and rec.purity.pure
 
 
-def _check_katzman(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if _pure_simple_thin(rec) and rec.regularity < rec.matching.size:
-            yield _violation(rec.poly, f"reg={rec.regularity} below nu={rec.matching.size}")
+def _check_katzman(rec: ShapeRecord) -> Iterator[Violation]:
+    """Regularity at least the induced matching number (pure simple thin)."""
+    if _pure_simple_thin(rec) and rec.regularity < rec.matching.size:
+        yield _violation(rec.poly, f"reg={rec.regularity} below nu={rec.matching.size}")
 
 
-def _check_froberg(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    for rec in records:
-        if not _pure_simple_thin(rec):
-            continue
-        chordal = rec.chordality.chordal
-        if (rec.regularity <= 1) != chordal:
-            yield _violation(rec.poly, f"reg={rec.regularity} but complement chordal={chordal}")
+def _check_froberg(rec: ShapeRecord) -> Iterator[Violation]:
+    """Regularity at most 1 iff chordal complement (pure simple thin)."""
+    if not _pure_simple_thin(rec):
+        return
+    chordal = rec.chordality.chordal
+    if (rec.regularity <= 1) != chordal:
+        yield _violation(rec.poly, f"reg={rec.regularity} but complement chordal={chordal}")
 
 
 def _attacks(cells: frozenset[Cell], a: Cell, b: Cell) -> bool:
@@ -365,84 +363,66 @@ def _is_chordless_complement_cycle(poly: Polyomino, cycle: Sequence[Cell]) -> bo
     return True
 
 
-def _check_brush_corollary(records: Sequence[ShapeRecord]) -> Iterator[Violation]:
-    """Probe: brushes (not necessarily short) whose complement fails to be
-    chordal. Findings are informational; each witness cycle is re-confirmed
-    by an independent check against the cells."""
-    for rec in records:
-        if rec.brush is None or rec.chordality.chordal:
-            continue
-        cycle = rec.chordality.chordless_cycle
-        yield _violation(
-            rec.poly,
-            f"brush lengths={rec.brush.lengths} has non-chordal complement; "
-            f"chordless cycle of length {len(cycle)}; "
-            f"reconfirmed={_is_chordless_complement_cycle(rec.poly, cycle)}",
-        )
+def _check_brush_corollary(rec: ShapeRecord) -> Iterator[Violation]:
+    """Probe: brushes with non-chordal complement."""
+    # Brushes need not be short here, so findings are informational; each
+    # witness cycle is re-confirmed by an independent check against the cells.
+    if rec.brush is None or rec.chordality.chordal:
+        return
+    cycle = rec.chordality.chordless_cycle
+    yield _violation(
+        rec.poly,
+        f"brush lengths={rec.brush.lengths} has non-chordal complement; "
+        f"chordless cycle of length {len(cycle)}; "
+        f"reconfirmed={_is_chordless_complement_cycle(rec.poly, cycle)}",
+    )
 
 
 @dataclass(frozen=True)
 class CheckSpec:
-    func: Callable[[Sequence[ShapeRecord]], Iterable[Violation]]
-    informational: bool
-    summary: str
+    """A census check. A per-shape check maps one ``ShapeRecord`` to its
+    violations; a census-wide one takes no argument and runs once."""
+
+    func: Callable[..., Iterable[Violation]]
+    informational: bool = False
+    census_wide: bool = False
 
 
 CHECKS: dict[str, CheckSpec] = {
-    "purity-theorem": CheckSpec(
-        _check_purity_theorem, False, "pure rook complex iff super partition of size d"
-    ),
-    "square-superpartitions": CheckSpec(
-        _check_square_superpartitions, False, "two super partitions iff square"
-    ),
-    "embedded-complement": CheckSpec(
-        _check_embedded_complement,
-        False,
-        "outside a unique super partition every interval is embedded",
-    ),
-    "cycle-lengths": CheckSpec(
-        _check_cycle_lengths, False, "induced complement cycles have length 3, 4 or 6"
-    ),
-    "chordal-classification": CheckSpec(
-        _check_chordal_classification,
-        False,
-        "complement chordal iff short brush or exceptional non-thin",
-    ),
-    "nonsimple-nonchordal": CheckSpec(
-        _check_nonsimple_nonchordal, False, "non-simple implies non-chordal complement"
-    ),
-    "prop-geq2": CheckSpec(
-        _check_prop_geq2, False, "chordal complement admits at most one interval longer than 2"
-    ),
-    "sigma-identities": CheckSpec(
-        _check_sigma_identities, False, "binomial relations among shifted symmetric polynomials"
-    ),
-    "brush-fh": CheckSpec(
-        _check_brush_fh, False, "closed-form f and h of pure brushes match brute force"
-    ),
-    "matching-bound": CheckSpec(
-        _check_matching_bound, False, "induced matching number at least the single-cell intervals"
-    ),
-    "reg-eq-nu": CheckSpec(
-        _check_reg_eq_nu, False, "regularity equals induced matching number on pure brushes"
-    ),
-    "katzman": CheckSpec(
-        _check_katzman, False, "regularity at least the induced matching number (pure simple thin)"
-    ),
-    "froberg-crosscheck": CheckSpec(
-        _check_froberg, False, "regularity at most 1 iff chordal complement (pure simple thin)"
-    ),
-    "brush-corollary": CheckSpec(
-        _check_brush_corollary, True, "probe: brushes with non-chordal complement"
-    ),
+    "purity-theorem": CheckSpec(_check_purity_theorem),
+    "square-superpartitions": CheckSpec(_check_square_superpartitions),
+    "embedded-complement": CheckSpec(_check_embedded_complement),
+    "cycle-lengths": CheckSpec(_check_cycle_lengths),
+    "chordal-classification": CheckSpec(_check_chordal_classification),
+    "nonsimple-nonchordal": CheckSpec(_check_nonsimple_nonchordal),
+    "prop-geq2": CheckSpec(_check_prop_geq2),
+    "sigma-identities": CheckSpec(_check_sigma_identities, census_wide=True),
+    "brush-fh": CheckSpec(_check_brush_fh, census_wide=True),
+    "matching-bound": CheckSpec(_check_matching_bound),
+    "reg-eq-nu": CheckSpec(_check_reg_eq_nu),
+    "katzman": CheckSpec(_check_katzman),
+    "froberg-crosscheck": CheckSpec(_check_froberg),
+    "brush-corollary": CheckSpec(_check_brush_corollary, informational=True),
 }
 
 
-def _run_check(args: tuple[str, tuple[ShapeRecord, ...]]) -> CheckResult:
-    name, records = args
-    spec = CHECKS[name]
-    violations = tuple(spec.func(records))
-    return CheckResult(name, not violations, violations, spec.informational)
+def _check_shape(names: Sequence[str], poly: Polyomino) -> list[list[Violation]]:
+    """The violations of each named per-shape check on one shape's record."""
+    rec = ShapeRecord(poly)
+    return [list(CHECKS[name].func(rec)) for name in names]
+
+
+def _shape_violations(
+    names: Sequence[str], shapes: Sequence[Polyomino], jobs: int
+) -> Iterator[list[list[Violation]]]:
+    """``_check_shape`` for each shape, in order; with more than one job,
+    a process pool checks the shapes in contiguous chunks."""
+    check = partial(_check_shape, names)
+    if jobs == 1:
+        yield from map(check, shapes)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(check, shapes, chunksize=-(-len(shapes) // (_CHUNKS_PER_JOB * jobs)))
 
 
 def verify_corpus(
@@ -450,23 +430,39 @@ def verify_corpus(
     checks: Iterable[str] | None = None,
     jobs: int = 1,
 ) -> CensusReport:
-    """Run the named checks over the free census of rank 1..n_max.
+    """Run the named checks (all by default) over the free census of rank 1..n_max.
 
-    One record per shape is built here and handed to every check, so each
-    shape is analyzed once per process.
+    Shape by shape, one record is built, every selected per-shape check
+    reads it, and it is dropped; the census-wide checks run once. ``jobs``
+    is clamped to [1, min(CPU count, number of shapes)], and the report
+    does not depend on it. Raises ``RankOutOfRangeError`` for a rank
+    outside 1..ceiling and ``UnknownCheckError`` for an unknown name, an
+    empty list or a name given twice.
     """
     limit = max_rank_limit()
     if not 1 <= n_max <= limit:
         raise RankOutOfRangeError(f"max rank {n_max} outside 1..{limit}")
     names = list(CHECKS) if checks is None else list(checks)
-    for name in names:
+    if not names:
+        raise UnknownCheckError("no check named")
+    for i, name in enumerate(names):
         if name not in CHECKS:
             raise UnknownCheckError(f"unknown check {name!r}")
-    records = tuple(ShapeRecord(poly) for poly in free_census(n_max))
-    tasks = [(name, records) for name in names]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(pool.map(_run_check, tasks))
-    else:
-        results = tuple(_run_check(t) for t in tasks)
-    return CensusReport(n_max, "free", len(records), results)
+        if name in names[:i]:
+            raise UnknownCheckError(f"check {name!r} named twice")
+    shapes = free_census(n_max)
+    found: dict[str, list[Violation]] = {name: [] for name in names}
+    per_shape = [name for name in names if not CHECKS[name].census_wide]
+    if per_shape:
+        jobs = max(1, min(jobs, os.cpu_count() or 1, len(shapes)))
+        for row in _shape_violations(per_shape, shapes, jobs):
+            for name, violations in zip(per_shape, row):
+                found[name].extend(violations)
+    for name in names:
+        if CHECKS[name].census_wide:
+            found[name] = list(CHECKS[name].func())
+    results = tuple(
+        CheckResult(name, not found[name], tuple(found[name]), CHECKS[name].informational)
+        for name in names
+    )
+    return CensusReport(n_max, "free", len(shapes), results)

@@ -230,7 +230,7 @@ def report_exit_code(report: census_mod.CensusReport) -> int:
 
 def _cmd_verify(args) -> int:
     checks = None
-    if args.check:
+    if args.check is not None:
         checks = [c.strip() for c in args.check.split(",") if c.strip()]
     try:
         report = census_mod.verify_corpus(args.max_rank, checks, jobs=args.jobs)

@@ -13,7 +13,7 @@ from rooklab import (
     parse_cells,
     verify_corpus,
 )
-from rooklab.census import _fixed_rank, _free_rank
+from rooklab.census import generate
 from rooklab.polyomino import canonical_cells
 
 FREE_COUNTS = (1, 1, 2, 5, 12, 35, 108, 369)
@@ -114,8 +114,8 @@ def _oracle_counts(n_max: int, mode: str) -> tuple[int, ...]:
 
 def test_criterion_8_generator_counts():
     with criterion("criterion-8 generator counts rank<=8", 30):
-        free = tuple(len(_free_rank(n)) for n in range(1, 9))
-        fixed = tuple(len(_fixed_rank(n)) for n in range(1, 9))
+        free = tuple(len(list(generate(n, "free"))) for n in range(1, 9))
+        fixed = tuple(len(list(generate(n, "fixed"))) for n in range(1, 9))
         assert free == FREE_COUNTS
         assert fixed == FIXED_COUNTS
         assert _oracle_counts(8, "free") == FREE_COUNTS

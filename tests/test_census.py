@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from rooklab import (
@@ -7,12 +9,14 @@ from rooklab import (
     UnknownCheckError,
     attack_graph,
     canonical_form,
+    census,
     complement_graph,
     generate,
     is_chordal,
     is_pure,
     verify_corpus,
 )
+from rooklab.cli import report_json
 
 # Published counts for the standard enumeration sequences, n = 1..8.
 FREE_COUNTS = (1, 1, 2, 5, 12, 35, 108, 369)
@@ -68,10 +72,8 @@ class TestGenerate:
     def test_counts_at_census_ceiling(self):
         # Ranks 9 and 10 back the widest verification runs, so their
         # counts are pinned to the standard sequence values too.
-        from rooklab.census import _fixed_rank, _free_rank
-
-        assert (len(_free_rank(9)), len(_free_rank(10))) == (1285, 4655)
-        assert (len(_fixed_rank(9)), len(_fixed_rank(10))) == (9910, 36446)
+        assert (len(list(generate(9))), len(list(generate(10)))) == (1285, 4655)
+        assert (len(list(generate(9, "fixed"))), len(list(generate(10, "fixed")))) == (9910, 36446)
 
     def test_rank_out_of_range(self):
         with pytest.raises(RankOutOfRangeError):
@@ -127,10 +129,49 @@ class TestVerifyCorpus:
             verify_corpus(11)
 
     def test_jobs_do_not_change_results(self):
-        names = ["purity-theorem", "cycle-lengths", "sigma-identities"]
-        sequential = verify_corpus(4, names, jobs=1)
-        parallel = verify_corpus(4, names, jobs=2)
+        # Both per-shape checks have findings spread over several shape
+        # chunks, so the chunks must come back in census order.
+        names = ["brush-corollary", "embedded-complement", "sigma-identities"]
+        sequential = report_json(verify_corpus(7, names, jobs=1))
+        parallel = report_json(verify_corpus(7, names, jobs=2))
+        assert sequential["checks"][0]["violations"]
         assert sequential == parallel
+
+    def test_jobs_are_clamped(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessPool)
+        names = ["purity-theorem", "cycle-lengths", "sigma-identities"]
+        expected = verify_corpus(4, names)
+        # 9 free shapes up to rank 4.
+        assert verify_corpus(4, names, jobs=10_000) == expected
+        cpus = os.cpu_count() or 1
+        assert max(asked, default=1) <= min(cpus, 9)
+        assert asked or cpus == 1
+        asked.clear()
+        for jobs in (1, 0, -3):
+            assert verify_corpus(4, names, jobs=jobs) == expected
+        assert verify_corpus(4, ["sigma-identities"], jobs=2).passed
+        assert asked == []
+
+    def test_empty_or_repeated_check_list(self):
+        with pytest.raises(UnknownCheckError):
+            verify_corpus(4, [])
+        with pytest.raises(UnknownCheckError):
+            verify_corpus(4, ["purity-theorem", "cycle-lengths", "purity-theorem"])
 
     def test_cycle_certificate_rejects_corrupted_cycles(self):
         from rooklab.census import _is_chordless_complement_cycle

@@ -160,6 +160,13 @@ class TestVerify:
         assert code == 1
         assert "unknown check" in err
 
+    @pytest.mark.parametrize("checks", [",", "purity-theorem,purity-theorem"])
+    def test_empty_or_repeated_check_list_exit_1(self, capsys, checks):
+        code, out, err = run(capsys, "verify", "--max-rank", "4", "--check", checks)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
     def test_exit_code_mapping(self):
         violation = Violation(((0, 0),), "#", "synthetic")
         failing = CensusReport(
