@@ -124,23 +124,60 @@ def brush_fh(lengths: Sequence[int]) -> BrushVectors:
     return BrushVectors(tuple(f), tuple(h))
 
 
-def _conflict_masks(graph: SimpleGraph) -> tuple[list[tuple[Cell, Cell]], list[int]]:
-    """The edges as sorted pairs in sorted order, and for each edge the
-    mask of the edges it conflicts with: those with an endpoint in the
-    closed neighbourhood of either of its endpoints."""
+def _conflict_masks(graph: SimpleGraph) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """The edges as sorted index pairs in sorted order, for each vertex
+    the mask of the edges at it, and for each edge the mask of the edges
+    it conflicts with: those with an endpoint in the closed neighbourhood
+    of either of its endpoints."""
     masks = graph.masks
     ends = [(i, j) for i, mask in enumerate(masks) for j in bits((mask >> (i + 1)) << (i + 1))]
     incident = [0] * graph.n
     for e, (i, j) in enumerate(ends):
         incident[i] |= 1 << e
         incident[j] |= 1 << e
-    conflict = []
-    for e, (i, j) in enumerate(ends):
+    near = []  # per vertex, the edges with an endpoint in its closed neighbourhood
+    for i, mask in enumerate(masks):
         touched = 0
-        for v in bits(masks[i] | masks[j] | (1 << i) | (1 << j)):
+        for v in bits(mask | (1 << i)):
             touched |= incident[v]
-        conflict.append(touched & ~(1 << e))
-    return [(graph.vertices[i], graph.vertices[j]) for i, j in ends], conflict
+        near.append(touched)
+    conflict = [(near[i] | near[j]) & ~(1 << e) for e, (i, j) in enumerate(ends)]
+    return ends, incident, conflict
+
+
+def _clique_cover(
+    graph: SimpleGraph, ends: list[tuple[int, int]], incident: list[int]
+) -> tuple[list[int], int]:
+    """A family of cliques for the induced-matching bound: for each
+    member the mask of the edges that meet it, and the fewest members
+    that any one edge meets.
+
+    The members are every closed common neighbourhood N[u] & N[v] of an
+    edge uv that is a clique, once each, and the singleton of every
+    vertex that lies in fewer than two of those. So every edge meets at
+    least two members. On an attack graph the members are its maximal
+    runs (rows and columns under ``line``), singleton runs included, and
+    every edge meets three of them.
+    """
+    closed = [mask | (1 << i) for i, mask in enumerate(graph.masks)]
+    member_of = [0] * graph.n
+    meets = []
+    for common in dict.fromkeys(closed[i] & closed[j] for i, j in ends):
+        seen_by_all = common  # shrinks below common unless it is a clique
+        edge_mask = 0
+        for v in bits(common):
+            seen_by_all &= closed[v]
+            edge_mask |= incident[v]
+        if seen_by_all == common:
+            for v in bits(common):
+                member_of[v] |= 1 << len(meets)
+            meets.append(edge_mask)
+    for v, of in enumerate(member_of):
+        if of.bit_count() < 2:
+            member_of[v] |= 1 << len(meets)
+            meets.append(incident[v])
+    least = min((member_of[i] | member_of[j]).bit_count() for i, j in ends)
+    return meets, least
 
 
 def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
@@ -148,14 +185,29 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
 
     Two edges conflict when they share an endpoint or are joined by an
     edge; an induced matching is an independent set in that conflict
-    graph. The bound combines the remaining-edge count with a greedy
-    matching on the conflict graph (each conflicting pair contributes at
-    most one edge). The certificate is re-verified before returning.
+    graph. The search includes, then excludes, the lowest available edge,
+    from a greedy seed, and prunes a node when the smaller of two upper
+    bounds on the edges still available cannot beat the best found:
+
+    - greedy pairs: the available count less the pairs of conflicting
+      edges found greedily, since each pair holds at most one edge;
+    - cliques: every member of the family from ``_clique_cover`` is a
+      clique, so it meets at most one edge of an induced matching (two
+      matched edges meeting it would be joined by an edge of it). Each
+      edge meets at least t members, so at most floor(m / t) edges fit,
+      where m counts the members that some available edge meets. This
+      holds on any graph; on an attack graph t = 3 and m counts the free
+      runs, which closes the search on boards at the root.
+
+    The result is the first maximum leaf in search order, whatever the
+    bound, so tighter bounds change the work and not the certificate.
+    The certificate is re-verified before returning.
     """
-    edges, conflict = _conflict_masks(graph)
-    n = len(edges)
+    ends, incident, conflict = _conflict_masks(graph)
+    n = len(ends)
     if n == 0:
         return MatchingCertificate((), 0)
+    meets, least = _clique_cover(graph, ends, incident)
 
     avail0 = (1 << n) - 1
 
@@ -171,8 +223,12 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
         m &= ~conflict[v] & ~b
     best_size, best_mask = size, seed
 
-    def upper_bound(avail: int) -> int:
-        total = avail.bit_count()
+    def cannot_improve(avail: int, size: int) -> bool:
+        """Whether either bound keeps the available edges from beating the
+        best: the clique bound first, as it is cheaper and prunes more."""
+        room = best_size - size
+        if len([1 for edge_mask in meets if edge_mask & avail]) // least <= room:
+            return True
         m = avail
         pairs = 0
         while m:
@@ -183,7 +239,7 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
             if hit:
                 m ^= hit & -hit
                 pairs += 1
-        return total - pairs
+        return avail.bit_count() - pairs <= room
 
     def expand(avail: int, chosen: int, size: int) -> None:
         nonlocal best_size, best_mask
@@ -191,7 +247,7 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
             if size > best_size:
                 best_size, best_mask = size, chosen
             return
-        if size + upper_bound(avail) <= best_size:
+        if cannot_improve(avail, size):
             return
         b = avail & -avail
         v = b.bit_length() - 1
@@ -200,7 +256,8 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
 
     expand(avail0, 0, 0)
 
-    picked = sorted(edges[i] for i in bits(best_mask))
+    vs = graph.vertices
+    picked = sorted((vs[ends[e][0]], vs[ends[e][1]]) for e in bits(best_mask))
     _verify_induced_matching(graph, picked)
     return MatchingCertificate(tuple(picked), best_size)
 

@@ -185,22 +185,28 @@ def _maximal_sets(sets: Iterable[frozenset]) -> frozenset:
     )
 
 
-@lru_cache(maxsize=None)
-def _vertex_decomposable(facet_family: frozenset) -> bool:
+def _vertex_decomposable(facet_family: frozenset, memo: dict[frozenset, bool]) -> bool:
+    """The shedding-vertex recursion on one facet family. Links and
+    deletions recur across branches, so ``memo`` keeps the verdicts of
+    one top-level call, and is dropped with it."""
     # A single facet covers both the empty complex and a full simplex.
     if len(facet_family) == 1:
         return True
-    vertices = sorted(set().union(*facet_family))
-    for x in vertices:
+    if facet_family in memo:
+        return memo[facet_family]
+    verdict = False
+    for x in sorted(set().union(*facet_family)):
         deletion = _maximal_sets(f - {x} for f in facet_family)
         if not deletion <= facet_family:
             continue
         link = _maximal_sets(f - {x} for f in facet_family if x in f)
         if not link:
             continue
-        if _vertex_decomposable(link) and _vertex_decomposable(deletion):
-            return True
-    return False
+        if _vertex_decomposable(link, memo) and _vertex_decomposable(deletion, memo):
+            verdict = True
+            break
+    memo[facet_family] = verdict
+    return verdict
 
 
 def is_vertex_decomposable(poly: Polyomino, convention: str = INTERVAL) -> bool:
@@ -213,4 +219,4 @@ def is_vertex_decomposable(poly: Polyomino, convention: str = INTERVAL) -> bool:
     rc = f_vector(poly, convention)
     if not is_pure(poly, convention).pure:
         raise NotPureError("vertex decomposability is only defined for pure complexes")
-    return _vertex_decomposable(frozenset(rc.facets))
+    return _vertex_decomposable(frozenset(rc.facets), {})

@@ -3,11 +3,13 @@ line with its runtime and enforcing the stated budget."""
 
 import time
 from contextlib import contextmanager
+from itertools import combinations
 
 from rooklab import (
     attack_graph,
     complement_graph,
     induced_cycle_lengths,
+    induced_matching_number,
     is_chordal,
     parse_ascii,
     parse_cells,
@@ -137,3 +139,40 @@ def test_criterion_9_brush_corollary_probe():
         from rooklab.cli import report_exit_code
 
         assert report_exit_code(report) == 0
+
+
+def _is_induced_matching_on_board(edges) -> bool:
+    """Check a board matching from coordinates alone: each edge joins two
+    cells of one row or column, no cell is used twice, and no two cells
+    of different edges share a row or a column."""
+    cells = [c for e in edges for c in e]
+    if len(set(cells)) != len(cells):
+        return False
+    for (x1, y1), (x2, y2) in edges:
+        if x1 != x2 and y1 != y2:
+            return False
+    for j, k in combinations(range(len(edges)), 2):
+        for a in edges[j]:
+            for b in edges[k]:
+                if a[0] == b[0] or a[1] == b[1]:
+                    return False
+    return True
+
+
+def test_criterion_10_board_matching():
+    """nu of the n x n board is floor(2n/3).
+
+    Upper bound: a matched edge lies in one row or column and its two
+    cells sit in distinct lines of the other direction, so it owns three
+    lines, and no line meets two edges of an induced matching; the 2n
+    lines hold at most floor(2n/3) edges. Lower bound: each 3x3 block on
+    the diagonal holds one horizontal and one vertical edge, {(0,0),(1,0)}
+    and {(2,1),(2,2)}, using its three rows and three columns, and a
+    leftover 2x2 block holds one more edge.
+    """
+    with criterion("criterion-10 board matching n<=12", 10):
+        for n in range(2, 13):
+            board = parse_cells([(x, y) for x in range(n) for y in range(n)])
+            cert = induced_matching_number(attack_graph(board))
+            assert cert.size == len(cert.edges) == 2 * n // 3, n
+            assert _is_induced_matching_on_board(cert.edges), n

@@ -7,6 +7,7 @@ from rooklab import (
     IndexOutOfRangeError,
     NotApplicableError,
     NotPureBrushError,
+    Polyomino,
     RankTooSmallError,
     ShapeRecord,
     SimpleGraph,
@@ -142,6 +143,20 @@ class TestBrushFH:
             brush_fh((1, 2))
 
 
+# The 8 symmetries of the square, as (x, y) -> (a x + b y, c x + d y).
+DIHEDRAL = (
+    (1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+    (-1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1), (0, -1, -1, 0),
+)
+
+
+def dihedral_images(poly):
+    return [
+        Polyomino.from_cells([(a * x + b * y, c * x + d * y) for x, y in poly.cells])
+        for a, b, c, d in DIHEDRAL
+    ]
+
+
 class TestInducedMatching:
     def test_skew(self):
         assert induced_matching_number(attack_graph(SKEW)).size == 1
@@ -163,7 +178,8 @@ class TestInducedMatching:
     def _oracle(g):
         edges = g.edge_pairs()
         best = 0
-        for r in range(len(edges), 0, -1):
+        # Matched edges have distinct endpoints, so at most n // 2 fit.
+        for r in range(min(len(edges), g.n // 2), 0, -1):
             if r <= best:
                 break
             for sub in combinations(edges, r):
@@ -181,20 +197,31 @@ class TestInducedMatching:
 
     def test_matches_oracle_on_census(self, census5):
         for poly in census5:
-            g = attack_graph(poly)
-            cert = induced_matching_number(g)
-            assert cert.size == self._oracle(g)
+            for convention in ("interval", "line"):
+                g = attack_graph(poly, convention)
+                cert = induced_matching_number(g)
+                assert cert.size == self._oracle(g), (poly, convention)
 
-    @given(st.integers(0, 500))
-    @settings(max_examples=60)
-    def test_matches_oracle_on_random_graphs(self, seed):
+    @given(st.integers(2, 9), st.floats(0.2, 0.8), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_random_graphs(self, n, density, seed):
+        # Random graphs have common neighbourhoods that are not cliques,
+        # which the clique bound must leave out without losing validity.
         import random
 
         rng = random.Random(seed)
-        n = rng.randint(2, 7)
-        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.45]
+        edges = [e for e in combinations(range(n), 2) if rng.random() < density]
         g = SimpleGraph.from_pairs(range(n), edges)
         assert induced_matching_number(g).size == self._oracle(g)
+
+    def test_same_on_every_dihedral_image(self, census8):
+        for poly in (p for p in census8 if p.rank <= 7):
+            for convention in ("interval", "line"):
+                sizes = {
+                    induced_matching_number(attack_graph(image, convention)).size
+                    for image in dihedral_images(poly)
+                }
+                assert len(sizes) == 1, (poly, convention, sizes)
 
     def test_certificate_is_induced(self, census5):
         for poly in census5:

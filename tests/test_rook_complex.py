@@ -19,6 +19,7 @@ from rooklab import (
     maximal_intervals,
     parse_ascii,
     parse_cells,
+    rook_complex,
     shape_predicates,
 )
 
@@ -255,6 +256,13 @@ class TestVertexDecomposable:
         board = parse_cells([(x, y) for x in range(width) for y in range(height)])
         assert is_pure(board).pure
         assert is_vertex_decomposable(board) == decomposable
+
+    def test_no_cache_outlives_a_call(self):
+        # Only the per-shape caches of the attack graph and the f-vector
+        # are kept across calls; the shedding recursion memoizes per call.
+        is_vertex_decomposable(RECT_2X3)
+        cached = {name for name, obj in vars(rook_complex).items() if hasattr(obj, "cache_info")}
+        assert cached == {"attack_graph", "f_vector"}
 
     def test_pure_simple_thin_census(self, census8):
         for poly in census8:
