@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .chordal import induced_cycle_lengths
 from .errors import RankOutOfRangeError, UnknownCheckError
 from .partition import find_embedding
-from .polyomino import Cell, Polyomino, canonical_cells, render_ascii
+from .polyomino import Cell, Polyomino, _dihedral_images, canonical_cells, render_ascii
 from .record import ShapeRecord
 from .regularity import brush_fh, check_sigma_identities, single_cell_intervals
 from .rook_complex import f_vector, h_from_f
@@ -57,21 +57,21 @@ def _half_plane_neighbors(cell: Cell) -> Iterator[Cell]:
             yield (nx, ny)
 
 
-def _fixed_cell_sets(n: int) -> Iterator[tuple[Cell, ...]]:
-    """Each fixed polyomino of rank n exactly once, as a normalized sorted tuple."""
+def _fixed_cell_sets(n: int) -> Iterator[list[Cell]]:
+    """Each fixed polyomino of rank n exactly once, as a normalized sorted list."""
     if n == 1:
-        yield ((0, 0),)
+        yield [(0, 0)]
         return
     shape: list[Cell] = []
 
-    def grow(untried: list[Cell], seen: set[Cell]) -> Iterator[tuple[Cell, ...]]:
+    def grow(untried: list[Cell], seen: set[Cell]) -> Iterator[list[Cell]]:
         untried = list(untried)
         while untried:
             cell = untried.pop()
             shape.append(cell)
             if len(shape) == n:
-                dx = min(x for x, _ in shape)
-                yield tuple(sorted((x - dx, y) for x, y in shape))
+                dx = min([x for x, _ in shape])
+                yield sorted([(x - dx, y) for x, y in shape])
             else:
                 fresh = [nb for nb in _half_plane_neighbors(cell) if nb not in seen]
                 yield from grow(untried + fresh, seen | set(fresh))
@@ -80,12 +80,12 @@ def _fixed_cell_sets(n: int) -> Iterator[tuple[Cell, ...]]:
     yield from grow([(0, 0)], {(0, 0)})
 
 
-def _rank_cells(n: int, mode: str) -> list[tuple[Cell, ...]]:
-    """The sorted cell tuples of rank n; free mode keeps the fixed shapes
-    that are their own canonical form."""
+def _rank_cells(n: int, mode: str) -> list[list[Cell]]:
+    """The sorted cell lists of rank n, in sorted order; free mode keeps
+    the fixed shapes that no dihedral image sorts below."""
     shapes = _fixed_cell_sets(n)
     if mode == "free":
-        shapes = (s for s in shapes if canonical_cells(s) == s)
+        shapes = (s for s in shapes if not any(image < s for image in _dihedral_images(s)))
     return sorted(shapes)
 
 

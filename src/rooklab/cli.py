@@ -252,18 +252,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.emit == "coords":
+        render, sep = (lambda poly: json.dumps({"cells": _cells_json(poly.cells)})), "\n"
+    else:
+        render, sep = render_ascii, "\n\n"
     try:
-        shapes = list(census_mod.generate(args.rank, args.mode))
+        # Render each shape as it is generated, so no list of shapes is held.
+        blocks = [render(poly) for poly in census_mod.generate(args.rank, args.mode)]
     except RankOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    blocks = []
-    for poly in shapes:
-        if args.emit == "coords":
-            blocks.append(json.dumps({"cells": _cells_json(poly.cells)}))
-        else:
-            blocks.append(render_ascii(poly))
-    sep = "\n" if args.emit == "coords" else "\n\n"
     if blocks:
         print(sep.join(blocks))
     return EXIT_OK

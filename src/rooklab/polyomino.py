@@ -28,24 +28,29 @@ VERTICAL = "vertical"
 
 _STEPS: tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
-# The dihedral group of the square as row-major 2x2 integer matrices.
-_DIHEDRAL = (
-    (1, 0, 0, 1),
-    (0, -1, 1, 0),
-    (-1, 0, 0, -1),
-    (0, 1, -1, 0),
-    (-1, 0, 0, 1),
-    (0, 1, 1, 0),
-    (1, 0, 0, -1),
-    (0, -1, -1, 0),
-)
-
-
 def _normalized(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     cells = list(cells)
-    dx = min(x for x, _ in cells)
-    dy = min(y for _, y in cells)
-    return tuple(sorted((x - dx, y - dy) for x, y in cells))
+    if not cells:
+        raise EmptyInputError("a polyomino needs at least one cell")
+    dx = min([x for x, _ in cells])
+    dy = min([y for _, y in cells])
+    return tuple(sorted([(x - dx, y - dy) for x, y in cells]))
+
+
+def _dihedral_images(cells: Sequence[Cell]) -> Iterator[list[Cell]]:
+    """The 7 other dihedral images of a normalized sorted cell sequence, as
+    sorted lists. Each maps the bounding box [0, W] x [0, H] onto a box at
+    the origin, so none needs re-normalizing. The images that most often
+    sort below a fixed shape come first, for callers that stop early."""
+    w = cells[-1][0]
+    h = max([y for _, y in cells])
+    yield sorted([(y, w - x) for x, y in cells])
+    yield sorted([(y, x) for x, y in cells])
+    yield sorted([(x, h - y) for x, y in cells])
+    yield sorted([(w - x, h - y) for x, y in cells])
+    yield sorted([(h - y, w - x) for x, y in cells])
+    yield sorted([(w - x, y) for x, y in cells])
+    yield sorted([(h - y, x) for x, y in cells])
 
 
 def _components(cells: frozenset[Cell]) -> list[set[Cell]]:
@@ -292,18 +297,13 @@ def shape_predicates(poly: Polyomino) -> ShapePredicates:
 
 def canonical_cells(cells: Iterable[Cell], mode: str = "free") -> tuple[Cell, ...]:
     """Canonical cell tuple: translation-normalized for ``fixed``, the
-    least normalized form over the 8 dihedral transforms for ``free``."""
+    least normalized sorted tuple over the 8 dihedral images for ``free``."""
+    if mode not in ("free", "fixed"):
+        raise ValueError(f"unknown canonicalization mode {mode!r}")
     base = _normalized(cells)
     if mode == "fixed":
         return base
-    if mode != "free":
-        raise ValueError(f"unknown canonicalization mode {mode!r}")
-    best = base
-    for a, b, c, d in _DIHEDRAL[1:]:
-        cand = _normalized((a * x + b * y, c * x + d * y) for x, y in base)
-        if cand < best:
-            best = cand
-    return best
+    return min(base, tuple(min(_dihedral_images(base))))
 
 
 def canonical_form(poly: Polyomino, mode: str = "free") -> Polyomino:

@@ -2,9 +2,15 @@ from collections import deque
 
 import pytest
 
-from rooklab import CellNotInPolyominoError, NotConnectedError, free_census
+from rooklab import CellNotInPolyominoError, NotConnectedError, Polyomino, free_census
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+# The 8 symmetries of the square, as (x, y) -> (a x + b y, c x + d y).
+DIHEDRAL = (
+    (1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+    (-1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1), (0, -1, -1, 0),
+)
 
 
 @pytest.fixture(scope="session")
@@ -76,3 +82,66 @@ def _min_changes_of_direction(poly, start, goal):
 def min_changes_of_direction():
     """A path metric the package does not need; tests use it as an oracle."""
     return _min_changes_of_direction
+
+
+def _translated_to_origin(cells):
+    dx = min(x for x, _ in cells)
+    dy = min(y for _, y in cells)
+    return tuple(sorted((x - dx, y - dy) for x, y in cells))
+
+
+def _canonical_oracle(cells, mode):
+    """Canonical cell tuple by brute force: each image under the 2x2
+    matrices is translated back to the origin and sorted, and free mode
+    takes the least of the 8."""
+    cells = list(cells)
+    matrices = DIHEDRAL if mode == "free" else DIHEDRAL[:1]
+    return min(
+        _translated_to_origin([(a * x + b * y, c * x + d * y) for x, y in cells])
+        for a, b, c, d in matrices
+    )
+
+
+def _oracle_counts(n_max, mode):
+    """Shape counts of rank 1..n_max by an enumeration independent of the
+    generator: grow every shape by one neighbour cell and deduplicate
+    oracle canonical forms, level by level."""
+    level = {_canonical_oracle([(0, 0)], mode)}
+    counts = [1]
+    for _ in range(n_max - 1):
+        nxt = set()
+        for shape in level:
+            occupied = set(shape)
+            for x, y in shape:
+                for dx, dy in _STEPS:
+                    nb = (x + dx, y + dy)
+                    if nb not in occupied:
+                        nxt.add(_canonical_oracle(list(shape) + [nb], mode))
+        level = nxt
+        counts.append(len(level))
+    return tuple(counts)
+
+
+@pytest.fixture(scope="session")
+def canonical_oracle():
+    """The matrix-based canonicalizer the package used to run; tests use it
+    as an oracle for ``canonical_cells`` and the free filter."""
+    return _canonical_oracle
+
+
+@pytest.fixture(scope="session")
+def oracle_counts():
+    return _oracle_counts
+
+
+@pytest.fixture(scope="session")
+def dihedral_images():
+    """The 8 images of a polyomino under the symmetries of the square."""
+
+    def images(poly):
+        return [
+            Polyomino.from_cells([(a * x + b * y, c * x + d * y) for x, y in poly.cells])
+            for a, b, c, d in DIHEDRAL
+        ]
+
+    return images

@@ -16,7 +16,6 @@ from rooklab import (
     verify_corpus,
 )
 from rooklab.census import generate
-from rooklab.polyomino import canonical_cells
 
 FREE_COUNTS = (1, 1, 2, 5, 12, 35, 108, 369)
 FIXED_COUNTS = (1, 2, 6, 19, 63, 216, 760, 2725)
@@ -96,32 +95,14 @@ def test_criterion_7_froberg_crosscheck():
         _assert_clean(report, "froberg-crosscheck")
 
 
-def _oracle_counts(n_max: int, mode: str) -> tuple[int, ...]:
-    # Independent enumeration: grow every shape by one neighbor cell and
-    # deduplicate canonical forms, level by level.
-    level = {canonical_cells([(0, 0)], mode)}
-    counts = [1]
-    for _ in range(n_max - 1):
-        nxt = set()
-        for shape in level:
-            occupied = set(shape)
-            for x, y in shape:
-                for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                    if nb not in occupied:
-                        nxt.add(canonical_cells(list(shape) + [nb], mode))
-        level = nxt
-        counts.append(len(level))
-    return tuple(counts)
-
-
-def test_criterion_8_generator_counts():
+def test_criterion_8_generator_counts(oracle_counts):
     with criterion("criterion-8 generator counts rank<=8", 30):
         free = tuple(len(list(generate(n, "free"))) for n in range(1, 9))
         fixed = tuple(len(list(generate(n, "fixed"))) for n in range(1, 9))
         assert free == FREE_COUNTS
         assert fixed == FIXED_COUNTS
-        assert _oracle_counts(8, "free") == FREE_COUNTS
-        assert _oracle_counts(8, "fixed") == FIXED_COUNTS
+        assert oracle_counts(8, "free") == FREE_COUNTS
+        assert oracle_counts(8, "fixed") == FIXED_COUNTS
 
 
 def test_criterion_9_brush_corollary_probe():
@@ -176,3 +157,11 @@ def test_criterion_10_board_matching():
             cert = induced_matching_number(attack_graph(board))
             assert cert.size == len(cert.edges) == 2 * n // 3, n
             assert _is_induced_matching_on_board(cert.edges), n
+
+
+def test_criterion_11_rank11_counts(monkeypatch):
+    monkeypatch.setenv("ROOKLAB_MAX_RANK", "11")
+    with criterion("criterion-11 free generator rank 11", 8):
+        free = sum(1 for _ in generate(11))
+    assert free == 17073  # OEIS A000105
+    assert sum(1 for _ in generate(11, "fixed")) == 135268  # OEIS A001168

@@ -23,25 +23,6 @@ FREE_COUNTS = (1, 1, 2, 5, 12, 35, 108, 369)
 FIXED_COUNTS = (1, 2, 6, 19, 63, 216, 760, 2725)
 
 
-def oracle_counts(n_max, mode):
-    """Independent grow-and-dedupe enumeration over all cell sets."""
-    from rooklab.polyomino import canonical_cells
-
-    level = {canonical_cells([(0, 0)], mode)}
-    counts = [1]
-    for _ in range(n_max - 1):
-        nxt = set()
-        for shape in level:
-            occupied = set(shape)
-            for x, y in shape:
-                for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                    if nb not in occupied:
-                        nxt.add(canonical_cells(list(shape) + [nb], mode))
-        level = nxt
-        counts.append(len(level))
-    return tuple(counts)
-
-
 class TestGenerate:
     @pytest.mark.parametrize("mode, counts", [("free", FREE_COUNTS), ("fixed", FIXED_COUNTS)])
     def test_counts_to_rank_six(self, mode, counts):
@@ -49,7 +30,7 @@ class TestGenerate:
             assert len(list(generate(n, mode))) == counts[n - 1]
 
     @pytest.mark.parametrize("mode", ["free", "fixed"])
-    def test_counts_match_oracle(self, mode):
+    def test_counts_match_oracle(self, mode, oracle_counts):
         oracle = oracle_counts(6, mode)
         assert oracle == tuple(len(list(generate(n, mode))) for n in range(1, 7))
 
@@ -74,6 +55,12 @@ class TestGenerate:
         # counts are pinned to the standard sequence values too.
         assert (len(list(generate(9))), len(list(generate(10)))) == (1285, 4655)
         assert (len(list(generate(9, "fixed"))), len(list(generate(10, "fixed")))) == (9910, 36446)
+
+    def test_free_filter_matches_oracle(self, canonical_oracle):
+        for n in range(1, 11):
+            fixed = census._rank_cells(n, "fixed")
+            kept = [s for s in fixed if canonical_oracle(s, "free") == tuple(s)]
+            assert kept == census._rank_cells(n, "free"), n
 
     def test_rank_out_of_range(self):
         with pytest.raises(RankOutOfRangeError):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -11,7 +12,9 @@ from rooklab import (
     EmptyInputError,
     NotConnectedError,
     Polyomino,
+    canonical_cells,
     canonical_form,
+    generate,
     maximal_intervals,
     parse_ascii,
     parse_cells,
@@ -223,6 +226,25 @@ class TestCanonicalForm:
             for t in transforms:
                 moved = Polyomino.from_cells([t(x, y) for x, y in poly.cells])
                 assert canonical_form(moved) == expected
+
+    def test_matches_oracle_on_fixed_shapes(self, canonical_oracle):
+        rng = random.Random(11)
+        for n in range(1, 10):
+            for poly in generate(n, "fixed"):
+                dx, dy = rng.randint(-50, 50), rng.randint(-50, 50)
+                cells = [(x + dx, y + dy) for x, y in poly.cells]
+                rng.shuffle(cells)
+                for mode in ("free", "fixed"):
+                    assert canonical_cells(cells, mode) == canonical_oracle(cells, mode), (cells, mode)
+
+    def test_edge_inputs(self):
+        with pytest.raises(EmptyInputError):
+            canonical_cells([])
+        with pytest.raises(EmptyInputError):
+            Polyomino.from_cells([])
+        for cells in ([], [(0, 0)]):
+            with pytest.raises(ValueError, match="unknown canonicalization mode"):
+                canonical_cells(cells, "bogus")
 
 
 class TestRenderAscii:

@@ -7,7 +7,6 @@ from rooklab import (
     IndexOutOfRangeError,
     NotApplicableError,
     NotPureBrushError,
-    Polyomino,
     RankTooSmallError,
     ShapeRecord,
     SimpleGraph,
@@ -28,6 +27,7 @@ from rooklab import (
     sigma_triples,
     single_cell_intervals,
 )
+from rooklab.regularity import _verify_induced_matching
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -143,20 +143,6 @@ class TestBrushFH:
             brush_fh((1, 2))
 
 
-# The 8 symmetries of the square, as (x, y) -> (a x + b y, c x + d y).
-DIHEDRAL = (
-    (1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
-    (-1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1), (0, -1, -1, 0),
-)
-
-
-def dihedral_images(poly):
-    return [
-        Polyomino.from_cells([(a * x + b * y, c * x + d * y) for x, y in poly.cells])
-        for a, b, c, d in DIHEDRAL
-    ]
-
-
 class TestInducedMatching:
     def test_skew(self):
         assert induced_matching_number(attack_graph(SKEW)).size == 1
@@ -214,7 +200,7 @@ class TestInducedMatching:
         g = SimpleGraph.from_pairs(range(n), edges)
         assert induced_matching_number(g).size == self._oracle(g)
 
-    def test_same_on_every_dihedral_image(self, census8):
+    def test_same_on_every_dihedral_image(self, census8, dihedral_images):
         for poly in (p for p in census8 if p.rank <= 7):
             for convention in ("interval", "line"):
                 sizes = {
@@ -222,6 +208,16 @@ class TestInducedMatching:
                     for image in dihedral_images(poly)
                 }
                 assert len(sizes) == 1, (poly, convention, sizes)
+
+    def test_verifier_rejects_bad_certificates(self):
+        # On the path 0-1-2-3: the edge 12 joins (0, 1) and (2, 3), the
+        # pairs (0, 1) and (1, 2) share 1, and (0, 2) is no edge at all.
+        g = SimpleGraph.from_pairs(range(4), [(0, 1), (1, 2), (2, 3)])
+        _verify_induced_matching(g, [(0, 1)])
+        _verify_induced_matching(g, [(2, 3)])
+        for edges in ([(0, 1), (2, 3)], [(0, 1), (1, 2)], [(0, 2)]):
+            with pytest.raises(RuntimeError):
+                _verify_induced_matching(g, edges)
 
     def test_certificate_is_induced(self, census5):
         for poly in census5:
