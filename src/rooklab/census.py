@@ -16,7 +16,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .chordal import induced_cycle_lengths
@@ -223,50 +223,30 @@ def pure_brush_realizations(lengths: Sequence[int]) -> list[Polyomino]:
     """All pure brushes with the given bristle-length multiset, up to symmetry.
 
     Built with a horizontal handle and one vertical bristle per handle
-    cell, sliding each bristle through every offset; candidates are
-    deduplicated by canonical form and validated by the recognizer. The
-    single-bristle case degenerates to a straight interval. Each
-    candidate is recognized once, in its canonical orientation.
+    cell. Neighbouring bristles may share only the handle row, so with
+    two or more bristles each one runs wholly up or wholly down from the
+    handle, in turn. Up to a reflection the first one runs up, so a
+    realization is an order of the lengths. Candidates are deduplicated
+    by canonical form and validated by the recognizer, each once, in its
+    canonical orientation. The single-bristle case degenerates to a
+    straight interval.
     """
     lengths = tuple(sorted(lengths))
-    d = len(lengths)
-    if d == 1:
+    if len(lengths) == 1:
         return [Polyomino.from_cells([(x, 0) for x in range(lengths[0])])]
-
-    # Canonical key -> the realization, or None for a rejected candidate.
-    results: dict[tuple[Cell, ...], Polyomino | None] = {}
-    remaining: list[int | None] = list(lengths)
-
-    def place(col: int, chosen: list[tuple[int, int]]) -> None:
-        if col == d:
-            cells = []
-            for x, (length, offset) in enumerate(chosen):
-                cells.extend((x, y) for y in range(-offset, length - offset))
-            key = canonical_cells(cells)
-            if key not in results:
-                rec = ShapeRecord(Polyomino(frozenset(key)))
-                brush = rec.brush
-                ok = brush is not None and brush.pure_brush and tuple(sorted(brush.lengths)) == lengths
-                results[key] = rec.poly if ok else None
-            return
-        seen_lengths = set()
-        for idx, length in enumerate(remaining):
-            if length is None or length in seen_lengths:
-                continue
-            seen_lengths.add(length)
-            remaining[idx] = None
-            for offset in range(length):
-                heights = set(range(-offset, length - offset))
-                if chosen:
-                    prev_len, prev_off = chosen[-1]
-                    prev = set(range(-prev_off, prev_len - prev_off))
-                    if (heights & prev) != {0}:
-                        continue
-                place(col + 1, chosen + [(length, offset)])
-            remaining[idx] = length
-
-    place(0, [])
-    return [results[k] for k in sorted(results) if results[k] is not None]
+    keys = {
+        canonical_cells(
+            (x, -y if x % 2 else y) for x, length in enumerate(order) for y in range(length)
+        )
+        for order in set(permutations(lengths))
+    }
+    out = []
+    for key in sorted(keys):
+        rec = ShapeRecord(Polyomino(frozenset(key)))
+        brush = rec.brush
+        if brush is not None and brush.pure_brush and tuple(sorted(brush.lengths)) == lengths:
+            out.append(rec.poly)
+    return out
 
 
 def _check_brush_fh() -> Iterator[Violation]:

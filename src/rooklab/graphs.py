@@ -62,9 +62,6 @@ class SimpleGraph:
             raise KeyError(v)
         return i
 
-    def neighbors(self, v: Vertex) -> frozenset:
-        return frozenset(self.vertices[j] for j in bits(self.masks[self.index(v)]))
-
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         return bool(self.masks[self.index(u)] >> self.index(v) & 1)
 

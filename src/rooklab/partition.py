@@ -117,18 +117,15 @@ def partitions(rec: ShapeRecord) -> list[PartitionSet]:
     """The at most two partitions of the polyomino into maximal intervals.
 
     The horizontal family qualifies exactly when every cell lies in a
-    horizontal interval, and likewise vertically; members of one family
-    are automatically pairwise disjoint.
+    horizontal interval, and likewise vertically. Members of one family
+    are pairwise disjoint, so that is when their lengths sum to the rank.
     """
     if rec.poly.rank < 2:
         raise RankTooSmallError("a monomino has no partitions: its interval family is empty")
     out: list[PartitionSet] = []
     for orientation in (HORIZONTAL, VERTICAL):
         members = tuple(iv for iv in rec.intervals if iv.orientation == orientation)
-        covered: set[Cell] = set()
-        for iv in members:
-            covered |= iv.cell_set
-        if covered == rec.poly.cells:
+        if sum(iv.length for iv in members) == rec.poly.rank:
             is_super = all(find_embedding(rec, iv) is None for iv in members)
             out.append(PartitionSet(members, orientation, is_super))
     return out

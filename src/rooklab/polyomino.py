@@ -73,6 +73,22 @@ def _components(cells: frozenset[Cell]) -> list[set[Cell]]:
     return out
 
 
+def _runs(cells: frozenset[Cell], orientation: str) -> list[tuple[Cell, ...]]:
+    """The maximal horizontal or vertical runs of ``cells``, singleton runs
+    included, ordered by first cell. Every cell lies in exactly one run of
+    each orientation."""
+    dx, dy = (1, 0) if orientation == HORIZONTAL else (0, 1)
+    out = []
+    for x, y in sorted(cells):
+        if (x - dx, y - dy) not in cells:
+            run = [(x, y)]
+            while (x + dx, y + dy) in cells:
+                x, y = x + dx, y + dy
+                run.append((x, y))
+            out.append(tuple(run))
+    return out
+
+
 @dataclass(frozen=True)
 class Polyomino:
     """An edge-connected set of cells with its lower-left corner at the origin."""
@@ -215,80 +231,34 @@ def maximal_intervals(poly: Polyomino) -> list[CellInterval]:
     horizontal interval. The result is ordered by orientation
     (horizontal first), then by anchor cell.
     """
-    out: list[CellInterval] = []
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
-    for x, y in poly.cells:
-        by_row.setdefault(y, []).append(x)
-        by_col.setdefault(x, []).append(y)
-
-    def runs(values: list[int]) -> Iterator[list[int]]:
-        values = sorted(values)
-        run = [values[0]]
-        for v in values[1:]:
-            if v == run[-1] + 1:
-                run.append(v)
-            else:
-                yield run
-                run = [v]
-        yield run
-
-    for y in sorted(by_row):
-        for run in runs(by_row[y]):
-            if len(run) >= 2:
-                out.append(CellInterval(HORIZONTAL, tuple((x, y) for x in run)))
-    for x in sorted(by_col):
-        for run in runs(by_col[x]):
-            if len(run) >= 2:
-                out.append(CellInterval(VERTICAL, tuple((x, y) for y in run)))
-    out.sort(key=lambda iv: (iv.orientation, iv.anchor))
-    return out
+    return [
+        CellInterval(orientation, run)
+        for orientation in (HORIZONTAL, VERTICAL)
+        for run in _runs(poly.cells, orientation)
+        if len(run) >= 2
+    ]
 
 
 def shape_predicates(poly: Polyomino) -> ShapePredicates:
     """Compute the standard shape flags by their definitions.
 
-    ``simple`` means no enclosed hole: every non-cell of the bounding box,
-    inflated by one, can be flood-filled from the outside. ``thin`` means
-    no 2x2 block of cells. Convexity means each row (column) of cells is a
-    contiguous run.
+    ``simple`` means no enclosed hole: the bounding box inflated by one,
+    less the cells, is a single component. ``thin`` means no 2x2 block of
+    cells. Convexity means each row (column) of cells is one run; every
+    row and column of the bounding box holds a cell, so that is one run
+    per row (column).
     """
     cells = poly.cells
     w, h = poly.width, poly.height
-
-    outside: set[Cell] = set()
-    queue = deque([(-1, -1)])
-    outside.add((-1, -1))
-    while queue:
-        x, y = queue.popleft()
-        for dx, dy in _STEPS:
-            nb = (x + dx, y + dy)
-            if -1 <= nb[0] <= w and -1 <= nb[1] <= h and nb not in cells and nb not in outside:
-                outside.add(nb)
-                queue.append(nb)
-    simple = all(
-        (x, y) in cells or (x, y) in outside for x in range(w) for y in range(h)
-    )
-
-    thin = not any(
-        (x + 1, y) in cells and (x, y + 1) in cells and (x + 1, y + 1) in cells
-        for x, y in cells
-    )
-
-    def contiguous(groups: dict[int, list[int]]) -> bool:
-        return all(max(v) - min(v) + 1 == len(v) for v in groups.values())
-
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for x, y in cells:
-        rows.setdefault(y, []).append(x)
-        cols.setdefault(x, []).append(y)
-    row_convex = contiguous(rows)
-    column_convex = contiguous(cols)
-
+    frame = frozenset((x, y) for x in range(-1, w + 1) for y in range(-1, h + 1))
+    row_convex = len(_runs(cells, HORIZONTAL)) == h
+    column_convex = len(_runs(cells, VERTICAL)) == w
     return ShapePredicates(
-        simple=simple,
-        thin=thin,
+        simple=len(_components(frame - cells)) == 1,
+        thin=not any(
+            (x + 1, y) in cells and (x, y + 1) in cells and (x + 1, y + 1) in cells
+            for x, y in cells
+        ),
         row_convex=row_convex,
         column_convex=column_convex,
         convex=row_convex and column_convex,

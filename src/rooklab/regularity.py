@@ -185,21 +185,17 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
     Two edges conflict when they share an endpoint or are joined by an
     edge; an induced matching is an independent set in that conflict
     graph. The search includes, then excludes, the lowest available edge,
-    from a greedy seed, and prunes a node when the smaller of two upper
-    bounds on the edges still available cannot beat the best found:
-
-    - greedy pairs: the available count less the pairs of conflicting
-      edges found greedily, since each pair holds at most one edge;
-    - cliques: every member of the family from ``_clique_cover`` is a
-      clique, so it meets at most one edge of an induced matching (two
-      matched edges meeting it would be joined by an edge of it). Each
-      edge meets at least t members, so at most floor(m / t) edges fit,
-      where m counts the members that some available edge meets. This
-      holds on any graph; on an attack graph t = 3 and m counts the free
-      runs, which closes the search on boards at the root.
+    from a greedy seed, and prunes a node by a clique bound on the edges
+    still available. Every member of the family from ``_clique_cover`` is
+    a clique, so it meets at most one edge of an induced matching (two
+    matched edges meeting it would be joined by an edge of it). Each edge
+    meets at least t members, so at most floor(m / t) edges fit, where m
+    counts the members that some available edge meets. This holds on any
+    graph; on an attack graph t = 3 and m counts the free runs, which
+    closes the search on boards at the root.
 
     The result is the first maximum leaf in search order, whatever the
-    bound, so tighter bounds change the work and not the certificate.
+    bound, so a tighter bound changes the work and not the certificate.
     The certificate is re-verified before returning.
     """
     ends, incident, conflict = _conflict_masks(graph)
@@ -222,31 +218,13 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
         m &= ~conflict[v] & ~b
     best_size, best_mask = size, seed
 
-    def cannot_improve(avail: int, size: int) -> bool:
-        """Whether either bound keeps the available edges from beating the
-        best: the clique bound first, as it is cheaper and prunes more."""
-        room = best_size - size
-        if len([1 for edge_mask in meets if edge_mask & avail]) // least <= room:
-            return True
-        m = avail
-        pairs = 0
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            hit = m & conflict[v]
-            if hit:
-                m ^= hit & -hit
-                pairs += 1
-        return avail.bit_count() - pairs <= room
-
     def expand(avail: int, chosen: int, size: int) -> None:
         nonlocal best_size, best_mask
         if avail == 0:
             if size > best_size:
                 best_size, best_mask = size, chosen
             return
-        if cannot_improve(avail, size):
+        if len([1 for edge_mask in meets if edge_mask & avail]) // least <= best_size - size:
             return
         b = avail & -avail
         v = b.bit_length() - 1

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import CellNotInPolyominoError, LengthMismatchError, NotPureError
 from .graphs import SimpleGraph, bits
-from .polyomino import Cell, Polyomino, maximal_intervals
+from .polyomino import HORIZONTAL, VERTICAL, Cell, Polyomino, _runs
 
 INTERVAL = "interval"
 LINE = "line"
@@ -64,7 +64,11 @@ def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
     cells = poly.sorted_cells
     if convention == INTERVAL:
         index = {c: i for i, c in enumerate(cells)}
-        lines = [[index[c] for c in iv.cells] for iv in maximal_intervals(poly)]
+        lines = [
+            [index[c] for c in run]
+            for orientation in (HORIZONTAL, VERTICAL)
+            for run in _runs(poly.cells, orientation)
+        ]
     elif convention == LINE:
         rows: dict[int, list[int]] = {}
         cols: dict[int, list[int]] = {}
@@ -152,7 +156,9 @@ def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) 
 def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:
     """Whether all facets share the top cardinality; a witness pair otherwise."""
     fs = f_vector(poly, convention).facets
-    smallest = min(fs, key=lambda f: (len(f), tuple(sorted(f))))
+    # Facets come sorted by their sorted cell tuples, so the first smallest
+    # one is also the least of its size in that order.
+    smallest = min(fs, key=len)
     largest = max(fs, key=len)
     if len(smallest) == len(largest):
         return PurityResult(True, None)

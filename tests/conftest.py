@@ -1,8 +1,9 @@
 from collections import deque
+from itertools import combinations
 
 import pytest
 
-from rooklab import CellNotInPolyominoError, NotConnectedError, Polyomino, free_census
+from rooklab import CellNotInPolyominoError, NotConnectedError, Polyomino, ShapeRecord, free_census
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -132,6 +133,107 @@ def canonical_oracle():
 @pytest.fixture(scope="session")
 def oracle_counts():
     return _oracle_counts
+
+
+def _predicates_oracle(poly):
+    """(simple, row_convex, column_convex) by the definitions the package
+    used to run: a flood fill of the non-cells from outside the bounding
+    box, and each row's (column's) coordinates forming one contiguous range."""
+    cells = poly.cells
+    w, h = poly.width, poly.height
+    outside = {(-1, -1)}
+    queue = deque(outside)
+    while queue:
+        x, y = queue.popleft()
+        for dx, dy in _STEPS:
+            nb = (x + dx, y + dy)
+            if -1 <= nb[0] <= w and -1 <= nb[1] <= h and nb not in cells and nb not in outside:
+                outside.add(nb)
+                queue.append(nb)
+    simple = all((x, y) in cells or (x, y) in outside for x in range(w) for y in range(h))
+    rows, cols = {}, {}
+    for x, y in cells:
+        rows.setdefault(y, []).append(x)
+        cols.setdefault(x, []).append(y)
+
+    def contiguous(groups):
+        return all(max(v) - min(v) + 1 == len(v) for v in groups.values())
+
+    return simple, contiguous(rows), contiguous(cols)
+
+
+@pytest.fixture(scope="session")
+def predicates_oracle():
+    return _predicates_oracle
+
+
+def _attack_pairs(poly):
+    """The attacking pairs rebuilt pairwise from the cells: two cells in
+    one row or column with every cell between them present."""
+    cells = poly.cells
+    pairs = set()
+    for a, b in combinations(sorted(cells), 2):
+        (ax, ay), (bx, by) = a, b
+        if ay == by:
+            between = [(x, ay) for x in range(ax + 1, bx)]
+        elif ax == bx:
+            between = [(ax, y) for y in range(ay + 1, by)]
+        else:
+            continue
+        if all(c in cells for c in between):
+            pairs.add((a, b))
+    return pairs
+
+
+@pytest.fixture(scope="session")
+def attack_pairs():
+    return _attack_pairs
+
+
+def _brush_offset_realizations(lengths):
+    """Canonical cell tuples of the pure brushes with the given bristle
+    lengths, by the search the package used to run: a horizontal handle,
+    one vertical bristle per handle cell, each bristle slid through every
+    offset such that neighbouring bristles share only the handle row, every
+    order of the lengths. Each candidate goes through the recognizer."""
+    lengths = tuple(sorted(lengths))
+    d = len(lengths)
+    if d == 1:
+        return [tuple((x, 0) for x in range(lengths[0]))]
+    keys = set()
+
+    def place(chosen, remaining):
+        if not remaining:
+            cells = [
+                (x, y)
+                for x, (length, offset) in enumerate(chosen)
+                for y in range(-offset, length - offset)
+            ]
+            keys.add(_canonical_oracle(cells, "free"))
+            return
+        for length in set(remaining):
+            rest = list(remaining)
+            rest.remove(length)
+            for offset in range(length):
+                heights = set(range(-offset, length - offset))
+                if chosen:
+                    prev_len, prev_off = chosen[-1]
+                    if heights & set(range(-prev_off, prev_len - prev_off)) != {0}:
+                        continue
+                place(chosen + [(length, offset)], rest)
+
+    place([], list(lengths))
+    out = []
+    for key in sorted(keys):
+        brush = ShapeRecord(Polyomino(frozenset(key))).brush
+        if brush is not None and brush.pure_brush and tuple(sorted(brush.lengths)) == lengths:
+            out.append(key)
+    return out
+
+
+@pytest.fixture(scope="session")
+def brush_offset_realizations():
+    return _brush_offset_realizations
 
 
 @pytest.fixture(scope="session")

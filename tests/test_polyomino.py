@@ -138,6 +138,29 @@ class TestShapePredicates:
         preds = shape_predicates(u)
         assert not preds.row_convex and preds.column_convex and not preds.convex
 
+    @staticmethod
+    def _assert_matches(poly, oracle):
+        preds = shape_predicates(poly)
+        simple, row_convex, column_convex = oracle(poly)
+        assert (preds.simple, preds.row_convex, preds.column_convex) == (simple, row_convex, column_convex)
+        assert preds.convex == (row_convex and column_convex)
+
+    def test_matches_oracle_on_census(self, census8, predicates_oracle):
+        for poly in census8:
+            self._assert_matches(poly, predicates_oracle)
+
+    def test_matches_oracle_on_every_image(self, census8, predicates_oracle, dihedral_images):
+        for poly in census8:
+            if poly.rank > 7:
+                break
+            for image in dihedral_images(poly):
+                self._assert_matches(image, predicates_oracle)
+            a = shape_predicates(poly)
+            b = shape_predicates(Polyomino.from_cells((y, x) for x, y in poly.cells))
+            assert (b.simple, b.thin, b.row_convex, b.column_convex) == (
+                a.simple, a.thin, a.column_convex, a.row_convex
+            )
+
 
 class TestMinChangesOfDirection:
     def test_skew_corner_to_corner(self, min_changes_of_direction):

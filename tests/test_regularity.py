@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +137,12 @@ class TestBrushFH:
             rc = f_vector(poly)
             assert rc.f_vector == expected.f
             assert h_from_f(rc.f_vector, rc.rook_number) == expected.h
+
+    def test_realizations_match_offset_search(self, brush_offset_realizations):
+        for d in range(1, 5):
+            for lengths in combinations_with_replacement(range(2, 6), d):
+                found = [p.sorted_cells for p in pure_brush_realizations(lengths)]
+                assert found == brush_offset_realizations(lengths), lengths
 
     def test_rejects_short_entries(self):
         with pytest.raises(ValueError):

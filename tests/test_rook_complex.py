@@ -56,6 +56,10 @@ class TestAttackGraph:
                 for a, b in combinations(iv.cells, 2):
                     assert graph.adjacent(a, b)
 
+    def test_interval_edges_match_pairwise_attacks(self, census8, attack_pairs):
+        for poly in census8:
+            assert set(attack_graph(poly).edge_pairs()) == attack_pairs(poly)
+
     def test_one_cache_entry_per_shape(self):
         # The default convention and the explicit one share a cache entry.
         attack_graph.cache_clear()
