@@ -250,7 +250,7 @@ def pure_brush_realizations(lengths: Sequence[int]) -> list[Polyomino]:
 
 
 def _check_brush_fh() -> Iterator[Violation]:
-    """Closed-form f and h of pure brushes match brute force."""
+    """Closed-form f and h of pure brushes match the transfer-matrix count."""
     for d in range(1, 5):
         for lengths in combinations_with_replacement(range(2, 6), d):
             realizations = pure_brush_realizations(lengths)
@@ -265,7 +265,7 @@ def _check_brush_fh() -> Iterator[Violation]:
                     yield _violation(
                         poly,
                         f"lengths={lengths}: closed form f={expected.f} h={expected.h}, "
-                        f"brute force f={rc.f_vector} h={h}",
+                        f"transfer-matrix count f={rc.f_vector} h={h}",
                     )
 
 
@@ -301,7 +301,7 @@ def _check_reg_eq_nu(rec: ShapeRecord) -> Iterator[Violation]:
 
 
 def _pure_simple_thin(rec: ShapeRecord) -> bool:
-    return rec.predicates.simple and rec.predicates.thin and rec.purity.pure
+    return rec.predicates.simple and rec.predicates.thin and rec.rook_complex.pure
 
 
 def _check_katzman(rec: ShapeRecord) -> Iterator[Violation]:

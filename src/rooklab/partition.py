@@ -144,7 +144,7 @@ def check_purity_theorem(rec: ShapeRecord) -> PurityTheoremReport:
     """
     if rec.poly.rank < 2:
         raise RankTooSmallError("rank 1 is a documented trivial case (pure, no partitions)")
-    pure = rec.purity.pure
+    pure = rec.rook_complex.pure
     d = rec.rook_complex.rook_number
     supers = rec.super_partitions
     super_exists = bool(supers)

@@ -43,6 +43,8 @@ class GraphRecord:
 
     @cached_property
     def purity(self) -> PurityResult:
+        """Purity with its witness pair; facets are searched for only when
+        the complex is not pure. Checks read ``rook_complex.pure``."""
         return is_pure(self.poly, self.convention)
 
     @cached_property

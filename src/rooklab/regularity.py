@@ -272,7 +272,7 @@ def regularity_pure_thin(rec: ShapeRecord) -> int:
     preds = rec.predicates
     if not (preds.simple and preds.thin):
         raise NotApplicableError("regularity formula needs a simple thin polyomino")
-    if not rec.purity.pure:
+    if not rec.rook_complex.pure:
         raise NotApplicableError("regularity formula needs a pure rook complex")
     return max(k for k, v in enumerate(rec.h_vector) if v != 0)
 

@@ -6,13 +6,17 @@ two cells attack whenever they share a grid row or column, even across a
 gap; the two conventions agree on row- and column-convex polyominoes.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
-independent sets of the attack graph.
+independent sets of the attack graph. Each cell lies in one horizontal
+and one vertical run, so it is an edge of the bipartite run incidence
+graph and faces are that graph's matchings. The f-vector, rook number and
+purity come from one transfer-matrix sweep over it; facets are searched
+for only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, wraps
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, wraps
 from math import comb
 from typing import Iterable, Sequence
 
@@ -26,15 +30,25 @@ LINE = "line"
 
 @dataclass(frozen=True)
 class RookComplex:
-    """Facets and face counts of the rook complex.
+    """Face counts, rook number and purity of the rook complex.
 
     ``f_vector`` has length ``rook_number + 1``; entry k counts the faces
-    of size k, so it starts with 1 for the empty face.
+    of size k, so it starts with 1 for the empty face. ``pure`` holds when
+    every facet has ``rook_number`` cells. ``facets`` are searched for on
+    the attack graph when first read.
     """
 
-    facets: tuple[frozenset, ...]
     f_vector: tuple[int, ...]
     rook_number: int
+    pure: bool
+    graph: SimpleGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def facets(self) -> tuple[frozenset, ...]:
+        """All inclusion-maximal non-attacking cell sets, ordered by their
+        sorted cell tuples."""
+        verts = self.graph.vertices
+        return tuple(frozenset(verts[~j] for j in bits(mask)) for mask in _facet_search(self.graph))
 
 
 @dataclass(frozen=True)
@@ -86,52 +100,146 @@ def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
     return SimpleGraph(cells, tuple(masks))
 
 
-def _enumerate_complex(graph: SimpleGraph) -> tuple[list[frozenset], list[int]]:
-    """Backtracking enumeration of every independent set, exactly once.
+def _sweep_counts(cells: frozenset[Cell], convention: str) -> tuple[list[int], list[int]]:
+    """Faces and facets of the rook complex counted by size, from one
+    column-by-column transfer-matrix sweep.
 
-    Returns the inclusion-maximal sets and the count of independent sets
-    of each size.
+    Every cell is an edge of the bipartite run incidence graph (horizontal
+    runs x vertical runs), so faces are its matchings and facets its
+    maximal matchings. The shape is transposed so that rows are the
+    shorter side. A state is two row masks: ``used``, rows whose current
+    horizontal run holds a rook, and ``pending``, rows whose current run
+    must still take one because a vertical run next to it ended empty. A
+    run that ends while pending drops the state's facet count. Under
+    ``line`` a row or column is one run, gaps included.
+
+    Each state carries one int: coefficient k of the face polynomial in
+    bits [k*width, (k+1)*width), and the facet polynomial likewise above
+    bit ``top``. Every count is below 2**rank, and no face has more cells
+    than there are horizontal runs, so sums never carry between
+    coefficients and a rook is one shift by ``width``.
     """
-    verts = graph.vertices
-    n = len(verts)
-    adj = graph.masks
-    closed = [adj[i] | (1 << i) for i in range(n)]
-    full = (1 << n) - 1
-    counts = [0] * (n + 1)
-    facet_masks: list[int] = []
+    if max(y for _, y in cells) > max(x for x, _ in cells):
+        cells = frozenset((y, x) for x, y in cells)
+    n_rows = 1 + max(y for _, y in cells)
+    columns: dict[int, list[int]] = {}
+    last_in_row: dict[int, int] = {}
+    for x, y in sorted(cells):
+        columns.setdefault(x, []).append(y)
+        last_in_row[y] = x
+    if convention == LINE:
+        h_runs = n_rows
+    else:
+        h_runs = sum((x - 1, y) not in cells for x, y in cells)
+    width = len(cells) + 2
+    top = width * (h_runs + 1)
+    faces_only = ~(-1 << top)
+    states = {0: 1 | 1 << top}  # used | pending << n_rows -> packed counts
+    for x, ys in columns.items():
+        if convention == LINE:
+            runs = [sum(1 << y for y in ys)]
+            ends = sum(1 << y for y in ys if last_in_row[y] == x)
+        else:
+            runs = []
+            for y in ys:
+                if (x, y - 1) in cells:
+                    runs[-1] |= 1 << y
+                else:
+                    runs.append(1 << y)
+            ends = sum(1 << y for y in ys if (x + 1, y) not in cells)
+        for run in runs:
+            nxt: dict[int, int] = {}
+            for key, counts in states.items():
+                free = run & ~key
+                # The vertical run stays empty: its free rows must be covered later.
+                k = key | free << n_rows
+                nxt[k] = nxt.get(k, 0) + counts
+                counts <<= width
+                while free:
+                    b = free & -free
+                    free ^= b
+                    k = (key | b) & ~(b << n_rows)
+                    nxt[k] = nxt.get(k, 0) + counts
+            states = nxt
+        if ends:
+            nxt = {}
+            for key, counts in states.items():
+                if key >> n_rows & ends:
+                    counts &= faces_only
+                k = key & ~(ends | ends << n_rows)
+                nxt[k] = nxt.get(k, 0) + counts
+            states = nxt
+    (counts,) = states.values()
+    faces, facets = counts & faces_only, counts >> top
+    coefficient = ~(-1 << width)
+    face_counts, facet_counts = [], []
+    while faces:
+        face_counts.append(faces & coefficient)
+        facet_counts.append(facets & coefficient)
+        faces >>= width
+        facets >>= width
+    return face_counts, facet_counts
 
-    def visit(chosen: int, covered: int, allowed: int, size: int) -> None:
-        counts[size] += 1
-        if covered == full:
-            facet_masks.append(chosen)
-        m = allowed
-        while m:
-            b = m & -m
+
+def _facet_search(graph: SimpleGraph) -> list[int]:
+    """Every maximal independent set of ``graph``, by pivoting
+    Bron-Kerbosch: each branch adds one vertex of the pivot's closed
+    neighbourhood, which every maximal set meets, so only maximal sets
+    are reached.
+
+    Bit j of a returned mask stands for vertex n - 1 - j. Facets form an
+    antichain, so in this labelling descending int order is the order of
+    their sorted cell tuples, and the list comes in that order.
+    """
+    n = graph.n
+    closed = [0] * n
+    for i, mask in enumerate(graph.masks):
+        closed[n - 1 - i] = int(f"{mask | 1 << i:0{n}b}"[::-1], 2)
+    found: list[int] = []
+
+    def expand(chosen: int, candidates: int, excluded: int) -> None:
+        if not candidates:
+            if not excluded:
+                found.append(chosen)
+            return
+        # The pivot's closed neighbourhood holds the fewest candidates;
+        # none means some excluded vertex can never be covered.
+        fewest = n + 1
+        pool = candidates | excluded
+        while pool:
+            b = pool & -pool
+            pool ^= b
+            u = b.bit_length() - 1
+            count = (candidates & closed[u]).bit_count()
+            if count < fewest:
+                fewest, pivot = count, u
+                if count <= 1:
+                    break
+        branch = candidates & closed[pivot]
+        while branch:
+            b = branch & -branch
+            branch ^= b
             v = b.bit_length() - 1
-            m ^= b
-            visit(
-                chosen | b,
-                covered | closed[v],
-                allowed & ~((b << 1) - 1) & ~adj[v],
-                size + 1,
-            )
+            expand(chosen | b, candidates & ~closed[v], excluded & ~closed[v])
+            candidates ^= b
+            excluded |= b
 
-    visit(0, 0, full, 0)
-
-    facets = [frozenset(verts[i] for i in bits(mask)) for mask in facet_masks]
-    facets.sort(key=lambda f: tuple(sorted(f)))
-    return facets, counts
+    expand(0, (1 << n) - 1, 0)
+    found.sort(reverse=True)
+    return found
 
 
 @_per_shape_cache
 def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
-    """Exact face counts of the rook complex, with its facets.
+    """Exact face counts of the rook complex, its rook number and purity,
+    from one transfer-matrix sweep. Facets are built when first read.
 
     The rook number is the size of the largest non-attacking placement.
     """
-    facets, counts = _enumerate_complex(attack_graph(poly, convention))
-    d = max(len(f) for f in facets)
-    return RookComplex(tuple(facets), tuple(counts[: d + 1]), d)
+    graph = attack_graph(poly, convention)
+    faces, facets_by_size = _sweep_counts(poly.cells, convention)
+    d = len(faces) - 1
+    return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), graph)
 
 
 def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
@@ -154,15 +262,15 @@ def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) 
 
 
 def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:
-    """Whether all facets share the top cardinality; a witness pair otherwise."""
-    fs = f_vector(poly, convention).facets
+    """Whether all facets share the top cardinality; a witness pair otherwise.
+    Facets are searched for only to find the witness."""
+    rc = f_vector(poly, convention)
+    if rc.pure:
+        return PurityResult(True, None)
     # Facets come sorted by their sorted cell tuples, so the first smallest
     # one is also the least of its size in that order.
-    smallest = min(fs, key=len)
-    largest = max(fs, key=len)
-    if len(smallest) == len(largest):
-        return PurityResult(True, None)
-    return PurityResult(False, (smallest, largest))
+    fs = rc.facets
+    return PurityResult(False, (min(fs, key=len), max(fs, key=len)))
 
 
 def h_from_f(f: Sequence[int], d: int) -> tuple[int, ...]:
@@ -223,6 +331,6 @@ def is_vertex_decomposable(poly: Polyomino, convention: str = INTERVAL) -> bool:
     with the deletion's facets remaining facets of the whole complex.
     """
     rc = f_vector(poly, convention)
-    if not is_pure(poly, convention).pure:
+    if not rc.pure:
         raise NotPureError("vertex decomposability is only defined for pure complexes")
     return _vertex_decomposable(frozenset(rc.facets), {})

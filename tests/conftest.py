@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from rooklab import CellNotInPolyominoError, NotConnectedError, Polyomino, ShapeRecord, free_census
+from rooklab.graphs import bits
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
@@ -27,6 +28,11 @@ def census6():
 @pytest.fixture(scope="session")
 def census8():
     return free_census(8)
+
+
+@pytest.fixture(scope="session")
+def census10():
+    return free_census(10)
 
 
 def _min_changes_of_direction(poly, start, goal):
@@ -167,9 +173,10 @@ def predicates_oracle():
     return _predicates_oracle
 
 
-def _attack_pairs(poly):
+def _attack_pairs(poly, convention="interval"):
     """The attacking pairs rebuilt pairwise from the cells: two cells in
-    one row or column with every cell between them present."""
+    one row or column with every cell between them present, or under
+    ``line`` any two cells of one row or column."""
     cells = poly.cells
     pairs = set()
     for a, b in combinations(sorted(cells), 2):
@@ -180,7 +187,7 @@ def _attack_pairs(poly):
             between = [(ax, y) for y in range(ay + 1, by)]
         else:
             continue
-        if all(c in cells for c in between):
+        if convention == "line" or all(c in cells for c in between):
             pairs.add((a, b))
     return pairs
 
@@ -188,6 +195,51 @@ def _attack_pairs(poly):
 @pytest.fixture(scope="session")
 def attack_pairs():
     return _attack_pairs
+
+
+def _enumerate_complex(graph):
+    """Backtracking enumeration of every independent set, exactly once.
+
+    Returns the inclusion-maximal sets, sorted by their sorted vertex
+    tuples, and the count of independent sets of each size.
+    """
+    verts = graph.vertices
+    n = len(verts)
+    adj = graph.masks
+    closed = [adj[i] | (1 << i) for i in range(n)]
+    full = (1 << n) - 1
+    counts = [0] * (n + 1)
+    facet_masks = []
+
+    def visit(chosen, covered, allowed, size):
+        counts[size] += 1
+        if covered == full:
+            facet_masks.append(chosen)
+        m = allowed
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            visit(
+                chosen | b,
+                covered | closed[v],
+                allowed & ~((b << 1) - 1) & ~adj[v],
+                size + 1,
+            )
+
+    visit(0, 0, full, 0)
+
+    facets = [frozenset(verts[i] for i in bits(mask)) for mask in facet_masks]
+    facets.sort(key=lambda f: tuple(sorted(f)))
+    return facets, counts
+
+
+@pytest.fixture(scope="session")
+def enumerate_complex():
+    """The all-faces enumerator the package used to run; tests use it as
+    the brute-force oracle for the transfer-matrix counts and the facet
+    search."""
+    return _enumerate_complex
 
 
 def _brush_offset_realizations(lengths):

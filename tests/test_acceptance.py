@@ -3,16 +3,20 @@ line with its runtime and enforcing the stated budget."""
 
 import time
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial
 
 from rooklab import (
     attack_graph,
+    brush_fh,
     complement_graph,
+    f_vector,
     induced_cycle_lengths,
     induced_matching_number,
     is_chordal,
     parse_ascii,
     parse_cells,
+    pure_brush_realizations,
     verify_corpus,
 )
 from rooklab.census import generate
@@ -68,8 +72,6 @@ def test_criterion_4_brush_closed_forms():
     with criterion("criterion-4 brush closed forms d<=4, lengths<=5", 10):
         report = verify_corpus(8, ["brush-fh"])
         _assert_clean(report, "brush-fh")
-        from rooklab import brush_fh
-
         assert brush_fh((2, 2)).h == (1, 2, 0)
         assert brush_fh((3, 3)).h == (1, 4, 3)
 
@@ -165,3 +167,31 @@ def test_criterion_11_rank11_counts(monkeypatch):
         free = sum(1 for _ in generate(11))
     assert free == 17073  # OEIS A000105
     assert sum(1 for _ in generate(11, "fixed")) == 135268  # OEIS A001168
+
+
+def test_criterion_12_brush_realizations():
+    """Every pure brush with up to 5 bristles of length 2..6 is realized,
+    and its face counts, read from the transfer-matrix sweep, match the
+    closed form."""
+    with criterion("criterion-12 pure brush realizations d<=5, lengths 2..6", 4):
+        for d in range(1, 6):
+            for lengths in combinations_with_replacement(range(2, 7), d):
+                realizations = pure_brush_realizations(lengths)
+                assert realizations, lengths
+                expected = brush_fh(lengths).f
+                for poly in realizations:
+                    rc = f_vector(poly)
+                    assert (rc.rook_number, rc.f_vector) == (d, expected), (lengths, poly)
+
+
+def test_criterion_13_board_f_vector():
+    """The n x n board has f_k = C(n, k)^2 k! (choose k rows, k columns
+    and a bijection between them), rook number n, and a pure complex.
+    It has n! facets, so at n = 12 only the sweep fits the budget."""
+    with criterion("criterion-13 board f-vector n<=12", 3):
+        for n in range(2, 13):
+            board = parse_cells([(x, y) for x in range(n) for y in range(n)])
+            expected = tuple(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
+            for convention in ("interval", "line"):
+                rc = f_vector(board, convention)
+                assert (rc.f_vector, rc.rook_number, rc.pure) == (expected, n, True), (n, convention)

@@ -14,6 +14,7 @@ from rooklab import (
     generate,
     is_chordal,
     is_pure,
+    rook_complex,
     verify_corpus,
 )
 from rooklab.cli import report_json
@@ -153,6 +154,18 @@ class TestVerifyCorpus:
             assert verify_corpus(4, names, jobs=jobs) == expected
         assert verify_corpus(4, ["sigma-identities"], jobs=2).passed
         assert asked == []
+
+    def test_verify_searches_no_facets(self, monkeypatch):
+        # Every check reads purity as the transfer-matrix flag; a facet
+        # search belongs only to a witness, facets() and vertex decomposability.
+        def refuse(graph):
+            raise AssertionError("verify searched for facets")
+
+        rook_complex.f_vector.cache_clear()
+        monkeypatch.setattr(rook_complex, "_facet_search", refuse)
+        report = verify_corpus(8)
+        assert len(report.results) == len(CHECKS) == 14
+        assert report.passed
 
     def test_empty_or_repeated_check_list(self):
         with pytest.raises(UnknownCheckError):

@@ -3,11 +3,13 @@
 from rooklab import (
     ShapeRecord,
     attack_graph,
+    f_vector,
     facets,
     find_embedding,
     is_pure,
     maximal_intervals,
     partitions,
+    rook_complex,
     shape_predicates,
     verify_corpus,
 )
@@ -64,3 +66,12 @@ class TestConventions:
                     attack_graph(poly, "interval").edges
                     == attack_graph(poly, "line").edges
                 )
+                interval, line = (f_vector(poly, c) for c in ("interval", "line"))
+                assert (interval.f_vector, interval.rook_number, interval.pure) == (
+                    line.f_vector,
+                    line.rook_number,
+                    line.pure,
+                ), poly
+                assert rook_complex._sweep_counts(poly.cells, "interval") == rook_complex._sweep_counts(
+                    poly.cells, "line"
+                ), poly

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from rooklab import (
     CellNotInPolyominoError,
     LengthMismatchError,
     NotPureError,
+    SimpleGraph,
     attack_graph,
     f_from_h,
     f_vector,
@@ -22,6 +24,7 @@ from rooklab import (
     rook_complex,
     shape_predicates,
 )
+from rooklab.cli import analyze_polyomino
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -175,6 +178,37 @@ def independent_set_count(graph):
     return count(frozenset(graph.vertices), graph.edges)
 
 
+class TestSweep:
+    """The transfer-matrix counts and the facet search against the
+    brute-force enumerator."""
+
+    def test_matches_enumeration_on_census(self, census10, enumerate_complex):
+        for convention in ("interval", "line"):
+            for poly in census10:
+                oracle_facets, counts = enumerate_complex(attack_graph(poly, convention))
+                faces, facets_by_size = rook_complex._sweep_counts(poly.cells, convention)
+                d = len(faces) - 1
+                assert faces == counts[: d + 1] and not any(counts[d + 1 :]), poly
+                sizes = Counter(len(f) for f in oracle_facets)
+                assert facets_by_size == [sizes[k] for k in range(d + 1)], poly
+                # Uncached, so that no facet list outlives its shape.
+                rc = f_vector.__wrapped__(poly, convention)
+                assert (rc.f_vector, rc.rook_number, rc.pure) == (tuple(faces), d, len(sizes) == 1)
+                assert list(rc.facets) == oracle_facets, poly
+
+    def test_same_on_every_dihedral_image(self, census8, dihedral_images):
+        # The sweep runs along the longer side, so images of a shape that
+        # is not square are swept along both axes.
+        for poly in (p for p in census8 if p.rank <= 7):
+            for convention in ("interval", "line"):
+                seen = set()
+                for image in dihedral_images(poly):
+                    rc = f_vector(image, convention)
+                    sizes = tuple(rook_complex._sweep_counts(image.cells, convention)[1])
+                    seen.add((rc.f_vector, rc.rook_number, rc.pure, sizes))
+                assert len(seen) == 1, (poly, convention, seen)
+
+
 class TestIsPure:
     def test_rectangle_pure(self):
         assert is_pure(RECT_2X3).pure
@@ -188,6 +222,47 @@ class TestIsPure:
 
     def test_square_pure(self):
         assert is_pure(SQUARE).pure
+
+    def test_report_witness_passes_independent_checker(self, census8, attack_pairs, enumerate_complex):
+        checked = 0
+        for poly in census8:
+            for convention in ("interval", "line"):
+                if f_vector(poly, convention).pure:
+                    continue
+                pairs = attack_pairs(poly, convention)
+                oracle_facets, _ = enumerate_complex(SimpleGraph.from_pairs(poly.cells, pairs))
+                witness = analyze_polyomino(poly, convention)["pureWitness"]
+                problems = _witness_problems(poly.cells, pairs, oracle_facets, witness)
+                assert not problems, (poly, convention, problems)
+                checked += 1
+        assert checked
+
+
+def _witness_problems(cells, pairs, oracle_facets, witness):
+    """What is wrong with a reported non-purity witness, judged against
+    attacks rebuilt from the cells and the brute-force facet list: both
+    sets must be non-attacking and maximal, have the least and greatest
+    facet sizes, and be the first facets of their sizes in sorted order."""
+    small = frozenset(tuple(c) for c in witness["small"])
+    large = frozenset(tuple(c) for c in witness["large"])
+    attacks = {c: set() for c in cells}
+    for a, b in pairs:
+        attacks[a].add(b)
+        attacks[b].add(a)
+    problems = []
+    for name, face in (("small", small), ("large", large)):
+        if any(attacks[c] & face for c in face):
+            problems.append(f"{name} holds an attacking pair")
+        if any(not attacks[c] & face for c in set(cells) - face):
+            problems.append(f"{name} is not maximal")
+    first = {}
+    for facet in oracle_facets:
+        first.setdefault(len(facet), facet)
+    if small != first[min(first)]:
+        problems.append(f"small is not the first facet of the least size {min(first)}")
+    if large != first[max(first)]:
+        problems.append(f"large is not the first facet of the greatest size {max(first)}")
+    return problems
 
 
 class TestHFConversions:
