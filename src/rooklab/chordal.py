@@ -225,18 +225,12 @@ def brush_decomposition(rec: ShapeRecord) -> BrushDecomposition | None:
         )
         lengths = tuple(iv.length for iv in bristles)
         short = all(l == 2 for l in lengths)
-        covered: set = set()
-        disjoint = True
-        for iv in bristles:
-            if covered & iv.cell_set:
-                disjoint = False
-                break
-            covered |= iv.cell_set
         d = rec.rook_complex.rook_number
+        # Bristles whose lengths sum to the rank and whose union is every
+        # cell partition the cells.
         pure = (
-            bool(bristles)
-            and disjoint
-            and covered == rec.poly.cells
+            sum(lengths) == rec.poly.rank
+            and frozenset().union(*(iv.cell_set for iv in bristles)) == rec.poly.cells
             and handle.length == len(bristles) == d
         )
         found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))

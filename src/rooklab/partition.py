@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import IntervalNotInPolyominoError, RankTooSmallError
+from .graphs import bits
 from .polyomino import Cell, CellInterval, HORIZONTAL, VERTICAL
 
 if TYPE_CHECKING:
@@ -56,24 +57,18 @@ def embeddings(rec: ShapeRecord, interval: CellInterval) -> Iterator[Embedding]:
 
     Under the interval attack convention a cell outside the interval can
     attack at most one of its cells, namely through the perpendicular
-    interval; an embedding can therefore never intersect the interval
-    itself, and candidates per target cell are exactly the other cells of
-    its perpendicular interval.
+    run; an embedding can therefore never intersect the interval itself,
+    and the candidates for a target cell are its attackers outside the
+    interval, the rest of its perpendicular run in increasing order.
     """
-    ivs = rec.intervals
-    if interval not in ivs:
+    if interval not in rec.intervals:
         raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
     graph = rec.attack
-    candidates: list[list[int]] = []
-    for cell in interval.cells:
-        perp = [
-            iv
-            for iv in ivs
-            if cell in iv and iv.orientation != interval.orientation
-        ]
-        if not perp:
-            return
-        candidates.append([graph.index(c) for c in perp[0].cells if c != cell])
+    targets = [graph.index(c) for c in interval.cells]
+    target_mask = sum(1 << i for i in targets)
+    candidates = [list(bits(graph.masks[i] & ~target_mask)) for i in targets]
+    if not all(candidates):  # a cell with no outside attacker: skip the search
+        return
 
     chosen: list[int] = []
 

@@ -185,14 +185,15 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
     Two edges conflict when they share an endpoint or are joined by an
     edge; an induced matching is an independent set in that conflict
     graph. The search includes, then excludes, the lowest available edge,
-    from a greedy seed, and prunes a node by a clique bound on the edges
-    still available. Every member of the family from ``_clique_cover`` is
-    a clique, so it meets at most one edge of an induced matching (two
-    matched edges meeting it would be joined by an edge of it). Each edge
-    meets at least t members, so at most floor(m / t) edges fit, where m
-    counts the members that some available edge meets. This holds on any
-    graph; on an attack graph t = 3 and m counts the free runs, which
-    closes the search on boards at the root.
+    so its first leaf is the greedy matching, and prunes a node by a
+    clique bound on the edges still available. Every member of the family
+    from ``_clique_cover`` is a clique, so it meets at most one edge of an
+    induced matching (two matched edges meeting it would be joined by an
+    edge of it). Each edge meets at least t members, so at most
+    floor(m / t) edges fit, where m counts the members that some available
+    edge meets. This holds on any graph; on an attack graph t = 3 and m
+    counts the free runs, which closes the search on boards right after
+    the first dive.
 
     The result is the first maximum leaf in search order, whatever the
     bound, so a tighter bound changes the work and not the certificate.
@@ -204,34 +205,22 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
         return MatchingCertificate((), 0)
     meets, least = _clique_cover(graph, ends, incident)
 
-    avail0 = (1 << n) - 1
-
-    # Greedy seed: scan edges in order, keep whatever fits.
-    m = avail0
-    seed = 0
-    size = 0
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        seed |= b
-        size += 1
-        m &= ~conflict[v] & ~b
-    best_size, best_mask = size, seed
+    best_size, best_mask = 0, 0
 
     def expand(avail: int, chosen: int, size: int) -> None:
+        # Include the lowest available edge, then exclude it and go on in
+        # this frame, so the depth stays within the matching size.
         nonlocal best_size, best_mask
-        if avail == 0:
-            if size > best_size:
-                best_size, best_mask = size, chosen
-            return
-        if len([1 for edge_mask in meets if edge_mask & avail]) // least <= best_size - size:
-            return
-        b = avail & -avail
-        v = b.bit_length() - 1
-        expand(avail & ~conflict[v] & ~b, chosen | b, size + 1)
-        expand(avail & ~b, chosen, size)
+        while avail:
+            if len([1 for edge_mask in meets if edge_mask & avail]) // least <= best_size - size:
+                return
+            b = avail & -avail
+            expand(avail & ~conflict[b.bit_length() - 1] & ~b, chosen | b, size + 1)
+            avail &= ~b
+        if size > best_size:
+            best_size, best_mask = size, chosen
 
-    expand(avail0, 0, 0)
+    expand((1 << n) - 1, 0, 0)
 
     vs = graph.vertices
     picked = sorted((vs[ends[e][0]], vs[ends[e][1]]) for e in bits(best_mask))

@@ -5,12 +5,18 @@ Two cells attack each other when some maximal cell interval contains both
 two cells attack whenever they share a grid row or column, even across a
 gap; the two conventions agree on row- and column-convex polyominoes.
 
+``_lines`` is the one place where a convention becomes lines: the
+horizontal and vertical runs under ``interval``, the rows and columns
+under ``line``. Two cells attack when a line holds both, and each cell
+lies in one horizontal and one vertical line, so it is an edge of the
+bipartite line incidence graph. The attack graph, the sweep below and
+the embedding search in ``partition`` all read the lines (the last
+through the attack graph's masks).
+
 Faces of the rook complex are the non-attacking cell sets, i.e. the
-independent sets of the attack graph. Each cell lies in one horizontal
-and one vertical run, so it is an edge of the bipartite run incidence
-graph and faces are that graph's matchings. The f-vector, rook number and
-purity come from one transfer-matrix sweep over it; facets are searched
-for only when read.
+independent sets of the attack graph, and so the matchings of the line
+incidence graph. The f-vector, rook number and purity come from one
+transfer-matrix sweep over it; facets are searched for only when read.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ from .polyomino import HORIZONTAL, VERTICAL, Cell, Polyomino, _runs
 
 INTERVAL = "interval"
 LINE = "line"
+
+Line = tuple[Cell, ...]
 
 
 @dataclass(frozen=True)
@@ -72,86 +80,79 @@ def _per_shape_cache(func):
     return lookup
 
 
+def _lines(poly: Polyomino, convention: str) -> tuple[list[Line], list[Line]]:
+    """The horizontal and the vertical lines of ``poly``, each a tuple of
+    cells in increasing order: the maximal runs, singletons included,
+    under ``interval``, and whole rows and columns under ``line``. Two
+    cells attack when some line holds both, and every cell lies in
+    exactly one line of each orientation."""
+    if convention == INTERVAL:
+        return _runs(poly.cells, HORIZONTAL), _runs(poly.cells, VERTICAL)
+    if convention == LINE:
+        cells = poly.sorted_cells
+        rows = [tuple(c for c in cells if c[1] == y) for y in range(poly.height)]
+        return rows, [tuple(c for c in cells if c[0] == x) for x in range(poly.width)]
+    raise ValueError(f"unknown attack convention {convention!r}")
+
+
 @_per_shape_cache
 def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
-    """The graph on the cells of ``poly`` whose edges are attacking pairs."""
+    """The graph on the cells of ``poly`` whose edges are attacking pairs:
+    each line of ``_lines`` is a clique."""
+    h_lines, v_lines = _lines(poly, convention)
     cells = poly.sorted_cells
-    if convention == INTERVAL:
-        index = {c: i for i, c in enumerate(cells)}
-        lines = [
-            [index[c] for c in run]
-            for orientation in (HORIZONTAL, VERTICAL)
-            for run in _runs(poly.cells, orientation)
-        ]
-    elif convention == LINE:
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        for i, (x, y) in enumerate(cells):
-            rows.setdefault(y, []).append(i)
-            cols.setdefault(x, []).append(i)
-        lines = [*rows.values(), *cols.values()]
-    else:
-        raise ValueError(f"unknown attack convention {convention!r}")
+    index = {c: i for i, c in enumerate(cells)}
     masks = [0] * len(cells)
-    for line in lines:
-        line_mask = sum(1 << i for i in line)
-        for i in line:
-            masks[i] |= line_mask ^ (1 << i)
+    for line in h_lines + v_lines:
+        line_mask = sum(1 << index[c] for c in line)
+        for c in line:
+            masks[index[c]] |= line_mask ^ (1 << index[c])
     return SimpleGraph(cells, tuple(masks))
 
 
-def _sweep_counts(cells: frozenset[Cell], convention: str) -> tuple[list[int], list[int]]:
+def _sweep_counts(h_lines: list[Line], v_lines: list[Line]) -> tuple[list[int], list[int]]:
     """Faces and facets of the rook complex counted by size, from one
-    column-by-column transfer-matrix sweep.
+    column-by-column transfer-matrix sweep over the lines of ``_lines``.
 
-    Every cell is an edge of the bipartite run incidence graph (horizontal
-    runs x vertical runs), so faces are its matchings and facets its
-    maximal matchings. The shape is transposed so that rows are the
-    shorter side. A state is two row masks: ``used``, rows whose current
-    horizontal run holds a rook, and ``pending``, rows whose current run
-    must still take one because a vertical run next to it ended empty. A
-    run that ends while pending drops the state's facet count. Under
-    ``line`` a row or column is one run, gaps included.
+    Every cell is an edge of the bipartite line incidence graph
+    (horizontal lines x vertical lines), so faces are its matchings and
+    facets its maximal matchings. The shape is transposed so that rows are
+    the shorter side. A state is two row masks: ``used``, rows whose
+    current horizontal line holds a rook, and ``pending``, rows whose
+    current line must still take one because a vertical line next to it
+    ended empty. A line that ends while pending drops the state's facet
+    count. A vertical line lies in one column and a horizontal line in
+    one row, so each column's vertical lines are row masks, and each
+    horizontal line ends at the column of its last cell.
 
     Each state carries one int: coefficient k of the face polynomial in
     bits [k*width, (k+1)*width), and the facet polynomial likewise above
     bit ``top``. Every count is below 2**rank, and no face has more cells
-    than there are horizontal runs, so sums never carry between
+    than there are horizontal lines, so sums never carry between
     coefficients and a rook is one shift by ``width``.
     """
-    if max(y for _, y in cells) > max(x for x, _ in cells):
-        cells = frozenset((y, x) for x, y in cells)
-    n_rows = 1 + max(y for _, y in cells)
+    if max(line[0][1] for line in h_lines) > max(line[0][0] for line in v_lines):
+        h_lines, v_lines = (
+            [tuple((y, x) for x, y in line) for line in lines] for lines in (v_lines, h_lines)
+        )
+    n_rows = 1 + max(line[0][1] for line in h_lines)
     columns: dict[int, list[int]] = {}
-    last_in_row: dict[int, int] = {}
-    for x, y in sorted(cells):
-        columns.setdefault(x, []).append(y)
-        last_in_row[y] = x
-    if convention == LINE:
-        h_runs = n_rows
-    else:
-        h_runs = sum((x - 1, y) not in cells for x, y in cells)
-    width = len(cells) + 2
-    top = width * (h_runs + 1)
+    ends_at: dict[int, int] = {}
+    for line in v_lines:
+        columns.setdefault(line[0][0], []).append(sum(1 << y for _, y in line))
+    for line in h_lines:
+        x, y = line[-1]
+        ends_at[x] = ends_at.get(x, 0) | 1 << y
+    width = sum(map(len, h_lines)) + 2
+    top = width * (len(h_lines) + 1)
     faces_only = ~(-1 << top)
     states = {0: 1 | 1 << top}  # used | pending << n_rows -> packed counts
-    for x, ys in columns.items():
-        if convention == LINE:
-            runs = [sum(1 << y for y in ys)]
-            ends = sum(1 << y for y in ys if last_in_row[y] == x)
-        else:
-            runs = []
-            for y in ys:
-                if (x, y - 1) in cells:
-                    runs[-1] |= 1 << y
-                else:
-                    runs.append(1 << y)
-            ends = sum(1 << y for y in ys if (x + 1, y) not in cells)
-        for run in runs:
+    for x in sorted(columns):
+        for line in columns[x]:
             nxt: dict[int, int] = {}
             for key, counts in states.items():
-                free = run & ~key
-                # The vertical run stays empty: its free rows must be covered later.
+                free = line & ~key
+                # The vertical line stays empty: its free rows must be covered later.
                 k = key | free << n_rows
                 nxt[k] = nxt.get(k, 0) + counts
                 counts <<= width
@@ -161,6 +162,7 @@ def _sweep_counts(cells: frozenset[Cell], convention: str) -> tuple[list[int], l
                     k = (key | b) & ~(b << n_rows)
                     nxt[k] = nxt.get(k, 0) + counts
             states = nxt
+        ends = ends_at.get(x, 0)
         if ends:
             nxt = {}
             for key, counts in states.items():
@@ -237,7 +239,7 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     The rook number is the size of the largest non-attacking placement.
     """
     graph = attack_graph(poly, convention)
-    faces, facets_by_size = _sweep_counts(poly.cells, convention)
+    faces, facets_by_size = _sweep_counts(*_lines(poly, convention))
     d = len(faces) - 1
     return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), graph)
 
@@ -249,16 +251,13 @@ def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
 
 def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) -> bool:
     """True when no two of the given cells attack each other."""
-    cells = list(cells)
     graph = attack_graph(poly, convention)
+    chosen = 0
     for c in cells:
         if c not in poly.cells:
             raise CellNotInPolyominoError(f"{c} is not a cell of the polyomino")
-    return not any(
-        graph.adjacent(cells[i], cells[j])
-        for i in range(len(cells))
-        for j in range(i + 1, len(cells))
-    )
+        chosen |= 1 << graph.index(c)
+    return not any(graph.masks[i] & chosen for i in bits(chosen))
 
 
 def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:

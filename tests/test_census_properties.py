@@ -72,6 +72,6 @@ class TestConventions:
                     line.rook_number,
                     line.pure,
                 ), poly
-                assert rook_complex._sweep_counts(poly.cells, "interval") == rook_complex._sweep_counts(
-                    poly.cells, "line"
-                ), poly
+                assert rook_complex._sweep_counts(
+                    *rook_complex._lines(poly, "interval")
+                ) == rook_complex._sweep_counts(*rook_complex._lines(poly, "line")), poly

@@ -118,6 +118,17 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", skew_file, "--out", "yaml")
         assert code == 1
 
+    @pytest.mark.parametrize("width, height, nu", [(60, 1, 1), (1, 60, 1), (33, 2, 2)])
+    def test_long_shapes_exit_0(self, capsys, tmp_path, width, height, nu):
+        # Shapes with many edges in one run once overflowed the stack in
+        # the induced-matching search.
+        path = tmp_path / "long.json"
+        cells = [[x, y] for x in range(width) for y in range(height)]
+        path.write_text(json.dumps({"cells": cells}))
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json", "--out", "json")
+        assert code == 0
+        assert json.loads(out)["nu"] == nu
+
     def test_pure_brush_matching_computed_once(self, monkeypatch):
         original = regularity.induced_matching_number
         calls = []

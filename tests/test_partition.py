@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -151,6 +151,30 @@ class TestFindEmbedding:
                         exists = True
                         break
                 assert (find_embedding(rec, iv) is not None) == exists
+
+
+    def test_full_list_matches_enumeration_from_cells(self, census8, attack_pairs):
+        # Every tuple that pairs each interval cell with an attacker from
+        # outside, pairwise distinct and non-attacking, in lexicographic
+        # order, with attacks rebuilt from the cells.
+        for poly in census8:
+            if poly.rank < 2:
+                continue
+            rec = ShapeRecord(poly)
+            attacks = attack_pairs(poly)
+
+            def attack(a, b):
+                return (min(a, b), max(a, b)) in attacks
+
+            for iv in maximal_intervals(poly):
+                outside = sorted(poly.cells - iv.cell_set)
+                options = [[c for c in outside if attack(c, t)] for t in iv.cells]
+                expected = [
+                    rooks
+                    for rooks in product(*options)
+                    if not any(a == b or attack(a, b) for a, b in combinations(rooks, 2))
+                ]
+                assert [e.rooks for e in embeddings(rec, iv)] == expected, (poly, iv)
 
 
 class TestSuperPartitions:

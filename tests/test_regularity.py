@@ -156,7 +156,9 @@ class TestInducedMatching:
     def test_brush_33(self):
         assert induced_matching_number(attack_graph(BRUSH_33)).size == 2
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    # From n = 46 a 1 x n line has more edges than the default recursion
+    # limit, so the exclude step must not recurse once per edge.
+    @pytest.mark.parametrize("n", [2, 3, 5, *range(46, 61)])
     def test_single_clique(self, n):
         bar = parse_cells([(x, 0) for x in range(n)])
         assert induced_matching_number(attack_graph(bar)).size == 1

@@ -89,6 +89,28 @@ class TestIsFace:
         with pytest.raises(CellNotInPolyominoError):
             is_face(SKEW, [(9, 9)])
 
+    def test_matches_pairwise_attacks(self, census6, attack_pairs):
+        for poly in census6:
+            for convention in ("interval", "line"):
+                attacks = attack_pairs(poly, convention)
+                for pair in combinations(poly.sorted_cells, 2):
+                    assert is_face(poly, pair, convention) == (pair not in attacks)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: rook_complex._lines(RECT_2X3, c),
+        lambda c: attack_graph(RECT_2X3, c),
+        lambda c: f_vector(RECT_2X3, c),
+        lambda c: is_face(RECT_2X3, [(0, 0)], c),
+    ],
+    ids=["_lines", "attack_graph", "f_vector", "is_face"],
+)
+def test_unknown_convention_raises(call):
+    with pytest.raises(ValueError, match="unknown attack convention 'rows'"):
+        call("rows")
+
 
 class TestFacets:
     def test_l_tromino(self):
@@ -186,7 +208,7 @@ class TestSweep:
         for convention in ("interval", "line"):
             for poly in census10:
                 oracle_facets, counts = enumerate_complex(attack_graph(poly, convention))
-                faces, facets_by_size = rook_complex._sweep_counts(poly.cells, convention)
+                faces, facets_by_size = rook_complex._sweep_counts(*rook_complex._lines(poly, convention))
                 d = len(faces) - 1
                 assert faces == counts[: d + 1] and not any(counts[d + 1 :]), poly
                 sizes = Counter(len(f) for f in oracle_facets)
@@ -204,7 +226,7 @@ class TestSweep:
                 seen = set()
                 for image in dihedral_images(poly):
                     rc = f_vector(image, convention)
-                    sizes = tuple(rook_complex._sweep_counts(image.cells, convention)[1])
+                    sizes = tuple(rook_complex._sweep_counts(*rook_complex._lines(image, convention))[1])
                     seen.add((rc.f_vector, rc.rook_number, rc.pure, sizes))
                 assert len(seen) == 1, (poly, convention, seen)
 
