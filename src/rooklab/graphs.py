@@ -24,22 +24,14 @@ class SimpleGraph:
     ``masks[i]`` has bit j set exactly when ``vertices[i]`` and
     ``vertices[j]`` are adjacent. Bit order is vertex order, so scanning a
     mask from its lowest bit visits neighbours in sorted order.
+
+    The constructor trusts its masks, which the package builds symmetric
+    and loop-free from a shape's lines or by complementing. Outside graphs
+    come in through ``from_pairs``, which builds and checks them itself.
     """
 
     vertices: tuple
     masks: tuple[int, ...]
-
-    def __post_init__(self):
-        vs = self.vertices
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
-            raise ValueError("vertices must be sorted and distinct")
-        if len(self.masks) != len(vs):
-            raise ValueError("one neighbour mask per vertex is needed")
-        for i, mask in enumerate(self.masks):
-            if mask < 0 or mask >> len(vs) or mask >> i & 1:
-                raise ValueError(f"bad neighbour mask for {vs[i]!r}")
-            if any(not self.masks[j] >> i & 1 for j in bits(mask)):
-                raise ValueError(f"neighbour mask of {vs[i]!r} is not symmetric")
 
     @classmethod
     def from_pairs(cls, vertices: Iterable[Vertex], pairs: Iterable[tuple]) -> "SimpleGraph":

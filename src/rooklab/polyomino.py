@@ -240,21 +240,22 @@ def maximal_intervals(poly: Polyomino) -> list[CellInterval]:
 
 
 def shape_predicates(poly: Polyomino) -> ShapePredicates:
-    """Compute the standard shape flags by their definitions.
+    """Compute the standard shape flags by counting.
 
-    ``simple`` means no enclosed hole: the bounding box inflated by one,
-    less the cells, is a single component. ``thin`` means no 2x2 block of
-    cells. Convexity means each row (column) of cells is one run; every
-    row and column of the bounding box holds a cell, so that is one run
-    per row (column).
+    ``simple`` means no enclosed hole: V - E + F over the cells' corners,
+    unit edges and cells, the Euler characteristic of a connected union of
+    squares, is 1 less the number of holes. ``thin`` means no 2x2 block.
+    Row convexity means one run per row, i.e. ``height`` cells with no left
+    neighbour; column convexity is ``width`` cells with no lower neighbour.
     """
     cells = poly.cells
-    w, h = poly.width, poly.height
-    frame = frozenset((x, y) for x in range(-1, w + 1) for y in range(-1, h + 1))
-    row_convex = len(_runs(cells, HORIZONTAL)) == h
-    column_convex = len(_runs(cells, VERTICAL)) == w
+    corners = {(x + i, y + j) for x, y in cells for i in (0, 1) for j in (0, 1)}
+    h_edges = {(x, y + j) for x, y in cells for j in (0, 1)}
+    v_edges = {(x + i, y) for x, y in cells for i in (0, 1)}
+    row_convex = sum((x - 1, y) not in cells for x, y in cells) == poly.height
+    column_convex = sum((x, y - 1) not in cells for x, y in cells) == poly.width
     return ShapePredicates(
-        simple=len(_components(frame - cells)) == 1,
+        simple=len(corners) - len(h_edges) - len(v_edges) + len(cells) == 1,
         thin=not any(
             (x + 1, y) in cells and (x, y + 1) in cells and (x + 1, y + 1) in cells
             for x, y in cells

@@ -9,9 +9,9 @@ gap; the two conventions agree on row- and column-convex polyominoes.
 horizontal and vertical runs under ``interval``, the rows and columns
 under ``line``. Two cells attack when a line holds both, and each cell
 lies in one horizontal and one vertical line, so it is an edge of the
-bipartite line incidence graph. The attack graph, the sweep below and
-the embedding search in ``partition`` all read the lines (the last
-through the attack graph's masks).
+bipartite line incidence graph. ``f_vector`` reads the lines once and
+builds from them both the attack graph and the sweep below; the
+embedding search in ``partition`` reads them through the graph's masks.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
@@ -55,8 +55,7 @@ class RookComplex:
     def facets(self) -> tuple[frozenset, ...]:
         """All inclusion-maximal non-attacking cell sets, ordered by their
         sorted cell tuples."""
-        verts = self.graph.vertices
-        return tuple(frozenset(verts[~j] for j in bits(mask)) for mask in _facet_search(self.graph))
+        return tuple(_cells_of(self.graph, mask) for mask in _facet_search(self.graph))
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,11 @@ class PurityResult:
 
 
 def _per_shape_cache(func):
-    """An unbounded lru_cache keyed on (poly, convention) however the
-    convention is passed, so that ``f(p)`` and ``f(p, "interval")`` share
-    one entry. ``cache_info`` and ``cache_clear`` are the cache's own."""
-    cached = lru_cache(maxsize=None)(func)
+    """An lru_cache holding the shape in hand under both conventions, as no
+    caller returns to a shape it has left. It keys on (poly, convention)
+    however the convention is passed, so ``f(p)`` and ``f(p, "interval")``
+    share one entry. ``cache_info`` and ``cache_clear`` are the cache's own."""
+    cached = lru_cache(maxsize=2)(func)
 
     @wraps(func)
     def lookup(poly: Polyomino, convention: str = INTERVAL):
@@ -97,17 +97,9 @@ def _lines(poly: Polyomino, convention: str) -> tuple[list[Line], list[Line]]:
 
 @_per_shape_cache
 def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
-    """The graph on the cells of ``poly`` whose edges are attacking pairs:
-    each line of ``_lines`` is a clique."""
-    h_lines, v_lines = _lines(poly, convention)
-    cells = poly.sorted_cells
-    index = {c: i for i, c in enumerate(cells)}
-    masks = [0] * len(cells)
-    for line in h_lines + v_lines:
-        line_mask = sum(1 << index[c] for c in line)
-        for c in line:
-            masks[index[c]] |= line_mask ^ (1 << index[c])
-    return SimpleGraph(cells, tuple(masks))
+    """The graph on the cells of ``poly`` whose edges are attacking pairs,
+    built by ``f_vector`` with the rook complex."""
+    return f_vector(poly, convention).graph
 
 
 def _sweep_counts(h_lines: list[Line], v_lines: list[Line]) -> tuple[list[int], list[int]]:
@@ -183,6 +175,11 @@ def _sweep_counts(h_lines: list[Line], v_lines: list[Line]) -> tuple[list[int], 
     return face_counts, facet_counts
 
 
+def _cells_of(graph: SimpleGraph, facet: int) -> frozenset:
+    """The cells of a facet mask from ``_facet_search``."""
+    return frozenset(graph.vertices[~j] for j in bits(facet))
+
+
 def _facet_search(graph: SimpleGraph) -> list[int]:
     """Every maximal independent set of ``graph``, by pivoting
     Bron-Kerbosch: each branch adds one vertex of the pivot's closed
@@ -234,14 +231,22 @@ def _facet_search(graph: SimpleGraph) -> list[int]:
 @_per_shape_cache
 def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     """Exact face counts of the rook complex, its rook number and purity,
-    from one transfer-matrix sweep. Facets are built when first read.
+    from one transfer-matrix sweep, with the attack graph built from the
+    same lines: each line is a clique. Facets are built when first read.
 
     The rook number is the size of the largest non-attacking placement.
     """
-    graph = attack_graph(poly, convention)
-    faces, facets_by_size = _sweep_counts(*_lines(poly, convention))
+    h_lines, v_lines = _lines(poly, convention)
+    cells = poly.sorted_cells
+    index = {c: i for i, c in enumerate(cells)}
+    masks = [0] * len(cells)
+    for line in h_lines + v_lines:
+        line_mask = sum(1 << index[c] for c in line)
+        for c in line:
+            masks[index[c]] |= line_mask ^ (1 << index[c])
+    faces, facets_by_size = _sweep_counts(h_lines, v_lines)
     d = len(faces) - 1
-    return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), graph)
+    return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), SimpleGraph(cells, tuple(masks)))
 
 
 def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
@@ -261,15 +266,15 @@ def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) 
 
 
 def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:
-    """Whether all facets share the top cardinality; a witness pair otherwise.
-    Facets are searched for only to find the witness."""
+    """Whether all facets share the top cardinality; a witness pair otherwise:
+    the first smallest and the first largest facet in sorted-cell-tuple
+    order. Facets are searched for only to find the witness, and only
+    those two become cell sets."""
     rc = f_vector(poly, convention)
     if rc.pure:
         return PurityResult(True, None)
-    # Facets come sorted by their sorted cell tuples, so the first smallest
-    # one is also the least of its size in that order.
-    fs = rc.facets
-    return PurityResult(False, (min(fs, key=len), max(fs, key=len)))
+    masks = _facet_search(rc.graph)
+    return PurityResult(False, tuple(_cells_of(rc.graph, pick(masks, key=int.bit_count)) for pick in (min, max)))
 
 
 def h_from_f(f: Sequence[int], d: int) -> tuple[int, ...]:

@@ -27,6 +27,11 @@ SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 RECT_2X3 = parse_ascii("###\n###")
 SQUARE = parse_ascii("##\n##")
 RING = parse_ascii("###\n#.#\n###")
+CENTRAL_3X3 = {(x, y) for x in range(2, 5) for y in range(2, 5)}
+
+
+def _box_less(width, height, removed):
+    return [(x, y) for x in range(width) for y in range(height) if (x, y) not in removed]
 
 
 class TestParseAscii:
@@ -160,6 +165,28 @@ class TestShapePredicates:
             assert (b.simple, b.thin, b.row_convex, b.column_convex) == (
                 a.simple, a.thin, a.column_convex, a.row_convex
             )
+
+    @pytest.mark.parametrize(
+        "cells, simple",
+        [
+            # The 7x7 board less its central 3x3, and with a slit from that
+            # hole to the lower edge.
+            (_box_less(7, 7, CENTRAL_3X3), False),
+            (_box_less(7, 7, CENTRAL_3X3 | {(3, 0), (3, 1)}), True),
+            (_box_less(5, 3, {(1, 1), (3, 1)}), False),
+            (_box_less(4, 3, {(1, 1), (2, 1)}), False),
+            # A hole pinched at a corner: two hole cells meeting at one point.
+            (_box_less(4, 4, {(1, 1), (2, 2)}), False),
+            # The same, meeting the outside at a corner only.
+            (_box_less(4, 4, {(1, 1), (2, 2), (3, 3)}), False),
+        ],
+        ids=["holed-board", "slit-board", "two-holes", "two-cell-hole", "pinched-hole", "corner-exit"],
+    )
+    def test_matches_oracle_beyond_census(self, cells, simple, predicates_oracle, dihedral_images):
+        poly = parse_cells(cells)
+        assert shape_predicates(poly).simple == simple
+        for image in dihedral_images(poly):
+            self._assert_matches(image, predicates_oracle)
 
 
 class TestMinChangesOfDirection:

@@ -10,6 +10,7 @@ from rooklab import (
     NotPureError,
     SimpleGraph,
     attack_graph,
+    complement_graph,
     f_from_h,
     f_vector,
     facets,
@@ -23,8 +24,10 @@ from rooklab import (
     parse_cells,
     rook_complex,
     shape_predicates,
+    verify_corpus,
 )
 from rooklab.cli import analyze_polyomino
+from rooklab.graphs import bits
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -72,6 +75,32 @@ class TestAttackGraph:
         attack_graph(SKEW)
         assert f_vector.cache_info().misses == 1
         assert attack_graph.cache_info().misses == 1
+
+    def test_per_shape_caches_hold_one_shape(self):
+        # A census pass leaves only the shape in hand, under both conventions.
+        verify_corpus(8)
+        for cached in (attack_graph, f_vector):
+            info = cached.cache_info()
+            assert info.maxsize == 2 and info.currsize <= 2
+
+    @pytest.mark.parametrize("convention", ["interval", "line"])
+    def test_graphs_are_well_formed(self, census8, convention):
+        # SimpleGraph trusts its masks, so the attack graph and its
+        # complement must be symmetric and loop-free by construction.
+        for poly in census8:
+            graph = attack_graph(poly, convention)
+            for g in (graph, complement_graph(graph)):
+                assert g.vertices == poly.sorted_cells
+                assert len(g.masks) == g.n
+                for i, mask in enumerate(g.masks):
+                    assert 0 <= mask < 1 << g.n and not mask >> i & 1
+                    assert all(g.masks[j] >> i & 1 for j in bits(mask))
+
+    def test_from_pairs_rejects_unknown_vertex(self):
+        with pytest.raises(ValueError):
+            SimpleGraph.from_pairs([(0, 0), (1, 0)], [((0, 0), (2, 0))])
+        with pytest.raises(ValueError):
+            SimpleGraph.from_pairs(range(3), [(5, 0)])
 
     def test_conventions_agree_on_convex(self, census6):
         for poly in census6:
