@@ -22,10 +22,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .chordal import induced_cycle_lengths
 from .errors import RankOutOfRangeError, UnknownCheckError
 from .partition import find_embedding
-from .polyomino import Cell, Polyomino, _dihedral_images, canonical_cells, render_ascii
+from .polyomino import _BOX_SYMMETRIES, Cell, Polyomino, canonical_cells, render_ascii
 from .record import ShapeRecord
 from .regularity import brush_fh, check_sigma_identities, single_cell_intervals
-from .rook_complex import f_vector, h_from_f
 
 DEFAULT_MAX_RANK = 10
 MAX_RANK_ENV = "ROOKLAB_MAX_RANK"
@@ -48,64 +47,70 @@ def max_rank_limit() -> int:
         raise RankOutOfRangeError(f"{MAX_RANK_ENV}={raw!r} is not an integer rank") from None
 
 
-def _half_plane_neighbors(cell: Cell) -> Iterator[Cell]:
-    # Growth region: y > 0, or y == 0 with x >= 0. Rooting the seed at the
-    # origin makes every fixed polyomino reachable exactly once.
-    x, y = cell
-    for nx, ny in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-        if ny > 0 or (ny == 0 and nx >= 0):
-            yield (nx, ny)
+def _rank_cells(n: int, mode: str) -> Iterator[tuple[Cell, ...]]:
+    """The sorted cell tuples of rank n, in sorted order: every fixed shape,
+    or in free mode the fixed shapes that no dihedral image sorts below.
 
+    Redelmeier's untried-set growth on cell codes ``(x + n) << b | y`` with
+    ``2**b > n``, so int order is cell order. One ``seen`` set starts with
+    the root (0, 0) and the cells ``y == 0, x < 0`` and ``y == -1``. Images
+    map codes through tables built once per bounding box. Shapes are held
+    as code tuples at the origin and become cells only as they are yielded.
+    """
+    b = n.bit_length()
+    up, mask = 1 << b, (1 << b) - 1
+    seen = {k << b for k in range(n + 1)} | {(k << b) - 1 for k in range(1, 2 * n + 1)}
+    tables: dict[int, list[Callable[[int], int]]] = {}
+    kept: list[tuple[int, ...]] = []
 
-def _fixed_cell_sets(n: int) -> Iterator[list[Cell]]:
-    """Each fixed polyomino of rank n exactly once, as a normalized sorted list."""
-    if n == 1:
-        yield [(0, 0)]
-        return
-    shape: list[Cell] = []
+    def leaf(codes: list[int]) -> None:
+        codes.sort()
+        base = codes[0] & ~mask
+        codes = [c - base for c in codes]
+        if mode == "free":
+            w, h = codes[-1] >> b, max([c & mask for c in codes])
+            box = w << b | h
+            if box not in tables:
+                tables[box] = [
+                    [x << b | y for x, y in (f(c >> b, c & mask, w, h) for c in range(box + 1))].__getitem__
+                    for f in _BOX_SYMMETRIES
+                ]
+            for image in tables[box]:
+                if sorted(map(image, codes)) < codes:
+                    return
+        kept.append(tuple(codes))
 
-    def grow(untried: list[Cell], seen: set[Cell]) -> Iterator[list[Cell]]:
-        untried = list(untried)
+    def grow(untried: list[int], shape: list[int]) -> None:
+        if len(shape) == n - 1:
+            for cell in untried:
+                leaf(shape + [cell])
+            return
         while untried:
             cell = untried.pop()
-            shape.append(cell)
-            if len(shape) == n:
-                dx = min([x for x, _ in shape])
-                yield sorted([(x - dx, y) for x, y in shape])
-            else:
-                fresh = [nb for nb in _half_plane_neighbors(cell) if nb not in seen]
-                yield from grow(untried + fresh, seen | set(fresh))
-            shape.pop()
+            fresh = [c for c in (cell + 1, cell - 1, cell + up, cell - up) if c not in seen]
+            seen.update(fresh)
+            grow(untried + fresh, shape + [cell])
+            seen.difference_update(fresh)
 
-    yield from grow([(0, 0)], {(0, 0)})
-
-
-def _rank_cells(n: int, mode: str) -> list[list[Cell]]:
-    """The sorted cell lists of rank n, in sorted order; free mode keeps
-    the fixed shapes that no dihedral image sorts below."""
-    shapes = _fixed_cell_sets(n)
-    if mode == "free":
-        shapes = (s for s in shapes if not any(image < s for image in _dihedral_images(s)))
-    return sorted(shapes)
+    grow([n << b], [])
+    for codes in sorted(kept):
+        yield tuple([(c >> b, c & mask) for c in codes])
 
 
 def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
-    """All polyominoes of rank n, one per canonical form, in sorted order."""
+    """All polyominoes of rank n, one per canonical form, in sorted order, built unchecked."""
     limit = max_rank_limit()
     if not 1 <= n <= limit:
         raise RankOutOfRangeError(f"rank {n} outside 1..{limit}")
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown mode {mode!r}")
-    for cells in _rank_cells(n, mode):
-        yield Polyomino(frozenset(cells))
+    yield from map(Polyomino._trusted, _rank_cells(n, mode))
 
 
 @lru_cache(maxsize=None)
 def free_census(n_max: int) -> tuple[Polyomino, ...]:
-    """All free polyominoes of rank 1..n_max, by rank then cell order."""
-    return tuple(
-        Polyomino(frozenset(cells)) for n in range(1, n_max + 1) for cells in _rank_cells(n, "free")
-    )
+    """All free polyominoes of rank 1..n_max, by rank then cell order, built unchecked."""
+    return tuple(Polyomino._trusted(c) for n in range(1, n_max + 1) for c in _rank_cells(n, "free"))
 
 
 @dataclass(frozen=True)
@@ -231,39 +236,41 @@ def pure_brush_realizations(lengths: Sequence[int]) -> list[Polyomino]:
     canonical orientation. The single-bristle case degenerates to a
     straight interval.
     """
+    return [rec.poly for rec in _pure_brush_records(lengths)]
+
+
+def _pure_brush_records(lengths: Sequence[int]) -> Iterator[ShapeRecord]:
+    """The record of each shape ``pure_brush_realizations`` returns, in order."""
     lengths = tuple(sorted(lengths))
     if len(lengths) == 1:
-        return [Polyomino.from_cells([(x, 0) for x in range(lengths[0])])]
+        yield ShapeRecord(Polyomino.from_cells([(x, 0) for x in range(lengths[0])]))
+        return
     keys = {
         canonical_cells(
             (x, -y if x % 2 else y) for x, length in enumerate(order) for y in range(length)
         )
         for order in set(permutations(lengths))
     }
-    out = []
     for key in sorted(keys):
         rec = ShapeRecord(Polyomino(frozenset(key)))
         brush = rec.brush
         if brush is not None and brush.pure_brush and tuple(sorted(brush.lengths)) == lengths:
-            out.append(rec.poly)
-    return out
+            yield rec
 
 
 def _check_brush_fh() -> Iterator[Violation]:
     """Closed-form f and h of pure brushes match the transfer-matrix count."""
     for d in range(1, 5):
         for lengths in combinations_with_replacement(range(2, 6), d):
-            realizations = pure_brush_realizations(lengths)
-            if not realizations:
+            records = list(_pure_brush_records(lengths))
+            if not records:
                 yield Violation((), "", f"no pure brush realization for lengths={lengths}")
-                continue
             expected = brush_fh(lengths)
-            for poly in realizations:
-                rc = f_vector(poly)
-                h = h_from_f(rc.f_vector, rc.rook_number)
+            for rec in records:
+                rc, h = rec.rook_complex, rec.h_vector
                 if rc.rook_number != d or rc.f_vector != expected.f or h != expected.h:
                     yield _violation(
-                        poly,
+                        rec.poly,
                         f"lengths={lengths}: closed form f={expected.f} h={expected.h}, "
                         f"transfer-matrix count f={rc.f_vector} h={h}",
                     )

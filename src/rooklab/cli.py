@@ -253,17 +253,19 @@ def _cmd_verify(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     if args.emit == "coords":
-        render, sep = (lambda poly: json.dumps({"cells": _cells_json(poly.cells)})), "\n"
+        render, sep = (lambda poly: json.dumps({"cells": _order_json(poly.sorted_cells)})), "\n"
     else:
         render, sep = render_ascii, "\n\n"
+    shapes = census_mod.generate(args.rank, args.mode)
     try:
-        # Render each shape as it is generated, so no list of shapes is held.
-        blocks = [render(poly) for poly in census_mod.generate(args.rank, args.mode)]
+        first = next(shapes)  # checks the rank before anything is written
     except RankOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if blocks:
-        print(sep.join(blocks))
+    sys.stdout.write(render(first))
+    for poly in shapes:
+        sys.stdout.write(sep + render(poly))
+    sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -37,20 +37,17 @@ def _normalized(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     return tuple(sorted([(x - dx, y - dy) for x, y in cells]))
 
 
-def _dihedral_images(cells: Sequence[Cell]) -> Iterator[list[Cell]]:
-    """The 7 other dihedral images of a normalized sorted cell sequence, as
-    sorted lists. Each maps the bounding box [0, W] x [0, H] onto a box at
-    the origin, so none needs re-normalizing. The images that most often
-    sort below a fixed shape come first, for callers that stop early."""
-    w = cells[-1][0]
-    h = max([y for _, y in cells])
-    yield sorted([(y, w - x) for x, y in cells])
-    yield sorted([(y, x) for x, y in cells])
-    yield sorted([(x, h - y) for x, y in cells])
-    yield sorted([(w - x, h - y) for x, y in cells])
-    yield sorted([(h - y, w - x) for x, y in cells])
-    yield sorted([(w - x, y) for x, y in cells])
-    yield sorted([(h - y, x) for x, y in cells])
+# The 7 non-identity symmetries of the box [0, W] x [0, H], as maps (x, y, W, H)
+# -> image in a box at the origin; those that most often sort below come first.
+_BOX_SYMMETRIES = (
+    lambda x, y, w, h: (y, w - x),
+    lambda x, y, w, h: (y, x),
+    lambda x, y, w, h: (x, h - y),
+    lambda x, y, w, h: (w - x, h - y),
+    lambda x, y, w, h: (h - y, w - x),
+    lambda x, y, w, h: (w - x, y),
+    lambda x, y, w, h: (h - y, x),
+)
 
 
 def _components(cells: frozenset[Cell]) -> list[set[Cell]]:
@@ -105,6 +102,13 @@ class Polyomino:
             first = min(comps[0])
             other = min(comps[1])
             raise NotConnectedError((first, other))
+
+    @classmethod
+    def _trusted(cls, sorted_cells: tuple[Cell, ...]) -> "Polyomino":
+        """Unchecked, and fills ``sorted_cells``: the cells must be sorted, normalized, connected."""
+        poly = object.__new__(cls)
+        poly.__dict__.update(cells=frozenset(sorted_cells), sorted_cells=sorted_cells)
+        return poly
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "Polyomino":
@@ -274,7 +278,8 @@ def canonical_cells(cells: Iterable[Cell], mode: str = "free") -> tuple[Cell, ..
     base = _normalized(cells)
     if mode == "fixed":
         return base
-    return min(base, tuple(min(_dihedral_images(base))))
+    w, h = base[-1][0], max([y for _, y in base])
+    return min(base, *(tuple(sorted([f(x, y, w, h) for x, y in base])) for f in _BOX_SYMMETRIES))
 
 
 def canonical_form(poly: Polyomino, mode: str = "free") -> Polyomino:

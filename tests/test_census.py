@@ -61,7 +61,22 @@ class TestGenerate:
         for n in range(1, 11):
             fixed = census._rank_cells(n, "fixed")
             kept = [s for s in fixed if canonical_oracle(s, "free") == tuple(s)]
-            assert kept == census._rank_cells(n, "free"), n
+            assert kept == list(census._rank_cells(n, "free")), n
+
+    @pytest.mark.parametrize("mode", ["free", "fixed"])
+    def test_generated_shapes_are_valid_and_increasing(self, mode):
+        # Generated shapes skip Polyomino's checks; the growth must still
+        # give connected, normalized shapes with matching sorted_cells.
+        for n in range(1, 11):
+            previous = None
+            for poly in generate(n, mode):
+                assert poly == Polyomino.from_cells(poly.cells)
+                assert poly.sorted_cells == tuple(sorted(poly.cells))
+                assert previous is None or previous < poly.sorted_cells
+                previous = poly.sorted_cells
+
+    def test_free_census_is_generate_by_rank(self, census10):
+        assert census10 == tuple(poly for n in range(1, 11) for poly in generate(n))
 
     def test_rank_out_of_range(self):
         with pytest.raises(RankOutOfRangeError):

@@ -10,11 +10,13 @@ from rooklab import (
     brush_decomposition,
     classify_chordality,
     complement_graph,
+    free_census,
     induced_cycle_lengths,
     is_chordal,
     parse_ascii,
     parse_cells,
 )
+from rooklab.census import _is_chordless_complement_cycle
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -285,3 +287,62 @@ class TestChordalityConsequences:
                 continue
             for a, b in combinations(poly.sorted_cells, 2):
                 assert min_changes_of_direction(poly, a, b) < 3
+
+
+def _is_complement_elimination_order(poly, order, attacking):
+    """Whether ``order`` is a perfect elimination order of the attack-graph
+    complement, with attacks given as pairs of sorted cells: a permutation
+    of the cells in which each cell's later non-attacking cells pairwise
+    do not attack."""
+    if sorted(order) != sorted(poly.cells):
+        return False
+
+    def adjacent(u, v):
+        return u != v and tuple(sorted((u, v))) not in attacking
+
+    for i, v in enumerate(order):
+        later = [u for u in order[i + 1 :] if adjacent(u, v)]
+        if any(not adjacent(a, b) for a, b in combinations(later, 2)):
+            return False
+    return True
+
+
+class TestDihedralImages:
+    def test_elimination_order_check_rejects_a_bad_order(self, attack_pairs):
+        # The P-pentomino's complement is the path (1,0)-(0,1)-(2,0)-(1,1)-(0,0).
+        order = is_chordal(complement_graph(attack_graph(P_PENTOMINO))).elimination_order
+        attacking = attack_pairs(P_PENTOMINO)
+        assert _is_complement_elimination_order(P_PENTOMINO, order, attacking)
+        interior_first = ((0, 1), (1, 0), (2, 0), (1, 1), (0, 0))
+        assert not _is_complement_elimination_order(P_PENTOMINO, interior_first, attacking)
+        assert not _is_complement_elimination_order(P_PENTOMINO, order[:-1], attacking)
+
+    def test_chordality_and_brush_agree_on_every_image(self, dihedral_images, attack_pairs):
+        # Every census shape to rank 7 in all 8 orientations: one chordality
+        # verdict, each witness checked against attacks rebuilt from the
+        # cells, and one brush verdict. The bristle lengths are the same up
+        # to order on short and pure brushes. On other brushes the handle
+        # can depend on orientation (the L hexomino with arms 4 and 3 gives
+        # lengths (4,) or (3,)), so there only the lengths of all
+        # intervals, handle included, must agree.
+        def brush_key(rec):
+            b = rec.brush
+            if b is None:
+                return None
+            if b.short or b.pure_brush:
+                return tuple(sorted(b.lengths)), b.short, b.pure_brush
+            return tuple(sorted(b.lengths + (b.handle.length,))), b.short, b.pure_brush
+
+        for poly in free_census(7):
+            base = ShapeRecord(poly)
+            for image in dihedral_images(poly):
+                rec = ShapeRecord(image)
+                chord = rec.chordality
+                assert chord.chordal == base.chordality.chordal, image
+                if chord.chordal:
+                    assert _is_complement_elimination_order(
+                        image, chord.elimination_order, attack_pairs(image)
+                    ), image
+                else:
+                    assert _is_chordless_complement_cycle(image, chord.chordless_cycle), image
+                assert brush_key(rec) == brush_key(base), image

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -228,9 +229,26 @@ class TestEnumerate:
             record = json.loads(line)
             assert len(record["cells"]) == 5
 
+    # SHA-256 of the whole output of `enumerate --rank 8`, recorded before
+    # shapes were grown on int cell codes and written one at a time.
+    @pytest.mark.parametrize(
+        "mode, emit, digest",
+        [
+            ("free", "ascii", "c1744fe1ee335d3276086ad5ebe3aca7db748fd3679e55fc742948145652afe9"),
+            ("free", "coords", "668038f6338d463f7f682544bbb2a97619e30a0ee5db9bcecc282fcbf397a2f0"),
+            ("fixed", "ascii", "19111e296f3f9864a707d6cea48bb093044f1fbe56ae2c056b98fc841c059d76"),
+            ("fixed", "coords", "ae77ced8a457d0bc885318a7798d64298851d6c9bd6fafde2d9d8f61ff39728b"),
+        ],
+    )
+    def test_rank_eight_bytes(self, capsys, mode, emit, digest):
+        code, out, _ = run(capsys, "enumerate", "--rank", "8", "--mode", mode, "--emit", emit)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_bad_rank_exit_1(self, capsys):
-        code, _, _ = run(capsys, "enumerate", "--rank", "0")
+        code, out, _ = run(capsys, "enumerate", "--rank", "0")
         assert code == 1
+        assert out == ""
 
     def test_missing_rank_exit_1(self, capsys):
         code, _, _ = run(capsys, "enumerate")
