@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import NotSimpleThinError, RankTooSmallError
-from .graphs import SimpleGraph, bits
+from .graphs import SimpleGraph
 # shape_predicates is unused here but stays bound: perfbench/test_checkers.py
 # checks that the tracer patches a layer function in a module importing it.
 from .polyomino import CellInterval, canonical_cells, shape_predicates  # noqa: F401
@@ -37,6 +37,7 @@ _EXCEPTIONAL_KEYS = frozenset(
         canonical_cells(((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))),
     }
 )
+_EXCEPTIONAL_RANKS = frozenset(len(key) for key in _EXCEPTIONAL_KEYS)
 
 
 @dataclass(frozen=True)
@@ -75,29 +76,37 @@ def _mcs_order(graph: SimpleGraph) -> list[int]:
     """Maximum cardinality search visit order as vertex positions, ties
     broken by vertex order."""
     weight = [0] * graph.n
-    unnumbered = (1 << graph.n) - 1
-    order = []
-    while unnumbered:
-        v = max(bits(unnumbered), key=weight.__getitem__)
+    by_weight = [(1 << graph.n) - 1] + [0] * graph.n  # unnumbered vertices by weight
+    top, numbered, order = 0, 0, []
+    for _ in range(graph.n):
+        while not by_weight[top]:
+            top -= 1
+        v = (by_weight[top] & -by_weight[top]).bit_length() - 1
         order.append(v)
-        unnumbered ^= 1 << v
-        for u in bits(graph.masks[v] & unnumbered):
+        by_weight[top] ^= 1 << v
+        numbered |= 1 << v
+        rest = graph.masks[v] & ~numbered
+        top += 1
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            by_weight[weight[u]] ^= 1 << u
             weight[u] += 1
+            by_weight[weight[u]] |= 1 << u
     return order
 
 
 def _is_perfect_elimination(graph: SimpleGraph, elim: list[int]) -> bool:
     """Whether in ``elim`` every vertex's later neighbours are all adjacent
     to the first of them."""
-    pos = [0] * graph.n
-    for p, v in enumerate(elim):
-        pos[v] = p
     later_than = (1 << graph.n) - 1
-    for v in elim:
+    for p, v in enumerate(elim):
         later_than ^= 1 << v
         later = graph.masks[v] & later_than
         if later:
-            w = min(bits(later), key=pos.__getitem__)
+            for w in elim[p + 1 :]:
+                if later >> w & 1:
+                    break
             if later & ~(1 << w) & ~graph.masks[w]:
                 return False
     return True
@@ -115,7 +124,7 @@ def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple | None:
     best: tuple | None = None
     for b in range(graph.n):
         blocked = masks[b] | (1 << b)
-        for a, c in combinations(bits(masks[b]), 2):
+        for a, c in combinations([v for v in range(graph.n) if masks[b] >> v & 1], 2):
             if masks[a] >> c & 1:
                 continue
             if best is not None and len(best) == 4:
@@ -128,9 +137,12 @@ def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple | None:
                 u = queue.popleft()
                 if u == c:
                     break
-                for w in bits(masks[u] & allowed):
+                fresh = masks[u] & allowed
+                allowed ^= fresh
+                while fresh:
+                    w = (fresh & -fresh).bit_length() - 1
+                    fresh &= fresh - 1
                     parent[w] = u
-                    allowed ^= 1 << w
                     queue.append(w)
             if c not in parent:
                 continue
@@ -161,39 +173,48 @@ def is_chordal(graph: SimpleGraph) -> ChordalityResult:
 def induced_cycle_lengths(graph: SimpleGraph, max_len: int) -> set[int]:
     """Lengths of all induced (chordless) cycles up to ``max_len``.
 
-    Exhaustive search over induced paths anchored at each cycle's least
-    vertex; each cycle is visited in one orientation only.
+    A cycle is found from its least vertex s, whose neighbours above it
+    are ``closes`` and whose other vertices above it are ``grows``. A
+    triangle is s and two adjacent vertices of ``closes``. A longer cycle
+    is s, a, m1..mt, b with a, b non-adjacent in ``closes`` and m1..mt an
+    induced path in ``grows``, a adjacent to m1 and b to mt and neither to
+    another mi. This is exact, as no vertex of an induced cycle but its
+    two neighbours of s is adjacent to s. The middle paths grow at the
+    tail on a stack, which stops once no candidate for a is left.
     """
     if max_len < 3:
         raise ValueError("max_len must be at least 3")
+    masks, n = graph.masks, graph.n
     lengths: set[int] = set()
-    masks = graph.masks
-
-    def extend(start: int, above: int, path: int, first: int, last: int, interior: int, size: int) -> None:
-        # ``path`` holds the path's vertices, ``interior`` the neighbours of
-        # its interior ones; ``first`` is the vertex after ``start``.
-        for w in bits(masks[last] & above & ~path & ~interior):
-            # The first step is always an extension; afterwards adjacency
-            # to the start closes the cycle and blocks further growth.
-            if size >= 2 and masks[w] >> start & 1:
-                if first < w:
-                    lengths.add(size + 1)
+    for s in range(n):
+        above = (1 << n) - (2 << s)
+        closes, grows = masks[s] & above, above & ~masks[s]
+        if closes.bit_count() < 2:
+            continue
+        if 3 not in lengths and any(masks[v] & closes for v in range(s + 1, n) if closes >> v & 1):
+            lengths.add(3)
+        # earlier: the neighbours of all path vertices but the last.
+        stack = [(m, 1 << m, 0, masks[m] & closes, 1) for m in range(s + 1, n) if grows >> m & 1]
+        while stack:
+            last, path, earlier, a_side, t = stack.pop()
+            if t + 3 not in lengths:
+                b_side = masks[last] & closes & ~earlier
+                rest = a_side
+                while rest:
+                    a = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    if b_side & ~(1 << a) & ~masks[a]:
+                        lengths.add(t + 3)
+                        break
+            if t + 3 >= max_len:
                 continue
-            if size + 1 < max_len:
-                extend(
-                    start,
-                    above,
-                    path | (1 << w),
-                    w if size == 1 else first,
-                    w,
-                    interior | masks[last] if size >= 2 else 0,
-                    size + 1,
-                )
-
-    full = (1 << graph.n) - 1
-    for s in range(graph.n):
-        above = full >> (s + 1) << (s + 1)
-        extend(s, above, 1 << s, -1, s, 0, 1)
+            rest = masks[last] & grows & ~path & ~earlier
+            earlier |= masks[last]
+            while rest:
+                w = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if a_side & ~masks[w]:
+                    stack.append((w, path | 1 << w, earlier, a_side & ~masks[w], t + 1))
     return {l for l in lengths if l <= max_len}
 
 
@@ -255,7 +276,7 @@ def classify_chordality(rec: ShapeRecord) -> ChordalityClassification:
     elif preds.simple and preds.thin:
         brush = rec.brush
         category = SHORT_BRUSH if brush is not None and brush.short else OTHER
-    elif preds.simple and canonical_cells(rec.poly.cells) in _EXCEPTIONAL_KEYS:
+    elif preds.simple and rec.poly.rank in _EXCEPTIONAL_RANKS and canonical_cells(rec.poly.cells) in _EXCEPTIONAL_KEYS:
         category = EXCEPTIONAL_NONTHIN
     else:
         category = OTHER

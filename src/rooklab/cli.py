@@ -1,13 +1,15 @@
 """Command line surface: analyze one polyomino, verify the census,
 or enumerate shapes.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 census violations.
+Exit codes: 0 success, 1 usage error, 2 parse error, 3 census violations,
+141 output pipe closed by the reader (as for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import census as census_mod
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VIOLATIONS = 3
+EXIT_CLOSED_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,4 +309,11 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    raise SystemExit(code)

@@ -20,7 +20,7 @@ from .errors import (
     NotPureBrushError,
     RankTooSmallError,
 )
-from .graphs import SimpleGraph, bits
+from .graphs import SimpleGraph
 from .polyomino import Cell, CellInterval
 
 if TYPE_CHECKING:
@@ -129,16 +129,22 @@ def _conflict_masks(graph: SimpleGraph) -> tuple[list[tuple[int, int]], list[int
     it conflicts with: those with an endpoint in the closed neighbourhood
     of either of its endpoints."""
     masks = graph.masks
-    ends = [(i, j) for i, mask in enumerate(masks) for j in bits((mask >> (i + 1)) << (i + 1))]
+    ends = []
+    for i, mask in enumerate(masks):
+        rest = mask >> (i + 1) << (i + 1)
+        while rest:
+            ends.append((i, (rest & -rest).bit_length() - 1))
+            rest &= rest - 1
     incident = [0] * graph.n
     for e, (i, j) in enumerate(ends):
         incident[i] |= 1 << e
         incident[j] |= 1 << e
     near = []  # per vertex, the edges with an endpoint in its closed neighbourhood
     for i, mask in enumerate(masks):
-        touched = 0
-        for v in bits(mask | (1 << i)):
-            touched |= incident[v]
+        touched, rest = 0, mask | (1 << i)
+        while rest:
+            touched |= incident[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
         near.append(touched)
     conflict = [(near[i] | near[j]) & ~(1 << e) for e, (i, j) in enumerate(ends)]
     return ends, incident, conflict
@@ -163,12 +169,15 @@ def _clique_cover(
     meets = []
     for common in dict.fromkeys(closed[i] & closed[j] for i, j in ends):
         seen_by_all = common  # shrinks below common unless it is a clique
-        edge_mask = 0
-        for v in bits(common):
+        edge_mask, members, rest = 0, [], common
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             seen_by_all &= closed[v]
             edge_mask |= incident[v]
+            members.append(v)
         if seen_by_all == common:
-            for v in bits(common):
+            for v in members:
                 member_of[v] |= 1 << len(meets)
             meets.append(edge_mask)
     for v, of in enumerate(member_of):
@@ -223,7 +232,7 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
     expand((1 << n) - 1, 0, 0)
 
     vs = graph.vertices
-    picked = sorted((vs[ends[e][0]], vs[ends[e][1]]) for e in bits(best_mask))
+    picked = sorted((vs[ends[e][0]], vs[ends[e][1]]) for e in range(n) if best_mask >> e & 1)
     _verify_induced_matching(graph, picked)
     return MatchingCertificate(tuple(picked), best_size)
 

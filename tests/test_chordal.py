@@ -17,6 +17,7 @@ from rooklab import (
     parse_cells,
 )
 from rooklab.census import _is_chordless_complement_cycle
+from rooklab.graphs import bits
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -32,6 +33,59 @@ def graph(n, edges):
 
 def cycle_graph(n):
     return graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _path_search_cycle_lengths(g, max_len):
+    """Induced cycle lengths up to ``max_len`` by growing induced paths
+    from each cycle's least vertex until one closes at it; the census's
+    search before middle paths, kept as an oracle."""
+    lengths = set()
+    masks = g.masks
+
+    def extend(start, above, path, first, last, interior, size):
+        # ``interior`` holds the neighbours of the path's inner vertices.
+        for w in bits(masks[last] & above & ~path & ~interior):
+            if size >= 2 and masks[w] >> start & 1:
+                if first < w:
+                    lengths.add(size + 1)
+                continue
+            if size + 1 < max_len:
+                extend(
+                    start,
+                    above,
+                    path | (1 << w),
+                    w if size == 1 else first,
+                    w,
+                    interior | masks[last] if size >= 2 else 0,
+                    size + 1,
+                )
+
+    full = (1 << g.n) - 1
+    for s in range(g.n):
+        extend(s, full >> (s + 1) << (s + 1), 1 << s, -1, s, 0, 1)
+    return {l for l in lengths if l <= max_len}
+
+
+def _brute_cycle_lengths(g, max_len):
+    """Sizes of the vertex subsets, up to ``max_len``, that induce a
+    cycle: connected, with every vertex adjacent to exactly two others."""
+    masks = g.masks
+    lengths = set()
+    for r in range(3, min(max_len, g.n) + 1):
+        for sub in combinations(range(g.n), r):
+            inside = sum(1 << v for v in sub)
+            if any((masks[v] & inside).bit_count() != 2 for v in sub):
+                continue
+            reached, frontier = 1 << sub[0], 1 << sub[0]
+            while frontier:
+                grown = 0
+                for v in bits(frontier):
+                    grown |= masks[v] & inside
+                frontier = grown & ~reached
+                reached |= grown
+            if reached == inside:
+                lengths.add(r)
+    return lengths
 
 
 class TestComplementGraph:
@@ -163,6 +217,53 @@ class TestInducedCycleLengths:
     def test_max_len_pre(self):
         with pytest.raises(ValueError):
             induced_cycle_lengths(cycle_graph(4), 2)
+
+    def test_cycle_graphs(self):
+        for k in range(4, 13):
+            g = cycle_graph(k)
+            assert induced_cycle_lengths(g, k) == {k}
+            assert induced_cycle_lengths(g, k - 1) == set()
+            assert induced_cycle_lengths(g, 3) == set()
+
+    def test_max_len_bounds_the_lengths(self):
+        # A triangle 0-1-2, a 4-cycle 2-3-4-5 through its vertex 2, and a
+        # 5-cycle 4-5-6-7-8 sharing the edge 4-5 with the 4-cycle.
+        g = graph(9, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 2),
+                      (5, 6), (6, 7), (7, 8), (8, 4)])
+        assert induced_cycle_lengths(g, 3) == {3}
+        assert induced_cycle_lengths(g, 4) == {3, 4}
+        assert induced_cycle_lengths(g, 9) == {3, 4, 5}
+        assert induced_cycle_lengths(cycle_graph(5), 3) == set()
+
+    def test_matches_brute_force_on_census_graphs(self):
+        for poly in free_census(7):
+            g = attack_graph(poly)
+            for candidate in (g, complement_graph(g)):
+                for max_len in (3, 4, 6, max(poly.rank, 3)):
+                    assert induced_cycle_lengths(candidate, max_len) == _brute_cycle_lengths(
+                        candidate, max_len
+                    ), (poly, max_len)
+
+    def test_matches_brute_force_on_random_graphs(self):
+        import random
+
+        rng = random.Random(12)
+        for _ in range(400):
+            n, density = rng.randint(1, 9), rng.uniform(0.15, 0.8)
+            g = graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+            for max_len in (3, 4, 5, 7, max(n, 3)):
+                assert induced_cycle_lengths(g, max_len) == _brute_cycle_lengths(g, max_len), (
+                    g.masks,
+                    max_len,
+                )
+
+    def test_matches_path_search_on_census_complements(self, census10):
+        for poly in census10:
+            comp = complement_graph(attack_graph(poly))
+            max_len = max(poly.rank, 3)
+            assert induced_cycle_lengths(comp, max_len) == _path_search_cycle_lengths(
+                comp, max_len
+            ), poly
 
 
 class TestBrushDecomposition:

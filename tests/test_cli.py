@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from rooklab import census as census_mod
-from rooklab import parse_cells, regularity
+from rooklab import cli, free_census, parse_cells, regularity
 from rooklab.census import CensusReport, CheckResult, Violation
-from rooklab.cli import analyze_polyomino, main, report_exit_code
+from rooklab.cli import EXIT_CLOSED_PIPE, analyze_polyomino, main, report_exit_code
 
 SKEW_TEXT = ".##\n##.\n"
 
@@ -147,6 +150,32 @@ class TestAnalyze:
         assert len(calls) == 1
 
 
+class TestWitnessBytes:
+    # SHA-256 digests recorded before the chordality and matching kernels
+    # stopped iterating bits through a generator. Elimination orders,
+    # chordless cycles and nu certificates all appear in these outputs, so
+    # a change that reorders a witness fails here.
+    def test_verify_rank_eight_bytes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-rank", "8", "--out", "json")
+        assert code == 0
+        digest = "be97532f1dbeae4e2f329eb180153d4c944f2cabf391c117b5a0a09ad7e7e68d"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "convention, digest",
+        [
+            ("interval", "e8cd913b7d536199c5185c3a149f33139f75d62f9d594f20e235e710b3eb728a"),
+            ("line", "b05780251715bf94c06727ea58cbe481d7b56045b34daf7ac6079e5aac551e96"),
+        ],
+    )
+    def test_analyze_to_rank_six_bytes(self, convention, digest):
+        out = "".join(
+            json.dumps(analyze_polyomino(poly, convention), indent=2) + "\n"
+            for poly in free_census(6)
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestVerify:
     def test_small_rank_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-rank", "4", "--check", "purity-theorem")
@@ -253,3 +282,26 @@ class TestEnumerate:
     def test_missing_rank_exit_1(self, capsys):
         code, _, _ = run(capsys, "enumerate")
         assert code == 1
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_quietly(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from rooklab.cli import entrypoint; entrypoint()",
+             "enumerate", "--rank", "9", "--emit", "coords"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            first = json.loads(proc.stdout.readline())
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert len(first["cells"]) == 9
+        assert err == "", err  # no BrokenPipeError traceback
+        assert code == EXIT_CLOSED_PIPE == 141

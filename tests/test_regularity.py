@@ -27,7 +27,8 @@ from rooklab import (
     sigma_triples,
     single_cell_intervals,
 )
-from rooklab.regularity import _verify_induced_matching
+from rooklab import rook_complex
+from rooklab.regularity import _clique_cover, _conflict_masks, _verify_induced_matching
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -167,6 +168,26 @@ class TestInducedMatching:
         g = SimpleGraph.from_pairs([1, 2, 3], [])
         cert = induced_matching_number(g)
         assert cert.size == 0 and cert.edges == ()
+
+    def test_clique_cover_is_the_lines_on_attack_graphs(self, census8):
+        # On an attack graph the bound's cliques are the lines, singletons
+        # included, each as the mask of the edges that meet it, and every
+        # edge meets three of them.
+        for poly in census8:
+            for convention in ("interval", "line"):
+                g = attack_graph(poly, convention)
+                ends, incident, _ = _conflict_masks(g)
+                if not ends:
+                    continue
+                meets, least = _clique_cover(g, ends, incident)
+                expected = []
+                for line in (l for lines in rook_complex._lines(poly, convention) for l in lines):
+                    mask = 0
+                    for cell in line:
+                        mask |= incident[g.index(cell)]
+                    expected.append(mask)
+                assert sorted(meets) == sorted(expected), (poly, convention)
+                assert least == 3
 
     @staticmethod
     def _oracle(g):
