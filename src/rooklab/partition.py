@@ -94,6 +94,8 @@ def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None
 
 def is_embedding(rec: ShapeRecord, interval: CellInterval, rooks: tuple[Cell, ...]) -> bool:
     """Validate a claimed embedding independently of the search."""
+    if interval not in rec.intervals:
+        raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
     if len(rooks) != interval.length or len(set(rooks)) != len(rooks):
         return False
     if any(r not in rec.poly.cells for r in rooks):

@@ -69,11 +69,11 @@ def elementary_symmetric(k: int, values: Sequence[int]) -> int:
 
 
 def _check_lengths(lengths: Sequence[int]) -> tuple[int, ...]:
-    lengths = tuple(int(v) for v in lengths)
+    lengths = tuple(lengths)
     if not lengths:
         raise ValueError("length vector is empty")
-    if any(v < 2 for v in lengths):
-        raise ValueError("bristle lengths are at least 2")
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 2 for v in lengths):
+        raise ValueError(f"bristle lengths are integers of at least 2, not {lengths!r}")
     return lengths
 
 

@@ -296,45 +296,42 @@ def f_from_h(h: Sequence[int], d: int) -> tuple[int, ...]:
     )
 
 
-def _maximal_sets(sets: Iterable[frozenset]) -> frozenset:
-    sets = set(sets)
-    return frozenset(
-        s for s in sets if not any(s < t for t in sets)
-    )
-
-
-def _vertex_decomposable(facet_family: frozenset, memo: dict[frozenset, bool]) -> bool:
-    """The shedding-vertex recursion on one facet family. Links and
-    deletions recur across branches, so ``memo`` keeps the verdicts of
-    one top-level call, and is dropped with it."""
-    # A single facet covers both the empty complex and a full simplex.
-    if len(facet_family) == 1:
-        return True
-    if facet_family in memo:
-        return memo[facet_family]
-    verdict = False
-    for x in sorted(set().union(*facet_family)):
-        deletion = _maximal_sets(f - {x} for f in facet_family)
-        if not deletion <= facet_family:
-            continue
-        link = _maximal_sets(f - {x} for f in facet_family if x in f)
-        if not link:
-            continue
-        if _vertex_decomposable(link, memo) and _vertex_decomposable(deletion, memo):
-            verdict = True
-            break
-    memo[facet_family] = verdict
-    return verdict
-
-
 def is_vertex_decomposable(poly: Polyomino, convention: str = INTERVAL) -> bool:
-    """Recursive shedding-vertex test for the (pure) rook complex.
+    """Whether the (pure) rook complex is vertex decomposable, by a
+    shedding recursion on vertex masks W of the attack graph G.
 
-    A complex qualifies when it is the empty complex, has a unique facet,
-    or has a vertex whose link and deletion are both vertex decomposable
-    with the deletion's facets remaining facets of the whole complex.
+    Ind(G[W]) is decomposable when G[W] has no edge, or when a shedding
+    vertex v has a decomposable link Ind(G[W - N[v]]) and deletion
+    Ind(G[W - v]). v is shedding when no independent set inside W - N[v]
+    is adjacent to all of N(v) & W (Woodroofe 2009); vertices are tried by
+    falling degree in G[W], far faster than in vertex order. A shedding
+    vertex's deletion keeps only facets of the whole, so a pure complex
+    stays pure throughout and the verdict is the pure definition's.
     """
     rc = f_vector(poly, convention)
     if not rc.pure:
         raise NotPureError("vertex decomposability is only defined for pure complexes")
-    return _vertex_decomposable(frozenset(rc.facets), {})
+    adj = rc.graph.masks
+    memo: dict[int, bool] = {}
+
+    def dominated(todo: int, candidates: int) -> bool:
+        # Whether an independent set inside ``candidates`` dominates ``todo``.
+        if not todo:
+            return True
+        u = (todo & -todo).bit_length() - 1
+        return any(
+            dominated(todo & ~adj[x], candidates & ~adj[x] & ~(1 << x)) for x in bits(adj[u] & candidates)
+        )
+
+    def decomposable(w: int) -> bool:
+        if w not in memo:
+            order = sorted((v for v in bits(w) if adj[v] & w), key=lambda v: -(adj[v] & w).bit_count())
+            memo[w] = not order
+            for v in order:
+                link = w & ~adj[v] & ~(1 << v)
+                if not dominated(adj[v] & w, link) and decomposable(link) and decomposable(w & ~(1 << v)):
+                    memo[w] = True
+                    break
+        return memo[w]
+
+    return decomposable((1 << len(adj)) - 1)

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import pytest
 
 from rooklab import (
+    CellInterval,
     ShapeRecord,
     IntervalNotInPolyominoError,
     RankTooSmallError,
@@ -121,6 +122,19 @@ class TestFindEmbedding:
         foreign = maximal_intervals(bar)[0]
         with pytest.raises(IntervalNotInPolyominoError):
             find_embedding(ShapeRecord(SKEW), foreign)
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            CellInterval("horizontal", ((5, 5), (6, 5))),
+            # Cells of the shape, but not a maximal interval of it.
+            CellInterval("horizontal", ((0, 0), (1, 0))),
+        ],
+    )
+    def test_is_embedding_rejects_foreign_interval(self, interval):
+        rec = ShapeRecord(parse_cells([(0, 0), (1, 0), (2, 0), (0, 1)]))
+        with pytest.raises(IntervalNotInPolyominoError):
+            is_embedding(rec, interval, ((0, 1), (1, 0)))
 
     def test_matches_subset_oracle(self, census6):
         # An embedding is an independent set, disjoint from the interval,

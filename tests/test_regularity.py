@@ -150,6 +150,18 @@ class TestBrushFH:
             brush_fh((1, 2))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [brush_fh, check_sigma_identities, lambda lengths: sigma_triples(lengths, 1)],
+    ids=["brush_fh", "check_sigma_identities", "sigma_triples"],
+)
+@pytest.mark.parametrize("lengths", [(2.9, 3), (3.0, 3), ("3", 3), (True, 3), (3, None)])
+def test_lengths_must_be_ints(call, lengths):
+    # Nothing is truncated or converted: (2.9, 3) is not read as (2, 3).
+    with pytest.raises(ValueError):
+        call(lengths)
+
+
 class TestInducedMatching:
     def test_skew(self):
         assert induced_matching_number(attack_graph(SKEW)).size == 1

@@ -16,6 +16,7 @@ from rooklab import (
     facets,
     h_from_f,
     induced_cycle_lengths,
+    is_chordal,
     is_face,
     is_pure,
     is_vertex_decomposable,
@@ -358,6 +359,38 @@ class TestHFConversions:
         assert f_from_h(h_from_f(f, d), d) == f
 
 
+def _maximal_sets(sets):
+    sets = set(sets)
+    return frozenset(s for s in sets if not any(s < t for t in sets))
+
+
+def _facet_family_decomposable(facet_family, memo):
+    """The pure (Provan-Billera) shedding-vertex recursion on a facet
+    family, as an oracle: x qualifies when the deletion's facets are
+    facets of the whole, and then its link and deletion must qualify."""
+    # A single facet covers both the empty complex and a full simplex.
+    if len(facet_family) == 1:
+        return True
+    if facet_family in memo:
+        return memo[facet_family]
+    verdict = False
+    for x in sorted(set().union(*facet_family)):
+        deletion = _maximal_sets(f - {x} for f in facet_family)
+        if not deletion <= facet_family:
+            continue
+        link = _maximal_sets(f - {x} for f in facet_family if x in f)
+        if link and _facet_family_decomposable(link, memo) and _facet_family_decomposable(deletion, memo):
+            verdict = True
+            break
+    memo[facet_family] = verdict
+    return verdict
+
+
+# Boards on which proving "not decomposable" takes the shedding search
+# over 20 s each, so they are left out of the board test.
+_SLOW_NON_DECOMPOSABLE_BOARDS = {(6, 4), (7, 5), (8, 5)}
+
+
 class TestVertexDecomposable:
     @pytest.mark.parametrize("poly", [SKEW, RECT_2X3, parse_cells([(0, 0), (1, 0)])])
     def test_examples(self, poly):
@@ -374,18 +407,52 @@ class TestVertexDecomposable:
     @pytest.mark.parametrize(
         "width, height, decomposable",
         [
-            (3, 2, True),
-            (4, 3, False),
-            (4, 4, False),
-            (5, 3, True),
+            (n, m, n >= 2 * m - 1)
+            for m in range(1, 6)
+            for n in range(m, 10)
+            if (n, m) not in _SLOW_NON_DECOMPOSABLE_BOARDS
         ],
     )
     def test_rectangles_match_chessboard_facts(self, width, height, decomposable):
-        # Boards are pure; they are decomposable exactly when the longer
-        # side is at least twice the shorter minus one.
+        # Ziegler (1994): the m x n board with m <= n is decomposable
+        # exactly when n >= 2m - 1. Boards are pure.
         board = parse_cells([(x, y) for x in range(width) for y in range(height)])
         assert is_pure(board).pure
         assert is_vertex_decomposable(board) == decomposable
+
+    def test_long_line(self):
+        # The attack graph is complete, so the recursion goes one level deep
+        # per cell; it must stay inside the default recursion limit.
+        assert is_vertex_decomposable(parse_cells([(x, 0) for x in range(400)]))
+
+    def test_matches_facet_family_oracle(self, census10):
+        pairs = 0
+        for poly in census10:
+            if poly.rank > 9:
+                break
+            for convention in ("interval", "line"):
+                if f_vector(poly, convention).pure:
+                    pairs += 1
+                    expected = _facet_family_decomposable(frozenset(facets(poly, convention)), {})
+                    assert is_vertex_decomposable(poly, convention) == expected, (poly.sorted_cells, convention)
+        assert pairs == 339
+
+    def test_chordal_attack_graphs_are_decomposable(self, census10):
+        # Woodroofe (2009): the independence complex of a chordal graph is
+        # vertex decomposable. The counts of pure and of decomposable
+        # pairs at rank 10 are pinned as well.
+        pure = decomposable = chordal = 0
+        for poly in census10:
+            for convention in ("interval", "line"):
+                if not f_vector(poly, convention).pure:
+                    continue
+                verdict = is_vertex_decomposable(poly, convention)
+                pure += 1
+                decomposable += verdict
+                if is_chordal(attack_graph(poly, convention)).chordal:
+                    chordal += 1
+                    assert verdict, (poly.sorted_cells, convention)
+        assert (pure, decomposable, chordal) == (892, 817, 141)
 
     def test_no_cache_outlives_a_call(self):
         # Only the per-shape caches of the attack graph and the f-vector
