@@ -191,12 +191,16 @@ def _check_cycle_lengths(rec: ShapeRecord) -> Iterator[Violation]:
 
 
 def _check_chordal_classification(rec: ShapeRecord) -> Iterator[Violation]:
-    """Complement chordal iff short brush or exceptional non-thin."""
+    """Complement chordal iff short brush or exceptional non-thin; each
+    elimination order is re-confirmed against the cells."""
     if not rec.predicates.simple:
         return
     rep = rec.classification
     if not rep.consistent:
         yield _violation(rec.poly, f"chordal={rep.complement_chordal} class={rep.category}")
+    order = rec.chordality.elimination_order
+    if order is not None and not _is_complement_elimination_order(rec.poly, order):
+        yield _violation(rec.poly, f"elimination order {list(order)} fails against the cells")
 
 
 def _check_nonsimple_nonchordal(rec: ShapeRecord) -> Iterator[Violation]:
@@ -346,6 +350,20 @@ def _is_chordless_complement_cycle(poly: Polyomino, cycle: Sequence[Cell]) -> bo
     for i, j in combinations(range(n), 2):
         consecutive = j - i == 1 or (i == 0 and j == n - 1)
         if _attacks(poly.cells, cycle[i], cycle[j]) == consecutive:
+            return False
+    return True
+
+
+def _is_complement_elimination_order(poly: Polyomino, order: Sequence[Cell]) -> bool:
+    """Check a claimed perfect elimination order of the attack-graph
+    complement against attacks rebuilt from the cells: a permutation of
+    the cells in which each cell's later non-attackers pairwise do not
+    attack."""
+    if len(order) != poly.rank or set(order) != poly.cells:
+        return False
+    for k, a in enumerate(order):
+        later = [b for b in order[k + 1 :] if not _attacks(poly.cells, a, b)]
+        if any(_attacks(poly.cells, b, c) for b, c in combinations(later, 2)):
             return False
     return True
 

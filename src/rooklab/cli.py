@@ -194,7 +194,7 @@ def _report_text(report: dict) -> str:
 def _cmd_analyze(args) -> int:
     try:
         poly = _load_polyomino(args.path, args.format)
-    except (RookLabError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (RookLabError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     report = analyze_polyomino(poly, args.convention)
@@ -317,3 +317,7 @@ def entrypoint() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_CLOSED_PIPE
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    entrypoint()

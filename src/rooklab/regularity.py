@@ -20,7 +20,7 @@ from .errors import (
     NotPureBrushError,
     RankTooSmallError,
 )
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, bits
 from .polyomino import Cell, CellInterval
 
 if TYPE_CHECKING:
@@ -123,118 +123,86 @@ def brush_fh(lengths: Sequence[int]) -> BrushVectors:
     return BrushVectors(tuple(f), tuple(h))
 
 
-def _conflict_masks(graph: SimpleGraph) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """The edges as sorted index pairs in sorted order, for each vertex
-    the mask of the edges at it, and for each edge the mask of the edges
-    it conflicts with: those with an endpoint in the closed neighbourhood
-    of either of its endpoints."""
-    masks = graph.masks
-    ends = []
-    for i, mask in enumerate(masks):
-        rest = mask >> (i + 1) << (i + 1)
-        while rest:
-            ends.append((i, (rest & -rest).bit_length() - 1))
-            rest &= rest - 1
-    incident = [0] * graph.n
-    for e, (i, j) in enumerate(ends):
-        incident[i] |= 1 << e
-        incident[j] |= 1 << e
-    near = []  # per vertex, the edges with an endpoint in its closed neighbourhood
-    for i, mask in enumerate(masks):
-        touched, rest = 0, mask | (1 << i)
-        while rest:
-            touched |= incident[(rest & -rest).bit_length() - 1]
-            rest &= rest - 1
-        near.append(touched)
-    conflict = [(near[i] | near[j]) & ~(1 << e) for e, (i, j) in enumerate(ends)]
-    return ends, incident, conflict
-
-
-def _clique_cover(
-    graph: SimpleGraph, ends: list[tuple[int, int]], incident: list[int]
-) -> tuple[list[int], int]:
-    """A family of cliques for the induced-matching bound: for each
-    member the mask of the edges that meet it, and the fewest members
-    that any one edge meets.
+def _clique_cover(graph: SimpleGraph) -> tuple[list[int], int]:
+    """A family of cliques for the induced-matching bound, as vertex masks,
+    and the fewest members that any one edge meets.
 
     The members are every closed common neighbourhood N[u] & N[v] of an
     edge uv that is a clique, once each, and the singleton of every
     vertex that lies in fewer than two of those. So every edge meets at
     least two members. On an attack graph the members are its maximal
     runs (rows and columns under ``line``), singleton runs included, and
-    every edge meets three of them.
+    every edge meets three of them. Each edge costs one mask AND, and
+    each distinct common neighbourhood one clique test.
     """
     closed = [mask | (1 << i) for i, mask in enumerate(graph.masks)]
+    ends = [(i, j) for i, mask in enumerate(graph.masks) for j in bits(mask >> i << i)]
+    commons = dict.fromkeys(closed[i] & closed[j] for i, j in ends)
+    members = [c for c in commons if all(closed[v] & c == c for v in bits(c))]
     member_of = [0] * graph.n
-    meets = []
-    for common in dict.fromkeys(closed[i] & closed[j] for i, j in ends):
-        seen_by_all = common  # shrinks below common unless it is a clique
-        edge_mask, members, rest = 0, [], common
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            seen_by_all &= closed[v]
-            edge_mask |= incident[v]
-            members.append(v)
-        if seen_by_all == common:
-            for v in members:
-                member_of[v] |= 1 << len(meets)
-            meets.append(edge_mask)
+    for k, clique in enumerate(members):
+        for v in bits(clique):
+            member_of[v] |= 1 << k
     for v, of in enumerate(member_of):
         if of.bit_count() < 2:
-            member_of[v] |= 1 << len(meets)
-            meets.append(incident[v])
-    least = min((member_of[i] | member_of[j]).bit_count() for i, j in ends)
-    return meets, least
+            member_of[v] |= 1 << len(members)
+            members.append(1 << v)
+    return members, min(((member_of[i] | member_of[j]).bit_count() for i, j in ends), default=1)
 
 
 def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
-    """Exact maximum induced matching, by branch and bound over edges.
+    """Exact maximum induced matching, by branch and bound on a mask A of
+    available vertices: those outside the closed neighbourhoods of the
+    matched ends. Each step takes the lowest vertex i of A with a
+    neighbour in A, includes each edge ij, by ascending j, by recursing on
+    A - N[i] - N[j], and then drops i from A in the same frame, so the
+    depth stays within the matching size. That is "include, then exclude
+    the lowest available edge" over the sorted edges, so the first leaf is
+    the greedy matching.
 
-    Two edges conflict when they share an endpoint or are joined by an
-    edge; an induced matching is an independent set in that conflict
-    graph. The search includes, then excludes, the lowest available edge,
-    so its first leaf is the greedy matching, and prunes a node by a
-    clique bound on the edges still available. Every member of the family
-    from ``_clique_cover`` is a clique, so it meets at most one edge of an
-    induced matching (two matched edges meeting it would be joined by an
-    edge of it). Each edge meets at least t members, so at most
-    floor(m / t) edges fit, where m counts the members that some available
-    edge meets. This holds on any graph; on an attack graph t = 3 and m
+    The bound: each member of the ``_clique_cover`` family is a clique, so
+    it meets at most one edge of an induced matching (two would be joined
+    by an edge of it). Each edge meets at least t members, so at most
+    floor(m / t) more edges fit, where m counts the members that meet a
+    vertex of A with a neighbour in A. On an attack graph t = 3 and m
     counts the free runs, which closes the search on boards right after
-    the first dive.
-
-    The result is the first maximum leaf in search order, whatever the
-    bound, so a tighter bound changes the work and not the certificate.
-    The certificate is re-verified before returning.
+    the first dive. The result is the first maximum leaf in search order
+    whatever the bound, and it is re-verified before returning.
     """
-    ends, incident, conflict = _conflict_masks(graph)
-    n = len(ends)
-    if n == 0:
-        return MatchingCertificate((), 0)
-    meets, least = _clique_cover(graph, ends, incident)
+    masks = graph.masks
+    members, least = _clique_cover(graph)
+    closed = [mask | (1 << i) for i, mask in enumerate(masks)]
+    best: list[tuple[int, int]] = []
 
-    best_size, best_mask = 0, 0
+    def expand(avail: int, chosen: list[tuple[int, int]]) -> None:
+        nonlocal best
+        live = sum(1 << v for v in bits(avail) if masks[v] & avail)
+        while live:
+            room = len([1 for m in members if m & live]) // least
+            i = (live & -live).bit_length() - 1
+            for j in bits(masks[i] & avail):
+                if room <= len(best) - len(chosen):
+                    return
+                rest = avail & ~closed[i] & ~closed[j]
+                if rest:
+                    expand(rest, chosen + [(i, j)])
+                elif len(chosen) >= len(best):  # a leaf one edge larger
+                    best = chosen + [(i, j)]
+            # Drop i: only its neighbours can lose their last neighbour in A.
+            avail &= ~(1 << i)
+            live &= ~(1 << i)
+            for v in bits(masks[i] & live):
+                if not masks[v] & avail:
+                    live &= ~(1 << v)
+        if len(chosen) > len(best):
+            best = chosen
 
-    def expand(avail: int, chosen: int, size: int) -> None:
-        # Include the lowest available edge, then exclude it and go on in
-        # this frame, so the depth stays within the matching size.
-        nonlocal best_size, best_mask
-        while avail:
-            if len([1 for edge_mask in meets if edge_mask & avail]) // least <= best_size - size:
-                return
-            b = avail & -avail
-            expand(avail & ~conflict[b.bit_length() - 1] & ~b, chosen | b, size + 1)
-            avail &= ~b
-        if size > best_size:
-            best_size, best_mask = size, chosen
-
-    expand((1 << n) - 1, 0, 0)
+    expand((1 << graph.n) - 1, [])
 
     vs = graph.vertices
-    picked = sorted((vs[ends[e][0]], vs[ends[e][1]]) for e in range(n) if best_mask >> e & 1)
+    picked = sorted((vs[i], vs[j]) for i, j in best)
     _verify_induced_matching(graph, picked)
-    return MatchingCertificate(tuple(picked), best_size)
+    return MatchingCertificate(tuple(picked), len(best))
 
 
 def _verify_induced_matching(graph: SimpleGraph, edges: list[tuple[Cell, Cell]]) -> None:

@@ -201,6 +201,25 @@ class TestVerifyCorpus:
         assert not _is_chordless_complement_cycle(rect, cycle[:-1] + (cycle[0],))
         assert not _is_chordless_complement_cycle(rect, cycle[:-1] + ((5, 5),))
 
+    def test_elimination_certificate_rejects_corrupted_orders(self):
+        from rooklab import ShapeRecord
+        from rooklab.census import _is_complement_elimination_order
+        from rooklab.chordal import ChordalityResult
+        from rooklab.polyomino import parse_ascii
+
+        rec = ShapeRecord(parse_ascii(".#.\n###"))
+        order = rec.chordality.elimination_order
+        assert _is_complement_elimination_order(rec.poly, order)
+        assert list(CHECKS["chordal-classification"].func(rec)) == []
+        # (1, 1) first: its later non-attackers (0, 0) and (2, 0) attack.
+        corrupted = ((1, 1), (1, 0), (2, 0), (0, 0))
+        for bad in (corrupted, order[:-1], order[:-1] + (order[0],), order[:-1] + ((5, 5),)):
+            assert not _is_complement_elimination_order(rec.poly, bad)
+        rec.chordality = ChordalityResult(True, corrupted, None)
+        violations = list(CHECKS["chordal-classification"].func(rec))
+        assert len(violations) == 1
+        assert "elimination order" in violations[0].detail
+
     def test_violations_render_witnesses(self):
         report = verify_corpus(6, ["brush-corollary"])
         result = report.results[0]

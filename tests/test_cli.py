@@ -109,6 +109,8 @@ class TestAnalyze:
             '{"cells": [[0.5, 0], [1.5, 0]]}',
             '{"cells": [[0, 0], [true, 0]]}',
             '{"cells": [[0, 0, 0], [1, 0, 0]]}',
+            # Nested past the parser's recursion limit.
+            pytest.param('{"cells": ' + "[" * 100_000 + "]" * 100_000 + "}", id="deeply-nested"),
         ],
     )
     def test_malformed_json_exit_2(self, capsys, tmp_path, payload):
@@ -122,7 +124,7 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", skew_file, "--out", "yaml")
         assert code == 1
 
-    @pytest.mark.parametrize("width, height, nu", [(60, 1, 1), (1, 60, 1), (33, 2, 2)])
+    @pytest.mark.parametrize("width, height, nu", [(60, 1, 1), (1, 60, 1), (33, 2, 2), (1, 300, 1)])
     def test_long_shapes_exit_0(self, capsys, tmp_path, width, height, nu):
         # Shapes with many edges in one run once overflowed the stack in
         # the induced-matching search.
@@ -305,3 +307,22 @@ class TestClosedPipe:
         assert len(first["cells"]) == 9
         assert err == "", err  # no BrokenPipeError traceback
         assert code == EXIT_CLOSED_PIPE == 141
+
+
+class TestRunAsModule:
+    @staticmethod
+    def _run(*args):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        return subprocess.run(
+            [sys.executable, "-m", "rooklab.cli", *args], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    def test_unknown_check_exits_1(self):
+        proc = self._run("verify", "--max-rank", "3", "--check", "bogus")
+        assert proc.returncode == 1
+        assert "unknown check" in proc.stderr
+
+    def test_enumerate_prints_shapes(self):
+        proc = self._run("enumerate", "--rank", "3")
+        assert proc.returncode == 0
+        assert proc.stdout.split("\n\n") == ["#\n#\n#", "#.\n##\n"]

@@ -28,7 +28,8 @@ from rooklab import (
     single_cell_intervals,
 )
 from rooklab import rook_complex
-from rooklab.regularity import _clique_cover, _conflict_masks, _verify_induced_matching
+from rooklab.graphs import bits
+from rooklab.regularity import MatchingCertificate, _clique_cover, _verify_induced_matching
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -162,6 +163,61 @@ def test_lengths_must_be_ints(call, lengths):
         call(lengths)
 
 
+def _union(edge_masks, vertex_mask):
+    out = 0
+    for v in bits(vertex_mask):
+        out |= edge_masks[v]
+    return out
+
+
+def _edge_indexed_matching(graph):
+    """The induced-matching search the package used to run, kept as an
+    oracle: edges numbered in sorted pair order, one conflict mask per edge
+    (the edges with an end in the closed neighbourhood of either of its
+    ends), and "include, then exclude the lowest available edge", pruned by
+    the same clique family with each member as the mask of the edges that
+    meet it. Its first maximum leaf must be the package's certificate."""
+    masks = graph.masks
+    ends = [(i, j) for i, mask in enumerate(masks) for j in bits(mask >> i << i)]
+    if not ends:
+        return MatchingCertificate((), 0)
+    incident = [0] * graph.n
+    for e, (i, j) in enumerate(ends):
+        incident[i] |= 1 << e
+        incident[j] |= 1 << e
+    closed = [mask | (1 << i) for i, mask in enumerate(masks)]
+    near = [_union(incident, c) for c in closed]
+    conflict = [(near[i] | near[j]) & ~(1 << e) for e, (i, j) in enumerate(ends)]
+    member_of, meets = [0] * graph.n, []
+    for common in dict.fromkeys(closed[i] & closed[j] for i, j in ends):
+        if all(closed[v] & common == common for v in bits(common)):
+            for v in bits(common):
+                member_of[v] |= 1 << len(meets)
+            meets.append(_union(incident, common))
+    for v, of in enumerate(member_of):
+        if of.bit_count() < 2:
+            member_of[v] |= 1 << len(meets)
+            meets.append(incident[v])
+    least = min((member_of[i] | member_of[j]).bit_count() for i, j in ends)
+    best_size, best_mask = 0, 0
+
+    def expand(avail, chosen, size):
+        nonlocal best_size, best_mask
+        while avail:
+            if len([1 for edge_mask in meets if edge_mask & avail]) // least <= best_size - size:
+                return
+            b = avail & -avail
+            expand(avail & ~conflict[b.bit_length() - 1] & ~b, chosen | b, size + 1)
+            avail &= ~b
+        if size > best_size:
+            best_size, best_mask = size, chosen
+
+    expand((1 << len(ends)) - 1, 0, 0)
+    vs = graph.vertices
+    picked = tuple(sorted((vs[ends[e][0]], vs[ends[e][1]]) for e in bits(best_mask)))
+    return MatchingCertificate(picked, best_size)
+
+
 class TestInducedMatching:
     def test_skew(self):
         assert induced_matching_number(attack_graph(SKEW)).size == 1
@@ -170,8 +226,9 @@ class TestInducedMatching:
         assert induced_matching_number(attack_graph(BRUSH_33)).size == 2
 
     # From n = 46 a 1 x n line has more edges than the default recursion
-    # limit, so the exclude step must not recurse once per edge.
-    @pytest.mark.parametrize("n", [2, 3, 5, *range(46, 61)])
+    # limit, so the exclude step must not recurse once per edge; at n = 300
+    # a state indexed by the 44,850 edges took seconds and hundreds of MB.
+    @pytest.mark.parametrize("n", [2, 3, 5, *range(46, 61), 100, 200, 300])
     def test_single_clique(self, n):
         bar = parse_cells([(x, 0) for x in range(n)])
         assert induced_matching_number(attack_graph(bar)).size == 1
@@ -183,23 +240,33 @@ class TestInducedMatching:
 
     def test_clique_cover_is_the_lines_on_attack_graphs(self, census8):
         # On an attack graph the bound's cliques are the lines, singletons
-        # included, each as the mask of the edges that meet it, and every
-        # edge meets three of them.
+        # included, each as a vertex mask, and every edge meets three of them.
         for poly in census8:
             for convention in ("interval", "line"):
                 g = attack_graph(poly, convention)
-                ends, incident, _ = _conflict_masks(g)
-                if not ends:
+                if not any(g.masks):
                     continue
-                meets, least = _clique_cover(g, ends, incident)
-                expected = []
-                for line in (l for lines in rook_complex._lines(poly, convention) for l in lines):
-                    mask = 0
-                    for cell in line:
-                        mask |= incident[g.index(cell)]
-                    expected.append(mask)
-                assert sorted(meets) == sorted(expected), (poly, convention)
+                members, least = _clique_cover(g)
+                expected = [
+                    sum(1 << g.index(cell) for cell in line)
+                    for lines in rook_complex._lines(poly, convention)
+                    for line in lines
+                ]
+                assert sorted(members) == sorted(expected), (poly, convention)
                 assert least == 3
+
+    def test_matches_edge_indexed_search_on_census(self, census10):
+        for poly in (p for p in census10 if p.rank <= 9):
+            for convention in ("interval", "line"):
+                g = attack_graph(poly, convention)
+                assert induced_matching_number(g) == _edge_indexed_matching(g), (poly, convention)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_edge_indexed_search_on_boards(self, n):
+        g = attack_graph(parse_cells([(x, y) for x in range(n) for y in range(n)]))
+        cert = induced_matching_number(g)
+        assert cert == _edge_indexed_matching(g)
+        assert cert.size == 2 * n // 3
 
     @staticmethod
     def _oracle(g):
@@ -239,7 +306,9 @@ class TestInducedMatching:
         rng = random.Random(seed)
         edges = [e for e in combinations(range(n), 2) if rng.random() < density]
         g = SimpleGraph.from_pairs(range(n), edges)
-        assert induced_matching_number(g).size == self._oracle(g)
+        cert = induced_matching_number(g)
+        assert cert.size == self._oracle(g)
+        assert cert == _edge_indexed_matching(g)
 
     def test_same_on_every_dihedral_image(self, census8, dihedral_images):
         for poly in (p for p in census8 if p.rank <= 7):
