@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations
@@ -426,6 +425,8 @@ def _shape_violations(
     if jobs == 1:
         yield from map(check, shapes)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only here, so importing rooklab stays light
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         yield from pool.map(check, shapes, chunksize=-(-len(shapes) // (_CHUNKS_PER_JOB * jobs)))
 

@@ -54,7 +54,7 @@ class GraphRecord:
 
     @cached_property
     def matching(self) -> regularity.MatchingCertificate:
-        return regularity.induced_matching_number(self.attack)
+        return regularity.induced_matching_number(self.attack, self.rook_complex.line_masks)
 
 
 class ShapeRecord(GraphRecord):

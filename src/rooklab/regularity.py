@@ -150,7 +150,9 @@ def _clique_cover(graph: SimpleGraph) -> tuple[list[int], int]:
     return members, min(((member_of[i] | member_of[j]).bit_count() for i, j in ends), default=1)
 
 
-def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
+def induced_matching_number(
+    graph: SimpleGraph, lines: tuple[Sequence[int], Sequence[int]] | None = None
+) -> MatchingCertificate:
     """Exact maximum induced matching, by branch and bound on a mask A of
     available vertices: those outside the closed neighbourhoods of the
     matched ends. Each step takes the lowest vertex i of A with a
@@ -158,19 +160,42 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
     A - N[i] - N[j], and then drops i from A in the same frame, so the
     depth stays within the matching size. That is "include, then exclude
     the lowest available edge" over the sorted edges, so the first leaf is
-    the greedy matching.
+    the greedy matching. A vertex of A with a neighbour in A is live.
 
-    The bound: each member of the ``_clique_cover`` family is a clique, so
-    it meets at most one edge of an induced matching (two would be joined
-    by an edge of it). Each edge meets at least t members, so at most
-    floor(m / t) more edges fit, where m counts the members that meet a
-    vertex of A with a neighbour in A. On an attack graph t = 3 and m
-    counts the free runs, which closes the search on boards right after
-    the first dive. The result is the first maximum leaf in search order
-    whatever the bound, and it is re-verified before returning.
+    ``lines`` are an attack graph's horizontal and vertical lines as
+    vertex masks (``RookComplex.line_masks``). Each cell is an edge of the
+    line incidence graph B, and an induced matching is a set of 2-edge
+    paths of B with disjoint vertex sets: each matched pair uses three
+    lines, at least one of each orientation. So with H horizontal and V
+    vertical lines holding a live vertex, at most min(H, V, (H + V) // 3)
+    more pairs fit. On an m x n rectangle the search then visits a number
+    of nodes that does not grow with n: 2 for 2 x n, 5 for 3 x n.
+
+    Without ``lines`` the bound comes from the ``_clique_cover`` family:
+    each member is a clique, so it meets at most one edge of an induced
+    matching (two would be joined by an edge of it). Each edge meets at
+    least t members, so at most floor(m / t) more edges fit, where m
+    counts the members that meet a live vertex. On an attack graph the
+    members are the lines and t = 3, the third term above.
+
+    A node is pruned only when it cannot hold a strictly larger leaf, so
+    the result is the first maximum leaf in search order whatever the
+    bound, and it is re-verified before returning.
     """
     masks = graph.masks
-    members, least = _clique_cover(graph)
+    if lines is None:
+        members, least = _clique_cover(graph)
+
+        def bound(live: int) -> int:
+            return len([1 for m in members if m & live]) // least
+    else:
+        h_masks, v_masks = lines
+
+        def bound(live: int) -> int:
+            h = len([1 for m in h_masks if m & live])
+            v = len([1 for m in v_masks if m & live])
+            return min(h, v, (h + v) // 3)
+
     closed = [mask | (1 << i) for i, mask in enumerate(masks)]
     best: list[tuple[int, int]] = []
 
@@ -178,7 +203,7 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
         nonlocal best
         live = sum(1 << v for v in bits(avail) if masks[v] & avail)
         while live:
-            room = len([1 for m in members if m & live]) // least
+            room = bound(live)
             i = (live & -live).bit_length() - 1
             for j in bits(masks[i] & avail):
                 if room <= len(best) - len(chosen):

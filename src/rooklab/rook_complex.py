@@ -10,13 +10,16 @@ horizontal and vertical runs under ``interval``, the rows and columns
 under ``line``. Two cells attack when a line holds both, and each cell
 lies in one horizontal and one vertical line, so it is an edge of the
 bipartite line incidence graph. ``f_vector`` reads the lines once and
-builds from them both the attack graph and the sweep below; the
+builds from them the attack graph, the sweep below and the line masks
+it keeps for the witness search and the induced-matching bound; the
 embedding search in ``partition`` reads them through the graph's masks.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
-incidence graph. The f-vector, rook number and purity come from one
-transfer-matrix sweep over it; facets are searched for only when read.
+incidence graph. The f-vector, rook number, purity and the facet counts
+by size come from one transfer-matrix sweep over it. A non-purity
+witness is found by a bounded search for the first facet of a given
+size; facets are listed only when read.
 """
 
 from __future__ import annotations
@@ -44,12 +47,19 @@ class RookComplex:
     of size k, so it starts with 1 for the empty face. ``pure`` holds when
     every facet has ``rook_number`` cells. ``facets`` are searched for on
     the attack graph when first read.
+
+    Three fields are kept for later searches and are left out of
+    comparisons: ``graph``, the attack graph; ``facets_by_size``, entry k
+    counting the facets of size k; and ``line_masks``, the horizontal and
+    the vertical lines as vertex masks of ``graph``.
     """
 
     f_vector: tuple[int, ...]
     rook_number: int
     pure: bool
     graph: SimpleGraph = field(repr=False, compare=False)
+    facets_by_size: tuple[int, ...] = field(repr=False, compare=False)
+    line_masks: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False, compare=False)
 
     @cached_property
     def facets(self) -> tuple[frozenset, ...]:
@@ -232,7 +242,8 @@ def _facet_search(graph: SimpleGraph) -> list[int]:
 def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     """Exact face counts of the rook complex, its rook number and purity,
     from one transfer-matrix sweep, with the attack graph built from the
-    same lines: each line is a clique. Facets are built when first read.
+    same lines: each line is a clique. The facet counts by size and the
+    line masks are kept on the result; facets are built when first read.
 
     The rook number is the size of the largest non-attacking placement.
     """
@@ -240,13 +251,20 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     cells = poly.sorted_cells
     index = {c: i for i, c in enumerate(cells)}
     masks = [0] * len(cells)
-    for line in h_lines + v_lines:
-        line_mask = sum(1 << index[c] for c in line)
+    line_masks = tuple(tuple(sum(1 << index[c] for c in line) for line in lines) for lines in (h_lines, v_lines))
+    for line, line_mask in zip(h_lines + v_lines, line_masks[0] + line_masks[1]):
         for c in line:
             masks[index[c]] |= line_mask ^ (1 << index[c])
     faces, facets_by_size = _sweep_counts(h_lines, v_lines)
     d = len(faces) - 1
-    return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), SimpleGraph(cells, tuple(masks)))
+    return RookComplex(
+        tuple(faces),
+        d,
+        not any(facets_by_size[:d]),
+        SimpleGraph(cells, tuple(masks)),
+        tuple(facets_by_size),
+        line_masks,
+    )
 
 
 def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
@@ -265,16 +283,80 @@ def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) 
     return not any(graph.masks[i] & chosen for i in bits(chosen))
 
 
+def _first_facet(rc: RookComplex, size: int) -> int:
+    """The first facet of ``size`` cells in sorted-cell-tuple order, as a
+    vertex mask of ``rc.graph``; one must exist.
+
+    An include-then-exclude search on the lowest free cell visits the
+    maximal independent sets in that order: two facets first differ at
+    some cell, and the one holding it is reached first. A free cell is
+    neither chosen, nor attacked by a chosen cell, nor excluded. A node
+    with k rooks is pruned when none of its facets can have ``size`` cells:
+    - k + min(#horizontal, #vertical lines meeting the free cells) < size,
+      as a face holds at most one cell of a line;
+    - k + ceil(m / 2) > size, where m counts a greedy non-attacking set
+      among the cells no rook attacks yet: every one of them must still be
+      taken or attacked, and a rook attacks at most two of them, one on
+      each of its lines;
+    - or some excluded cell has no free neighbour left to attack it.
+    Excluding runs in the frame that included, so the depth stays within
+    ``size``.
+    """
+    adj = rc.graph.masks
+    closed = [mask | 1 << i for i, mask in enumerate(adj)]
+    h_masks, v_masks = rc.line_masks
+
+    def search(k: int, chosen: int, free: int, excluded: int) -> int | None:
+        while free:
+            room = min(sum(1 for m in h_masks if m & free), sum(1 for m in v_masks if m & free))
+            if k + room < size:
+                return None
+            open_cells, need = free | excluded, 0
+            while open_cells:
+                open_cells &= ~closed[(open_cells & -open_cells).bit_length() - 1]
+                need += 1
+            if k + (need + 1) // 2 > size:
+                return None
+            b = free & -free
+            v = b.bit_length() - 1
+            rest, still = free & ~closed[v], excluded & ~adj[v]
+            if all(adj[x] & rest for x in bits(still)):
+                if rest:
+                    found = search(k + 1, chosen | b, rest, still)
+                    if found is not None:
+                        return found
+                elif k + 1 == size:  # still is empty: a facet
+                    return chosen | b
+            free ^= b
+            excluded |= b
+            # Only v and the excluded cells next to it can have lost their
+            # last free neighbour; v always has when no free cell is left.
+            if any(not adj[x] & free for x in bits(excluded & closed[v])):
+                return None
+        return None
+
+    facet = search(0, 0, (1 << len(adj)) - 1, 0)
+    if facet is None:
+        raise RuntimeError(f"no facet of size {size}")
+    return facet
+
+
 def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:
     """Whether all facets share the top cardinality; a witness pair otherwise:
     the first smallest and the first largest facet in sorted-cell-tuple
-    order. Facets are searched for only to find the witness, and only
-    those two become cell sets."""
+    order. Each is found by ``_first_facet`` at the size that the kept
+    facet counts name, and no facet list is built."""
     rc = f_vector(poly, convention)
     if rc.pure:
         return PurityResult(True, None)
-    masks = _facet_search(rc.graph)
-    return PurityResult(False, tuple(_cells_of(rc.graph, pick(masks, key=int.bit_count)) for pick in (min, max)))
+    smallest = next(k for k, count in enumerate(rc.facets_by_size) if count)
+    return PurityResult(
+        False,
+        tuple(
+            frozenset(rc.graph.vertices[i] for i in bits(_first_facet(rc, size)))
+            for size in (smallest, rc.rook_number)
+        ),
+    )
 
 
 def h_from_f(f: Sequence[int], d: int) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 
 import pytest
@@ -156,7 +157,8 @@ class TestVerifyCorpus:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(census, "ProcessPoolExecutor", InProcessPool)
+        # census imports the pool inside the jobs > 1 branch, from here.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         names = ["purity-theorem", "cycle-lengths", "sigma-identities"]
         expected = verify_corpus(4, names)
         # 9 free shapes up to rank 4.
@@ -171,8 +173,8 @@ class TestVerifyCorpus:
         assert asked == []
 
     def test_verify_searches_no_facets(self, monkeypatch):
-        # Every check reads purity as the transfer-matrix flag; a facet
-        # search belongs only to a witness, facets() and vertex decomposability.
+        # Every check reads purity as the transfer-matrix flag; facets are
+        # listed only by facets().
         def refuse(graph):
             raise AssertionError("verify searched for facets")
 

@@ -139,9 +139,9 @@ class TestAnalyze:
         original = regularity.induced_matching_number
         calls = []
 
-        def counted(graph):
+        def counted(graph, lines=None):
             calls.append(graph)
-            return original(graph)
+            return original(graph, lines)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("rooklab") and getattr(module, "induced_matching_number", None) is original:
@@ -326,3 +326,16 @@ class TestRunAsModule:
         proc = self._run("enumerate", "--rank", "3")
         assert proc.returncode == 0
         assert proc.stdout.split("\n\n") == ["#\n#\n#", "#.\n##\n"]
+
+
+class TestImportCost:
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        # concurrent.futures is only needed by verify --jobs > 1; loading it
+        # on every import costs start-up time and memory in each process.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, rooklab.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -267,6 +268,32 @@ class TestInducedMatching:
         cert = induced_matching_number(g)
         assert cert == _edge_indexed_matching(g)
         assert cert.size == 2 * n // 3
+
+    def test_line_bound_matches_clique_cover_on_census(self, census10):
+        # The line bound only prunes nodes that hold no strictly larger
+        # leaf, so the certificate is the clique-cover path's.
+        for poly in census10:
+            for convention in ("interval", "line"):
+                rc = f_vector(poly, convention)
+                expected = induced_matching_number(rc.graph)
+                assert induced_matching_number(rc.graph, rc.line_masks) == expected, (poly, convention)
+
+    def test_board_formula(self):
+        # The m x n board's line incidence graph is K_{m,n}, and each matched
+        # pair uses three lines, at least one of each orientation.
+        for m in range(1, 13):
+            for n in range(1, 13):
+                rc = f_vector(parse_cells([(x, y) for x in range(n) for y in range(m)]))
+                assert induced_matching_number(rc.graph, rc.line_masks).size == min(m, n, (m + n) // 3), (m, n)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_thin_rectangles_are_fast(self, m, n):
+        rc = f_vector(parse_cells([(x, y) for x in range(n) for y in range(m)]))
+        start = time.perf_counter()
+        cert = induced_matching_number(rc.graph, rc.line_masks)
+        assert time.perf_counter() - start < 0.1
+        assert cert.size == m
 
     @staticmethod
     def _oracle(g):

@@ -36,6 +36,16 @@ RECT_2X3 = parse_ascii("###\n###")
 SQUARE = parse_ascii("##\n##")
 MONOMINO = parse_cells([(0, 0)])
 U_PENTOMINO = parse_cells([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)])
+# A thin staircase whose rook complex is not pure: row y holds x = y .. y + 2.
+STAIRCASE_11X3 = parse_cells([(x, y) for y in range(11) for x in range(y, y + 3)])
+
+
+def _holed_board(side, hole):
+    """The side x side board less a centred hole x hole block."""
+    lo = (side - hole) // 2
+    return parse_cells(
+        [(x, y) for x in range(side) for y in range(side) if not (lo <= x < lo + hole and lo <= y < lo + hole)]
+    )
 
 
 class TestAttackGraph:
@@ -246,6 +256,11 @@ class TestSweep:
                 # Uncached, so that no facet list outlives its shape.
                 rc = f_vector.__wrapped__(poly, convention)
                 assert (rc.f_vector, rc.rook_number, rc.pure) == (tuple(faces), d, len(sizes) == 1)
+                assert rc.facets_by_size == tuple(facets_by_size), poly
+                assert rc.line_masks == tuple(
+                    tuple(sum(1 << rc.graph.index(c) for c in line) for line in lines)
+                    for lines in rook_complex._lines(poly, convention)
+                ), poly
                 assert list(rc.facets) == oracle_facets, poly
 
     def test_same_on_every_dihedral_image(self, census8, dihedral_images):
@@ -288,6 +303,48 @@ class TestIsPure:
                 assert not problems, (poly, convention, problems)
                 checked += 1
         assert checked
+
+    def test_matches_facet_listing_on_census(self, census10):
+        checked = 0
+        for poly in census10:
+            for convention in ("interval", "line"):
+                if not f_vector(poly, convention).pure:
+                    assert is_pure(poly, convention).witness == _listing_witness(poly, convention), (poly, convention)
+                    checked += 1
+        assert checked == 12_054
+
+    @pytest.mark.parametrize(
+        "poly",
+        [pytest.param(STAIRCASE_11X3, id="staircase-11x3"), pytest.param(_holed_board(7, 3), id="holed-7x7")],
+    )
+    def test_matches_facet_listing_on_every_image(self, poly, dihedral_images):
+        for image in dihedral_images(poly):
+            for convention in ("interval", "line"):
+                assert not f_vector(image, convention).pure
+                assert is_pure(image, convention).witness == _listing_witness(image, convention), (image, convention)
+
+    @pytest.mark.parametrize("side, hole", [(8, 4), (9, 5)])
+    def test_matches_facet_listing_on_large_holed_boards(self, side, hole):
+        board = _holed_board(side, hole)
+        assert is_pure(board).witness == _listing_witness(board)
+
+    def test_witness_lists_no_facets(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("is_pure listed the facets")
+
+        f_vector.cache_clear()
+        monkeypatch.setattr(rook_complex, "_facet_search", refuse)
+        for poly in (L_TROMINO, STAIRCASE_11X3, _holed_board(9, 5)):
+            for convention in ("interval", "line"):
+                assert not is_pure(poly, convention).pure
+
+
+def _listing_witness(poly, convention="interval"):
+    """The witness pair picked from the whole facet list: the first facet
+    of the least and of the greatest size in sorted-cell-tuple order."""
+    rc = f_vector(poly, convention)
+    masks = rook_complex._facet_search(rc.graph)
+    return tuple(rook_complex._cells_of(rc.graph, pick(masks, key=int.bit_count)) for pick in (min, max))
 
 
 def _witness_problems(cells, pairs, oracle_facets, witness):
