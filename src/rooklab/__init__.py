@@ -30,7 +30,6 @@ from .errors import (
     EmptyInputError,
     IndexOutOfRangeError,
     IntervalNotInPolyominoError,
-    LengthMismatchError,
     NotApplicableError,
     NotConnectedError,
     NotPureBrushError,

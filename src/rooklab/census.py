@@ -92,6 +92,7 @@ def _rank_cells(n: int, mode: str) -> Iterator[tuple[Cell, ...]]:
             seen.difference_update(fresh)
 
     grow([n << b], [])
+    del grow  # it refers to itself; a cycle would keep ``kept`` and the tables until a collection
     for codes in sorted(kept):
         yield tuple([(c >> b, c & mask) for c in codes])
 

@@ -58,10 +58,6 @@ class RankOutOfRangeError(RookLabError):
     configured in the environment is not an integer."""
 
 
-class LengthMismatchError(RookLabError):
-    """A face-count or h-vector has the wrong length for the stated dimension."""
-
-
 class IndexOutOfRangeError(RookLabError, IndexError):
     """A symmetric-polynomial index k is outside 0..d."""
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
 Vertex = Hashable
@@ -28,10 +28,16 @@ class SimpleGraph:
     The constructor trusts its masks, which the package builds symmetric
     and loop-free from a shape's lines or by complementing. Outside graphs
     come in through ``from_pairs``, which builds and checks them itself.
+
+    An attack graph carries its shape's ``lines``: the horizontal and the
+    vertical lines as vertex masks, each a clique, with every vertex in
+    one line of each. They are None on graphs from ``from_pairs`` or a
+    complement, and equality and hashing ignore them.
     """
 
     vertices: tuple
     masks: tuple[int, ...]
+    lines: tuple[tuple[int, ...], tuple[int, ...]] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_pairs(cls, vertices: Iterable[Vertex], pairs: Iterable[tuple]) -> "SimpleGraph":

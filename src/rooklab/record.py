@@ -39,7 +39,7 @@ class GraphRecord:
 
     @cached_property
     def h_vector(self) -> tuple[int, ...]:
-        return h_from_f(self.rook_complex.f_vector, self.rook_complex.rook_number)
+        return h_from_f(self.rook_complex.f_vector)
 
     @cached_property
     def purity(self) -> PurityResult:
@@ -54,7 +54,7 @@ class GraphRecord:
 
     @cached_property
     def matching(self) -> regularity.MatchingCertificate:
-        return regularity.induced_matching_number(self.attack, self.rook_complex.line_masks)
+        return regularity.induced_matching_number(self.attack)
 
 
 class ShapeRecord(GraphRecord):

@@ -124,16 +124,16 @@ def brush_fh(lengths: Sequence[int]) -> BrushVectors:
 
 
 def _clique_cover(graph: SimpleGraph) -> tuple[list[int], int]:
-    """A family of cliques for the induced-matching bound, as vertex masks,
-    and the fewest members that any one edge meets.
+    """The clique class for the induced-matching bound on a graph without
+    lines, as vertex masks, and the fewest members that any one edge meets.
 
     The members are every closed common neighbourhood N[u] & N[v] of an
     edge uv that is a clique, once each, and the singleton of every
     vertex that lies in fewer than two of those. So every edge meets at
-    least two members. On an attack graph the members are its maximal
-    runs (rows and columns under ``line``), singleton runs included, and
-    every edge meets three of them. Each edge costs one mask AND, and
-    each distinct common neighbourhood one clique test.
+    least two members. On an attack graph the members are its lines,
+    singletons included, and every edge meets three of them. Each edge
+    costs one mask AND, and each distinct common neighbourhood one clique
+    test.
     """
     closed = [mask | (1 << i) for i, mask in enumerate(graph.masks)]
     ends = [(i, j) for i, mask in enumerate(graph.masks) for j in bits(mask >> i << i)]
@@ -150,79 +150,76 @@ def _clique_cover(graph: SimpleGraph) -> tuple[list[int], int]:
     return members, min(((member_of[i] | member_of[j]).bit_count() for i, j in ends), default=1)
 
 
-def induced_matching_number(
-    graph: SimpleGraph, lines: tuple[Sequence[int], Sequence[int]] | None = None
-) -> MatchingCertificate:
+def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
     """Exact maximum induced matching, by branch and bound on a mask A of
     available vertices: those outside the closed neighbourhoods of the
     matched ends. Each step takes the lowest vertex i of A with a
-    neighbour in A, includes each edge ij, by ascending j, by recursing on
-    A - N[i] - N[j], and then drops i from A in the same frame, so the
-    depth stays within the matching size. That is "include, then exclude
-    the lowest available edge" over the sorted edges, so the first leaf is
-    the greedy matching. A vertex of A with a neighbour in A is live.
+    neighbour in A, includes each edge ij, by ascending j, on A - N[i] -
+    N[j], and then drops i from A. That is "include, then exclude the
+    lowest available edge" over the sorted edges, so the first leaf is
+    the greedy matching. A vertex of A with a neighbour in A is live. The
+    search keeps an explicit stack, one frame per matched edge.
 
-    ``lines`` are an attack graph's horizontal and vertical lines as
-    vertex masks (``RookComplex.line_masks``). Each cell is an edge of the
-    line incidence graph B, and an induced matching is a set of 2-edge
-    paths of B with disjoint vertex sets: each matched pair uses three
-    lines, at least one of each orientation. So with H horizontal and V
-    vertical lines holding a live vertex, at most min(H, V, (H + V) // 3)
-    more pairs fit. On an m x n rectangle the search then visits a number
-    of nodes that does not grow with n: 2 for 2 x n, 5 for 3 x n.
-
-    Without ``lines`` the bound comes from the ``_clique_cover`` family:
-    each member is a clique, so it meets at most one edge of an induced
-    matching (two would be joined by an edge of it). Each edge meets at
-    least t members, so at most floor(m / t) more edges fit, where m
-    counts the members that meet a live vertex. On an attack graph the
-    members are the lines and t = 3, the third term above.
+    The bound reads classes of cliques, as vertex masks. A clique meets
+    at most one edge of an induced matching (two would be joined by an
+    edge of it), and every edge meets at least one member of each class
+    and at least t members in all. So with m_c members of class c meeting
+    a live vertex, at most min(min_c m_c, sum_c m_c // t) more edges fit.
+    An attack graph gives two classes, its horizontal and its vertical
+    ``lines``, with t = 3: each cell is an edge of the line incidence
+    graph B, and a matched pair is a 2-edge path of B. On an m x n
+    rectangle the search then visits a number of nodes that does not grow
+    with n: 2 for 2 x n, 5 for 3 x n. Any other graph gives one class,
+    the ``_clique_cover`` family, with its own t.
 
     A node is pruned only when it cannot hold a strictly larger leaf, so
     the result is the first maximum leaf in search order whatever the
     bound, and it is re-verified before returning.
     """
     masks = graph.masks
-    if lines is None:
-        members, least = _clique_cover(graph)
-
-        def bound(live: int) -> int:
-            return len([1 for m in members if m & live]) // least
+    if graph.lines is None:
+        cover, least = _clique_cover(graph)
+        classes: tuple = (cover,)
     else:
-        h_masks, v_masks = lines
-
-        def bound(live: int) -> int:
-            h = len([1 for m in h_masks if m & live])
-            v = len([1 for m in v_masks if m & live])
-            return min(h, v, (h + v) // 3)
-
+        classes, least = graph.lines, 3
     closed = [mask | (1 << i) for i, mask in enumerate(masks)]
+
+    def live_in(avail: int) -> int:
+        return sum(1 << v for v in bits(avail) if masks[v] & avail)
+
     best: list[tuple[int, int]] = []
-
-    def expand(avail: int, chosen: list[tuple[int, int]]) -> None:
-        nonlocal best
-        live = sum(1 << v for v in bits(avail) if masks[v] & avail)
-        while live:
-            room = bound(live)
+    stack: list[tuple[int, ...]] = []  # per matched edge ij: avail, live, i, j, todo, room to resume
+    avail = (1 << graph.n) - 1
+    live, i, todo, room = live_in(avail), 0, 0, 0
+    while True:
+        if todo and room > len(best) - len(stack):  # include the next edge ij at i
+            j = (todo & -todo).bit_length() - 1
+            todo ^= 1 << j
+            rest = avail & ~closed[i] & ~closed[j]
+            if not todo:
+                # The last edge at i: drop i, so the frame resumes at a new
+                # step. Only i's neighbours can lose their last neighbour in A.
+                avail &= ~(1 << i)
+                live &= ~(1 << i)
+                for v in bits(masks[i] & live):
+                    if not masks[v] & avail:
+                        live &= ~(1 << v)
+            if rest:
+                stack.append((avail, live, i, j, todo, room))
+                avail, live, todo = rest, live_in(rest), 0
+            elif len(stack) >= len(best):  # a leaf one edge larger
+                best = [frame[2:4] for frame in stack] + [(i, j)]
+        elif live and not todo:  # a step at the lowest live vertex i
+            counts = [len([1 for m in members if m & live]) for members in classes]
+            room = min(min(counts), sum(counts) // least)
             i = (live & -live).bit_length() - 1
-            for j in bits(masks[i] & avail):
-                if room <= len(best) - len(chosen):
-                    return
-                rest = avail & ~closed[i] & ~closed[j]
-                if rest:
-                    expand(rest, chosen + [(i, j)])
-                elif len(chosen) >= len(best):  # a leaf one edge larger
-                    best = chosen + [(i, j)]
-            # Drop i: only its neighbours can lose their last neighbour in A.
-            avail &= ~(1 << i)
-            live &= ~(1 << i)
-            for v in bits(masks[i] & live):
-                if not masks[v] & avail:
-                    live &= ~(1 << v)
-        if len(chosen) > len(best):
-            best = chosen
-
-    expand((1 << graph.n) - 1, [])
+            todo = masks[i] & avail
+        else:  # a leaf, or a node pruned with no larger leaf below
+            if len(stack) > len(best):
+                best = [frame[2:4] for frame in stack]
+            if not stack:
+                break
+            avail, live, i, _, todo, room = stack.pop()
 
     vs = graph.vertices
     picked = sorted((vs[i], vs[j]) for i, j in best)

@@ -10,9 +10,10 @@ horizontal and vertical runs under ``interval``, the rows and columns
 under ``line``. Two cells attack when a line holds both, and each cell
 lies in one horizontal and one vertical line, so it is an edge of the
 bipartite line incidence graph. ``f_vector`` reads the lines once and
-builds from them the attack graph, the sweep below and the line masks
-it keeps for the witness search and the induced-matching bound; the
-embedding search in ``partition`` reads them through the graph's masks.
+builds from them the sweep below and the attack graph, which carries
+them as vertex masks for the witness search and the induced-matching
+bound; the embedding search in ``partition`` reads them through the
+graph's masks.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
@@ -29,7 +30,7 @@ from functools import cached_property, lru_cache, wraps
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import CellNotInPolyominoError, LengthMismatchError, NotPureError
+from .errors import CellNotInPolyominoError, NotPureError
 from .graphs import SimpleGraph, bits
 from .polyomino import HORIZONTAL, VERTICAL, Cell, Polyomino, _runs
 
@@ -48,10 +49,9 @@ class RookComplex:
     every facet has ``rook_number`` cells. ``facets`` are searched for on
     the attack graph when first read.
 
-    Three fields are kept for later searches and are left out of
-    comparisons: ``graph``, the attack graph; ``facets_by_size``, entry k
-    counting the facets of size k; and ``line_masks``, the horizontal and
-    the vertical lines as vertex masks of ``graph``.
+    Two fields are kept for later searches and are left out of
+    comparisons: ``graph``, the attack graph with its lines, and
+    ``facets_by_size``, entry k counting the facets of size k.
     """
 
     f_vector: tuple[int, ...]
@@ -59,7 +59,6 @@ class RookComplex:
     pure: bool
     graph: SimpleGraph = field(repr=False, compare=False)
     facets_by_size: tuple[int, ...] = field(repr=False, compare=False)
-    line_masks: tuple[tuple[int, ...], tuple[int, ...]] = field(repr=False, compare=False)
 
     @cached_property
     def facets(self) -> tuple[frozenset, ...]:
@@ -242,8 +241,9 @@ def _facet_search(graph: SimpleGraph) -> list[int]:
 def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     """Exact face counts of the rook complex, its rook number and purity,
     from one transfer-matrix sweep, with the attack graph built from the
-    same lines: each line is a clique. The facet counts by size and the
-    line masks are kept on the result; facets are built when first read.
+    same lines: each line is a clique, and the graph keeps them as
+    vertex masks. The facet counts by size are kept on the result; facets
+    are built when first read.
 
     The rook number is the size of the largest non-attacking placement.
     """
@@ -251,8 +251,8 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     cells = poly.sorted_cells
     index = {c: i for i, c in enumerate(cells)}
     masks = [0] * len(cells)
-    line_masks = tuple(tuple(sum(1 << index[c] for c in line) for line in lines) for lines in (h_lines, v_lines))
-    for line, line_mask in zip(h_lines + v_lines, line_masks[0] + line_masks[1]):
+    lines = tuple(tuple(sum(1 << index[c] for c in line) for line in side) for side in (h_lines, v_lines))
+    for line, line_mask in zip(h_lines + v_lines, lines[0] + lines[1]):
         for c in line:
             masks[index[c]] |= line_mask ^ (1 << index[c])
     faces, facets_by_size = _sweep_counts(h_lines, v_lines)
@@ -261,9 +261,8 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
         tuple(faces),
         d,
         not any(facets_by_size[:d]),
-        SimpleGraph(cells, tuple(masks)),
+        SimpleGraph(cells, tuple(masks), lines),
         tuple(facets_by_size),
-        line_masks,
     )
 
 
@@ -283,9 +282,10 @@ def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) 
     return not any(graph.masks[i] & chosen for i in bits(chosen))
 
 
-def _first_facet(rc: RookComplex, size: int) -> int:
+def _first_facet(graph: SimpleGraph, size: int) -> int:
     """The first facet of ``size`` cells in sorted-cell-tuple order, as a
-    vertex mask of ``rc.graph``; one must exist.
+    vertex mask of the attack graph ``graph``; one must exist. The first
+    bound below reads the graph's lines.
 
     An include-then-exclude search on the lowest free cell visits the
     maximal independent sets in that order: two facets first differ at
@@ -302,9 +302,9 @@ def _first_facet(rc: RookComplex, size: int) -> int:
     Excluding runs in the frame that included, so the depth stays within
     ``size``.
     """
-    adj = rc.graph.masks
+    adj = graph.masks
     closed = [mask | 1 << i for i, mask in enumerate(adj)]
-    h_masks, v_masks = rc.line_masks
+    h_masks, v_masks = graph.lines
 
     def search(k: int, chosen: int, free: int, excluded: int) -> int | None:
         while free:
@@ -353,26 +353,25 @@ def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:
     return PurityResult(
         False,
         tuple(
-            frozenset(rc.graph.vertices[i] for i in bits(_first_facet(rc, size)))
+            frozenset(rc.graph.vertices[i] for i in bits(_first_facet(rc.graph, size)))
             for size in (smallest, rc.rook_number)
         ),
     )
 
 
-def h_from_f(f: Sequence[int], d: int) -> tuple[int, ...]:
-    """Binomial transform of the face counts: h_k = sum_i (-1)^(k-i) C(d-i, k-i) f_(i-1)."""
-    if len(f) != d + 1:
-        raise LengthMismatchError(f"f-vector has length {len(f)}, expected {d + 1}")
+def h_from_f(f: Sequence[int]) -> tuple[int, ...]:
+    """Binomial transform of the face counts: h_k = sum_i (-1)^(k-i) C(d-i, k-i) f_(i-1),
+    where d = len(f) - 1 is the rook number."""
+    d = len(f) - 1
     return tuple(
         sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
         for k in range(d + 1)
     )
 
 
-def f_from_h(h: Sequence[int], d: int) -> tuple[int, ...]:
-    """Inverse transform: f_(i-1) = sum_k C(d-k, i-k) h_k."""
-    if len(h) != d + 1:
-        raise LengthMismatchError(f"h-vector has length {len(h)}, expected {d + 1}")
+def f_from_h(h: Sequence[int]) -> tuple[int, ...]:
+    """Inverse transform: f_(i-1) = sum_k C(d-k, i-k) h_k, where d = len(h) - 1."""
+    d = len(h) - 1
     return tuple(
         sum(comb(d - k, i - k) * h[k] for k in range(i + 1)) for i in range(d + 1)
     )

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from rooklab import (
     CellNotInPolyominoError,
-    LengthMismatchError,
     NotPureError,
     SimpleGraph,
     attack_graph,
@@ -106,6 +105,18 @@ class TestAttackGraph:
                 for i, mask in enumerate(g.masks):
                     assert 0 <= mask < 1 << g.n and not mask >> i & 1
                     assert all(g.masks[j] >> i & 1 for j in bits(mask))
+
+    def test_only_attack_graphs_carry_lines(self):
+        # The lines ride on the attack graph alone; equality and hashing
+        # read only the vertices and the masks.
+        graph = attack_graph(parse_cells([(0, 0), (1, 0), (1, 1)]))
+        assert graph.lines == ((0b011, 0b100), (0b001, 0b110))
+        bare = SimpleGraph(graph.vertices, graph.masks)
+        pairs = SimpleGraph.from_pairs(graph.vertices, graph.edge_pairs())
+        for g in (bare, pairs, complement_graph(graph)):
+            assert g.lines is None
+        assert graph == bare == pairs and hash(graph) == hash(bare) == hash(pairs)
+        assert "lines" not in repr(graph)
 
     def test_from_pairs_rejects_unknown_vertex(self):
         with pytest.raises(ValueError):
@@ -257,7 +268,7 @@ class TestSweep:
                 rc = f_vector.__wrapped__(poly, convention)
                 assert (rc.f_vector, rc.rook_number, rc.pure) == (tuple(faces), d, len(sizes) == 1)
                 assert rc.facets_by_size == tuple(facets_by_size), poly
-                assert rc.line_masks == tuple(
+                assert rc.graph.lines == tuple(
                     tuple(sum(1 << rc.graph.index(c) for c in line) for line in lines)
                     for lines in rook_complex._lines(poly, convention)
                 ), poly
@@ -384,7 +395,7 @@ class TestHFConversions:
         ],
     )
     def test_h_from_f(self, f, d, h):
-        assert h_from_f(f, d) == h
+        assert len(f) == d + 1 and h_from_f(f) == h
 
     @pytest.mark.parametrize(
         "h, d, f",
@@ -394,26 +405,20 @@ class TestHFConversions:
         ],
     )
     def test_f_from_h(self, h, d, f):
-        assert f_from_h(h, d) == f
+        assert len(h) == d + 1 and f_from_h(h) == f
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_simplex_pattern(self, d):
         from math import comb
 
         h = (1,) + (0,) * d
-        assert f_from_h(h, d) == tuple(comb(d, i) for i in range(d + 1))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            h_from_f((1, 2), 2)
-        with pytest.raises(LengthMismatchError):
-            f_from_h((1, 2, 3), 1)
+        assert f_from_h(h) == tuple(comb(d, i) for i in range(d + 1))
 
     @given(st.integers(0, 6).flatmap(lambda d: st.tuples(st.just(d), st.lists(st.integers(-50, 50), min_size=d, max_size=d))))
     def test_round_trip(self, d_and_tail):
         d, tail = d_and_tail
         f = (1, *tail)
-        assert f_from_h(h_from_f(f, d), d) == f
+        assert f_from_h(h_from_f(f)) == f
 
 
 def _maximal_sets(sets):
