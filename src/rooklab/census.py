@@ -4,9 +4,9 @@ verification harness.
 Generation uses the classic untried-set growth over the half-plane
 lattice, which emits every fixed polyomino exactly once; free mode keeps
 the shapes that equal their own dihedral canonical form. The harness
-walks the free census shape by shape: it builds each shape's record, runs
-every selected per-shape check on it and drops it, then runs the
-census-wide checks once. Each violation is rendered as an ASCII witness.
+walks the free census, cached as int code tuples per rank, shape by shape:
+it builds each shape and its record, runs every selected per-shape check
+on it and drops both, then runs the census-wide checks once. Each violation is rendered as an ASCII witness.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -31,7 +31,7 @@ MAX_RANK_ENV = "ROOKLAB_MAX_RANK"
 _SIGMA_SEED = 94160451
 _SIGMA_SAMPLES = 500
 
-# Shape chunks per worker under --jobs: the costly high-rank shapes come last.
+# Code-tuple chunks per worker under --jobs: the costly high-rank shapes come last.
 _CHUNKS_PER_JOB = 16
 
 
@@ -46,16 +46,15 @@ def max_rank_limit() -> int:
         raise RankOutOfRangeError(f"{MAX_RANK_ENV}={raw!r} is not an integer rank") from None
 
 
-def _rank_cells(n: int, mode: str) -> Iterator[tuple[Cell, ...]]:
-    """The sorted cell tuples of rank n, in sorted order: every fixed shape,
-    or in free mode the fixed shapes that no dihedral image sorts below.
+def _grow_codes(n: int, mode: str) -> list[tuple[int, ...]]:
+    """The shapes of rank n as sorted code tuples ``x << b | y`` at the
+    origin, ``b = n.bit_length()``, in sorted order: every fixed shape, or
+    in free mode the fixed shapes that no dihedral image sorts below.
 
-    Redelmeier's untried-set growth on cell codes ``(x + n) << b | y`` with
-    ``2**b > n``, so int order is cell order. One ``seen`` set starts with
-    the root (0, 0) and the cells ``y == 0, x < 0`` and ``y == -1``. Images
-    map codes through tables built once per bounding box. Shapes are held
-    as code tuples at the origin and become cells only as they are yielded.
-    """
+    Redelmeier's untried-set growth on cell codes ``(x + n) << b | y``, so
+    int order is cell order. One ``seen`` set starts with the root (0, 0)
+    and the cells ``y == 0, x < 0`` and ``y == -1``. Images map codes
+    through tables built once per bounding box."""
     b = n.bit_length()
     up, mask = 1 << b, (1 << b) - 1
     seen = {k << b for k in range(n + 1)} | {(k << b) - 1 for k in range(1, 2 * n + 1)}
@@ -93,8 +92,20 @@ def _rank_cells(n: int, mode: str) -> Iterator[tuple[Cell, ...]]:
 
     grow([n << b], [])
     del grow  # it refers to itself; a cycle would keep ``kept`` and the tables until a collection
-    for codes in sorted(kept):
-        yield tuple([(c >> b, c & mask) for c in codes])
+    kept.sort()
+    return kept
+
+
+def _cells(codes: tuple[int, ...]) -> tuple[Cell, ...]:
+    """The sorted cells of a code tuple of ``_grow_codes``, whose rank is its length."""
+    b = len(codes).bit_length()
+    mask = (1 << b) - 1
+    return tuple([(c >> b, c & mask) for c in codes])
+
+
+def _rank_cells(n: int, mode: str) -> Iterator[tuple[Cell, ...]]:
+    """The sorted cell tuples of rank n, in sorted order, each decoded as it is taken."""
+    return map(_cells, _grow_codes(n, mode))
 
 
 def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
@@ -107,10 +118,22 @@ def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
     yield from map(Polyomino._trusted, _rank_cells(n, mode))
 
 
-@lru_cache(maxsize=None)
+_FREE_CODES: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _free_codes(n_max: int) -> list[tuple[int, ...]]:
+    """The code tuples of the free shapes of rank 1..n_max, in census order.
+    Each rank is grown once and kept in ``_FREE_CODES``, one entry per rank."""
+    for n in range(1, n_max + 1):
+        if n not in _FREE_CODES:
+            _FREE_CODES[n] = tuple(_grow_codes(n, "free"))
+    return [codes for n in range(1, n_max + 1) for codes in _FREE_CODES[n]]
+
+
 def free_census(n_max: int) -> tuple[Polyomino, ...]:
-    """All free polyominoes of rank 1..n_max, by rank then cell order, built unchecked."""
-    return tuple(Polyomino._trusted(c) for n in range(1, n_max + 1) for c in _rank_cells(n, "free"))
+    """All free polyominoes of rank 1..n_max, by rank then cell order, built
+    unchecked into a fresh tuple; only the code tuples stay cached."""
+    return tuple(Polyomino._trusted(_cells(codes)) for codes in _free_codes(n_max))
 
 
 @dataclass(frozen=True)
@@ -411,40 +434,36 @@ CHECKS: dict[str, CheckSpec] = {
 }
 
 
-def _check_shape(names: Sequence[str], poly: Polyomino) -> list[list[Violation]]:
-    """The violations of each named per-shape check on one shape's record."""
-    rec = ShapeRecord(poly)
+def _check_shape(names: Sequence[str], codes: tuple[int, ...]) -> list[list[Violation]]:
+    """The violations of each named per-shape check on the record of the shape of ``codes``."""
+    rec = ShapeRecord(Polyomino._trusted(_cells(codes)))
     return [list(CHECKS[name].func(rec)) for name in names]
 
 
-def _shape_violations(
-    names: Sequence[str], shapes: Sequence[Polyomino], jobs: int
-) -> Iterator[list[list[Violation]]]:
-    """``_check_shape`` for each shape, in order; with more than one job,
-    a process pool checks the shapes in contiguous chunks."""
+def _shape_violations(names: Sequence[str], codes: Sequence[tuple], jobs: int) -> Iterator[list[list[Violation]]]:
+    """``_check_shape`` for each code tuple, in order; with more than one
+    job, a process pool is sent contiguous chunks of code tuples."""
     check = partial(_check_shape, names)
     if jobs == 1:
-        yield from map(check, shapes)
+        yield from map(check, codes)
         return
     from concurrent.futures import ProcessPoolExecutor  # only here, so importing rooklab stays light
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(check, shapes, chunksize=-(-len(shapes) // (_CHUNKS_PER_JOB * jobs)))
+        yield from pool.map(check, codes, chunksize=-(-len(codes) // (_CHUNKS_PER_JOB * jobs)))
 
 
-def verify_corpus(
-    n_max: int,
-    checks: Iterable[str] | None = None,
-    jobs: int = 1,
-) -> CensusReport:
+def verify_corpus(n_max: int, checks: Iterable[str] | None = None, jobs: int = 1) -> CensusReport:
     """Run the named checks (all by default) over the free census of rank 1..n_max.
 
-    Shape by shape, one record is built, every selected per-shape check
-    reads it, and it is dropped; the census-wide checks run once. ``jobs``
-    is clamped to [1, min(CPU count, number of shapes)], and the report
-    does not depend on it. Raises ``RankOutOfRangeError`` for a rank
-    outside 1..ceiling and ``UnknownCheckError`` for an unknown name, an
-    empty list or a name given twice.
+    Shape by shape, the shape and its record are built from the cached
+    code tuples, every selected per-shape check reads the record, and both
+    are dropped; under ``jobs`` > 1 the workers are sent chunks of code
+    tuples. The census-wide checks run once. ``jobs`` is clamped to
+    [1, min(CPU count, number of shapes)], and the report does not depend
+    on it. Raises ``RankOutOfRangeError`` for a rank outside 1..ceiling and
+    ``UnknownCheckError`` for an unknown name, an empty list or a name
+    given twice.
     """
     limit = max_rank_limit()
     if not 1 <= n_max <= limit:
@@ -457,19 +476,16 @@ def verify_corpus(
             raise UnknownCheckError(f"unknown check {name!r}")
         if name in names[:i]:
             raise UnknownCheckError(f"check {name!r} named twice")
-    shapes = free_census(n_max)
+    codes = _free_codes(n_max)
     found: dict[str, list[Violation]] = {name: [] for name in names}
     per_shape = [name for name in names if not CHECKS[name].census_wide]
     if per_shape:
-        jobs = max(1, min(jobs, os.cpu_count() or 1, len(shapes)))
-        for row in _shape_violations(per_shape, shapes, jobs):
+        jobs = max(1, min(jobs, os.cpu_count() or 1, len(codes)))
+        for row in _shape_violations(per_shape, codes, jobs):
             for name, violations in zip(per_shape, row):
                 found[name].extend(violations)
     for name in names:
         if CHECKS[name].census_wide:
             found[name] = list(CHECKS[name].func())
-    results = tuple(
-        CheckResult(name, not found[name], tuple(found[name]), CHECKS[name].informational)
-        for name in names
-    )
-    return CensusReport(n_max, "free", len(shapes), results)
+    results = tuple(CheckResult(n, not found[n], tuple(found[n]), CHECKS[n].informational) for n in names)
+    return CensusReport(n_max, "free", len(codes), results)

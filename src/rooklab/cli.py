@@ -241,7 +241,8 @@ def _cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out == "json":
-        print(json.dumps(report_json(report), indent=2))
+        json.dump(report_json(report), sys.stdout, indent=2)  # streamed: no whole-report string
+        sys.stdout.write("\n")
     else:
         print(f"census: free polyominoes up to rank {report.max_rank} ({report.count} shapes)")
         for r in report.results:

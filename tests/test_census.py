@@ -1,5 +1,7 @@
 import concurrent.futures
+import gc
 import os
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from rooklab import (
     canonical_form,
     census,
     complement_graph,
+    free_census,
     generate,
     is_chordal,
     is_pure,
@@ -112,6 +115,68 @@ class TestGenerate:
                 assert is_chordal(complement_graph(attack_graph(moved))).chordal == chordal
 
 
+class TestFreeCensusCache:
+    """The free census is cached as int code tuples, one entry per rank;
+    shapes are built from the codes and held only by whoever asked."""
+
+    @staticmethod
+    def _reachable(root):
+        seen, stack = {}, [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) not in seen:
+                seen[id(obj)] = obj
+                stack.extend(gc.get_referents(obj))
+        return seen
+
+    def test_codes_to_rank_ten_hold_under_two_megabytes(self):
+        census._FREE_CODES.clear()
+        tracemalloc.start()
+        try:
+            free_census(10)  # the shapes it returns are dropped at once
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(census._FREE_CODES) == list(range(1, 11))
+        assert held < 2 * 1024 * 1024, held
+
+    def test_cache_reaches_no_shape(self):
+        census10 = free_census(10)
+        reachable = self._reachable(census._FREE_CODES)
+        shapes = [o for o in gc.get_objects() if isinstance(o, Polyomino)]
+        assert len(shapes) >= len(census10)
+        assert not any(id(poly) in reachable for poly in shapes)
+        assert all(type(o) in (dict, tuple, int) for o in reachable.values())
+
+    def test_one_entry_per_rank_shared_by_every_max_rank(self):
+        census._FREE_CODES.clear()
+        free_census(8)
+        ranks_to_eight = dict(census._FREE_CODES)
+        assert sorted(ranks_to_eight) == list(range(1, 9))
+        free_census(10)
+        assert sorted(census._FREE_CODES) == list(range(1, 11))
+        assert all(census._FREE_CODES[n] is codes for n, codes in ranks_to_eight.items())
+
+    def test_each_call_builds_a_fresh_equal_tuple(self):
+        first, second = free_census(8), free_census(8)
+        assert first == second and first is not second
+        assert first[0] is not second[0]
+        assert first == tuple(poly for n in range(1, 9) for poly in generate(n))
+
+    def test_verify_leaves_no_shape_alive(self):
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, Polyomino)]  # held, so ids stay unique
+        known = {id(o) for o in before}
+        assert verify_corpus(8).passed
+        # The per-shape caches keep the shape in hand, under both conventions.
+        rook_complex.f_vector.cache_clear()
+        rook_complex.attack_graph.cache_clear()
+        gc.collect()
+        alive = [o for o in gc.get_objects() if isinstance(o, Polyomino) and id(o) not in known]
+        assert alive == []
+
+
 class TestVerifyCorpus:
     def test_purity_theorem_rank_six(self):
         report = verify_corpus(6, ["purity-theorem"])
@@ -141,8 +206,16 @@ class TestVerifyCorpus:
         assert sequential["checks"][0]["violations"]
         assert sequential == parallel
 
+    def test_jobs_agree_when_chunks_cross_ranks(self, monkeypatch):
+        # One chunk per job: the first chunk holds ranks 1..7 and part of 8.
+        monkeypatch.setattr(census, "_CHUNKS_PER_JOB", 1)
+        size = -(-len(free_census(8)) // 2)
+        assert len(free_census(7)) < size < len(free_census(8))
+        assert report_json(verify_corpus(8, jobs=2)) == report_json(verify_corpus(8, jobs=1))
+
     def test_jobs_are_clamped(self, monkeypatch):
         asked = []
+        sent = []
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -155,7 +228,9 @@ class TestVerifyCorpus:
                 return False
 
             def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
+                items = list(iterable)
+                sent.extend(items)
+                return map(fn, items)
 
         # census imports the pool inside the jobs > 1 branch, from here.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
@@ -166,6 +241,9 @@ class TestVerifyCorpus:
         cpus = os.cpu_count() or 1
         assert max(asked, default=1) <= min(cpus, 9)
         assert asked or cpus == 1
+        # The workers are sent int code tuples in census order, never shapes.
+        assert [len(codes) for codes in sent] == ([1, 2, 3, 3, 4, 4, 4, 4, 4] if asked else [])
+        assert all(type(c) is int for codes in sent for c in codes)
         asked.clear()
         for jobs in (1, 0, -3):
             assert verify_corpus(4, names, jobs=jobs) == expected

@@ -163,6 +163,13 @@ class TestWitnessBytes:
         digest = "be97532f1dbeae4e2f329eb180153d4c944f2cabf391c117b5a0a09ad7e7e68d"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_verify_rank_eight_bytes_with_two_jobs(self, capsys):
+        # Workers are sent chunks of code tuples; the report must not change.
+        code, out, _ = run(capsys, "verify", "--max-rank", "8", "--jobs", "2", "--out", "json")
+        assert code == 0
+        digest = "be97532f1dbeae4e2f329eb180153d4c944f2cabf391c117b5a0a09ad7e7e68d"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "convention, digest",
         [
@@ -287,26 +294,38 @@ class TestEnumerate:
 
 
 class TestClosedPipe:
-    def test_reader_closing_early_exits_quietly(self):
+    @staticmethod
+    def _read_first_line(*argv):
+        """Run the CLI, close its output after the first line; return that line, the exit code and stderr."""
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.Popen(
-            [sys.executable, "-c", "from rooklab.cli import entrypoint; entrypoint()",
-             "enumerate", "--rank", "9", "--emit", "coords"],
+            [sys.executable, "-c", "from rooklab.cli import entrypoint; entrypoint()", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
         )
         try:
-            first = json.loads(proc.stdout.readline())
+            first = proc.stdout.readline()
             proc.stdout.close()
             code = proc.wait(timeout=60)
             err = proc.stderr.read().decode()
         finally:
             proc.kill()
             proc.stderr.close()
-        assert len(first["cells"]) == 9
+        return first, code, err
+
+    def test_reader_closing_early_exits_quietly(self):
+        first, code, err = self._read_first_line("enumerate", "--rank", "9", "--emit", "coords")
+        assert len(json.loads(first)["cells"]) == 9
         assert err == "", err  # no BrokenPipeError traceback
         assert code == EXIT_CLOSED_PIPE == 141
+
+    def test_verify_json_reader_closing_early_exits_quietly(self):
+        # The rank-9 report is 284 KB, far more than a pipe buffer holds.
+        first, code, err = self._read_first_line("verify", "--max-rank", "9", "--out", "json")
+        assert first == b"{\n"
+        assert err == "", err
+        assert code == EXIT_CLOSED_PIPE
 
 
 class TestRunAsModule:
