@@ -132,7 +132,11 @@ def _free_codes(n_max: int) -> list[tuple[int, ...]]:
 
 def free_census(n_max: int) -> tuple[Polyomino, ...]:
     """All free polyominoes of rank 1..n_max, by rank then cell order, built
-    unchecked into a fresh tuple; only the code tuples stay cached."""
+    unchecked into a fresh tuple; only the code tuples stay cached. Raises
+    ``RankOutOfRangeError`` for a rank outside 1..ceiling."""
+    limit = max_rank_limit()
+    if not 1 <= n_max <= limit:
+        raise RankOutOfRangeError(f"max rank {n_max} outside 1..{limit}")
     return tuple(Polyomino._trusted(_cells(codes)) for codes in _free_codes(n_max))
 
 

@@ -233,25 +233,28 @@ def brush_decomposition(rec: ShapeRecord) -> BrushDecomposition | None:
         raise NotSimpleThinError("brush recognition needs a simple thin polyomino")
     if rec.poly.rank < 2:
         raise RankTooSmallError("rank 1 has no maximal intervals")
-    ivs = rec.intervals
+    ivs, masks = rec.intervals, rec.interval_masks
+    d = rec.rook_complex.rook_number
     found: list[BrushDecomposition] = []
-    for handle in ivs:
-        bristles = tuple(iv for iv in ivs if iv != handle)
-        if len(bristles) > handle.length:
+    for k, handle in enumerate(ivs):
+        if len(ivs) - 1 > handle.length:
             continue
-        if any(not (iv.cell_set & handle.cell_set) for iv in bristles):
+        shared = {j: mask & masks[k] for j, mask in enumerate(masks) if j != k}
+        if not all(shared.values()):
             continue
-        bristles = tuple(
-            sorted(bristles, key=lambda iv: min(iv.cell_set & handle.cell_set))
-        )
+        # Bristles in the order of the first cell each shares with the handle.
+        order = sorted(shared, key=lambda j: shared[j] & -shared[j])
+        bristles = tuple(ivs[j] for j in order)
         lengths = tuple(iv.length for iv in bristles)
         short = all(l == 2 for l in lengths)
-        d = rec.rook_complex.rook_number
+        union = 0
+        for j in order:
+            union |= masks[j]
         # Bristles whose lengths sum to the rank and whose union is every
         # cell partition the cells.
         pure = (
             sum(lengths) == rec.poly.rank
-            and frozenset().union(*(iv.cell_set for iv in bristles)) == rec.poly.cells
+            and union == (1 << rec.poly.rank) - 1
             and handle.length == len(bristles) == d
         )
         found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))

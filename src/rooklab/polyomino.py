@@ -4,6 +4,15 @@ and shape predicates.
 Cells are unit lattice squares identified by their lower-left corner
 ``(x, y)``. A polyomino is a finite, edge-connected, non-empty set of
 cells, always stored translated so that ``min x = min y = 0``.
+
+Each polyomino also holds its cells as one int bitboard, built when
+first read: column-major, bit ``x * (height + 1) + y``, with an empty
+guard row on top of every column. Bit order is sorted-cell order, so the
+rank of a cell's bit is its index in ``sorted_cells``, and that index is
+its vertex in the attack graph. The maximal runs (as masks over those
+indices), the maximal intervals and the shape predicates are all read
+off the board: the predicates by popcounts of shifted copies, the runs
+by one pass over its columns.
 """
 
 from __future__ import annotations
@@ -70,22 +79,6 @@ def _components(cells: frozenset[Cell]) -> list[set[Cell]]:
     return out
 
 
-def _runs(cells: frozenset[Cell], orientation: str) -> list[tuple[Cell, ...]]:
-    """The maximal horizontal or vertical runs of ``cells``, singleton runs
-    included, ordered by first cell. Every cell lies in exactly one run of
-    each orientation."""
-    dx, dy = (1, 0) if orientation == HORIZONTAL else (0, 1)
-    out = []
-    for x, y in sorted(cells):
-        if (x - dx, y - dy) not in cells:
-            run = [(x, y)]
-            while (x + dx, y + dy) in cells:
-                x, y = x + dx, y + dy
-                run.append((x, y))
-            out.append(tuple(run))
-    return out
-
-
 @dataclass(frozen=True)
 class Polyomino:
     """An edge-connected set of cells with its lower-left corner at the origin."""
@@ -125,11 +118,71 @@ class Polyomino:
 
     @cached_property
     def width(self) -> int:
-        return 1 + max(x for x, _ in self.cells)
+        return 1 + self.sorted_cells[-1][0]
 
     @cached_property
     def height(self) -> int:
-        return 1 + max(y for _, y in self.cells)
+        return 1 + max([y for _, y in self.sorted_cells])
+
+    @cached_property
+    def board(self) -> int:
+        """The cells as one int, column-major: bit ``x * (height + 1) + y``
+        for cell (x, y). Row ``height`` is an empty guard row, so no run
+        wraps from one column into the next. Bit order is sorted-cell
+        order, so the rank of a cell's bit is its index in ``sorted_cells``.
+        Bits are set in a byte buffer, so no cell costs an int as long as
+        the board."""
+        stride = self.height + 1
+        buf = bytearray((self.width * stride + 7) >> 3)
+        for x, y in self.sorted_cells:
+            p = x * stride + y
+            buf[p >> 3] |= 1 << (p & 7)
+        return int.from_bytes(buf, "little")
+
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """The row mask of each column of ``board``, by x, read by shifting
+        the board once per column; a connected shape has no empty column."""
+        board, stride = self.board, self.height + 1
+        mask = (1 << stride) - 1
+        columns = []
+        while board:
+            columns.append(board & mask)
+            board >>= stride
+        return tuple(columns)
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The maximal horizontal and the maximal vertical runs, singletons
+        included, as masks over the sorted cells (bit i for
+        ``sorted_cells[i]``), each side ordered by first cell. Every cell
+        lies in one run of each orientation.
+
+        One pass over the columns numbers each cell by the count of cells
+        before it: a cell starts a horizontal run when the previous column
+        lacks its row, and a vertical run when its column lacks the row
+        below."""
+        h_runs: list[int] = []
+        v_runs: list[int] = []
+        open_run = [0] * self.height  # row -> position in h_runs of its latest run
+        prev, i = 0, 0
+        for col in self.columns:
+            rest = col
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if prev & low:
+                    h_runs[open_run[low.bit_length() - 1]] |= 1 << i
+                else:
+                    open_run[low.bit_length() - 1] = len(h_runs)
+                    h_runs.append(1 << i)
+                if col & low >> 1:
+                    v_runs[-1] |= 1 << i
+                else:
+                    v_runs.append(1 << i)
+                i += 1
+            prev = col
+        return tuple(h_runs), tuple(v_runs)
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.cells
@@ -233,37 +286,44 @@ def maximal_intervals(poly: Polyomino) -> list[CellInterval]:
 
     Singleton runs are excluded: a lone cell in its row contributes no
     horizontal interval. The result is ordered by orientation
-    (horizontal first), then by anchor cell.
+    (horizontal first), then by anchor cell: the runs of ``poly.runs``
+    with two cells or more, in order.
     """
-    return [
-        CellInterval(orientation, run)
-        for orientation in (HORIZONTAL, VERTICAL)
-        for run in _runs(poly.cells, orientation)
-        if len(run) >= 2
-    ]
+    cells = poly.sorted_cells
+    out = []
+    for orientation, runs in zip((HORIZONTAL, VERTICAL), poly.runs):
+        for run in runs:
+            if run & (run - 1):
+                members = []
+                while run:
+                    low = run & -run
+                    members.append(cells[low.bit_length() - 1])
+                    run ^= low
+                out.append(CellInterval(orientation, tuple(members)))
+    return out
 
 
 def shape_predicates(poly: Polyomino) -> ShapePredicates:
-    """Compute the standard shape flags by counting.
+    """Compute the standard shape flags by popcounts of ``poly.board``.
 
     ``simple`` means no enclosed hole: V - E + F over the cells' corners,
     unit edges and cells, the Euler characteristic of a connected union of
-    squares, is 1 less the number of holes. ``thin`` means no 2x2 block.
+    squares, is 1 less the number of holes. A cell's top edge and corners
+    are its bits shifted up one row or right one column, and the guard
+    row keeps them inside their column. ``thin`` means no 2x2 block.
     Row convexity means one run per row, i.e. ``height`` cells with no left
     neighbour; column convexity is ``width`` cells with no lower neighbour.
     """
-    cells = poly.cells
-    corners = {(x + i, y + j) for x, y in cells for i in (0, 1) for j in (0, 1)}
-    h_edges = {(x, y + j) for x, y in cells for j in (0, 1)}
-    v_edges = {(x + i, y) for x, y in cells for i in (0, 1)}
-    row_convex = sum((x - 1, y) not in cells for x, y in cells) == poly.height
-    column_convex = sum((x, y - 1) not in cells for x, y in cells) == poly.width
+    board, stride = poly.board, poly.height + 1
+    h_edges = board | board << 1
+    corners = h_edges | h_edges << stride
+    v_edges = board | board << stride
+    upright = board & board >> 1
+    row_convex = (board & ~(board << stride)).bit_count() == poly.height
+    column_convex = (board & ~(board << 1)).bit_count() == poly.width
     return ShapePredicates(
-        simple=len(corners) - len(h_edges) - len(v_edges) + len(cells) == 1,
-        thin=not any(
-            (x + 1, y) in cells and (x, y + 1) in cells and (x + 1, y + 1) in cells
-            for x, y in cells
-        ),
+        simple=corners.bit_count() - h_edges.bit_count() - v_edges.bit_count() + poly.rank == 1,
+        thin=not upright & upright >> stride,
         row_convex=row_convex,
         column_convex=column_convex,
         convex=row_convex and column_convex,

@@ -74,6 +74,14 @@ class ShapeRecord(GraphRecord):
         return polyomino.maximal_intervals(self.poly)
 
     @cached_property
+    def interval_masks(self) -> list[int]:
+        """The vertex mask of each member of ``intervals``, in order: the
+        attack graph's lines of two cells or more. Two intervals meet when
+        their masks share a bit, the lowest shared bit is their first
+        shared cell, and a union is an OR."""
+        return [line for side in self.rook_complex.graph.lines for line in side if line & (line - 1)]
+
+    @cached_property
     def predicates(self) -> polyomino.ShapePredicates:
         return polyomino.shape_predicates(self.poly)
 

@@ -243,16 +243,13 @@ def single_cell_intervals(rec: ShapeRecord) -> list[CellInterval]:
     """Intervals owning at least two cells that belong to no other interval."""
     if rec.poly.rank < 2:
         raise RankTooSmallError("rank 1 has no maximal intervals")
-    membership: dict[Cell, int] = {c: 0 for c in rec.poly.cells}
-    for iv in rec.intervals:
-        for c in iv.cells:
-            membership[c] += 1
-    out = []
-    for iv in rec.intervals:
-        singles = sum(1 for c in iv.cells if membership[c] == 1)
-        if singles >= 2:
-            out.append(iv)
-    return out
+    # A cell lies in at most two intervals, one of each orientation.
+    once = twice = 0
+    for mask in rec.interval_masks:
+        twice |= once & mask
+        once |= mask
+    single = once & ~twice
+    return [iv for iv, mask in zip(rec.intervals, rec.interval_masks) if (mask & single).bit_count() >= 2]
 
 
 def regularity_pure_thin(rec: ShapeRecord) -> int:

@@ -5,15 +5,18 @@ Two cells attack each other when some maximal cell interval contains both
 two cells attack whenever they share a grid row or column, even across a
 gap; the two conventions agree on row- and column-convex polyominoes.
 
-``_lines`` is the one place where a convention becomes lines: the
-horizontal and vertical runs under ``interval``, the rows and columns
-under ``line``. Two cells attack when a line holds both, and each cell
-lies in one horizontal and one vertical line, so it is an edge of the
-bipartite line incidence graph. ``f_vector`` reads the lines once and
-builds from them the sweep below and the attack graph, which carries
-them as vertex masks for the witness search and the induced-matching
-bound; the embedding search in ``partition`` reads them through the
-graph's masks.
+A convention becomes lines in two readings of the polyomino's int
+bitboard: the horizontal and vertical runs under ``interval``, the rows
+and columns under ``line``. ``_lines`` gives them as vertex masks, bit
+i for the i-th sorted cell, which is the rank of the cell's bit on the
+board; ``_sweep_columns`` gives them column by column as row masks. Two
+cells attack when a line holds both, and each cell lies in one
+horizontal and one vertical line, so it is an edge of the bipartite
+line incidence graph. ``f_vector`` builds from them the sweep below and
+the attack graph, which carries the vertex masks as its lines for the
+witness search, the induced-matching bound and the interval masks of
+brushes and single-cell intervals; the embedding search in
+``partition`` reads them through the graph's masks.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
@@ -32,12 +35,10 @@ from typing import Iterable, Sequence
 
 from .errors import CellNotInPolyominoError, NotPureError
 from .graphs import SimpleGraph, bits
-from .polyomino import HORIZONTAL, VERTICAL, Cell, Polyomino, _runs
+from .polyomino import Cell, Polyomino
 
 INTERVAL = "interval"
 LINE = "line"
-
-Line = tuple[Cell, ...]
 
 
 @dataclass(frozen=True)
@@ -89,18 +90,60 @@ def _per_shape_cache(func):
     return lookup
 
 
-def _lines(poly: Polyomino, convention: str) -> tuple[list[Line], list[Line]]:
-    """The horizontal and the vertical lines of ``poly``, each a tuple of
-    cells in increasing order: the maximal runs, singletons included,
-    under ``interval``, and whole rows and columns under ``line``. Two
-    cells attack when some line holds both, and every cell lies in
-    exactly one line of each orientation."""
+def _lines(poly: Polyomino, convention: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The horizontal and the vertical lines of ``poly`` as masks over its
+    sorted cells: the maximal runs, singletons included, under
+    ``interval``, and whole rows (by y) and columns (by x) under ``line``.
+    Two cells attack when some line holds both, and every cell lies in
+    exactly one line of each orientation. A column's cells are
+    consecutive in sorted order, so a column is one block of bits."""
     if convention == INTERVAL:
-        return _runs(poly.cells, HORIZONTAL), _runs(poly.cells, VERTICAL)
+        return poly.runs
     if convention == LINE:
-        cells = poly.sorted_cells
-        rows = [tuple(c for c in cells if c[1] == y) for y in range(poly.height)]
-        return rows, [tuple(c for c in cells if c[0] == x) for x in range(poly.width)]
+        rows = [0] * poly.height
+        columns = []
+        i = 0
+        for col in poly.columns:
+            columns.append(((1 << col.bit_count()) - 1) << i)
+            for y in bits(col):
+                rows[y] |= 1 << i
+                i += 1
+        return tuple(rows), tuple(columns)
+    raise ValueError(f"unknown attack convention {convention!r}")
+
+
+def _sweep_columns(poly: Polyomino, convention: str) -> list[tuple[tuple[int, ...], int]]:
+    """The columns that ``_sweep_counts`` sweeps, each as the row masks of
+    its vertical lines and the mask of the rows whose horizontal line
+    ends in it. The board is transposed when it is taller than wide, so
+    that rows are the shorter side. Under ``interval`` the vertical lines
+    are the column's runs and a row's run ends where the next column
+    lacks the row; under ``line`` the column is one line and a row ends
+    in its last column."""
+    if poly.height > poly.width:
+        # The columns of the transposed board: row y as a mask of its x.
+        columns = [0] * poly.height
+        for x, y in poly.sorted_cells:
+            columns[y] |= 1 << x
+    else:
+        columns = list(poly.columns)
+    if convention == INTERVAL:
+        out = []
+        for col, nxt in zip(columns, columns[1:] + [0]):
+            runs, rest = [], col
+            while rest:
+                low = rest & -rest
+                run = rest & ~(rest + low)  # the run of bits starting at ``low``
+                runs.append(run)
+                rest ^= run
+            out.append((tuple(runs), col & ~nxt))
+        return out
+    if convention == LINE:
+        out, later = [], 0
+        for col in reversed(columns):
+            out.append(((col,), col & ~later))
+            later |= col
+        return out[::-1]
     raise ValueError(f"unknown attack convention {convention!r}")
 
 
@@ -111,20 +154,20 @@ def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
     return f_vector(poly, convention).graph
 
 
-def _sweep_counts(h_lines: list[Line], v_lines: list[Line]) -> tuple[list[int], list[int]]:
+def _sweep_counts(columns: list[tuple[tuple[int, ...], int]]) -> tuple[list[int], list[int]]:
     """Faces and facets of the rook complex counted by size, from one
-    column-by-column transfer-matrix sweep over the lines of ``_lines``.
+    column-by-column transfer-matrix sweep over the columns of
+    ``_sweep_columns``.
 
     Every cell is an edge of the bipartite line incidence graph
     (horizontal lines x vertical lines), so faces are its matchings and
-    facets its maximal matchings. The shape is transposed so that rows are
-    the shorter side. A state is two row masks: ``used``, rows whose
-    current horizontal line holds a rook, and ``pending``, rows whose
-    current line must still take one because a vertical line next to it
-    ended empty. A line that ends while pending drops the state's facet
-    count. A vertical line lies in one column and a horizontal line in
-    one row, so each column's vertical lines are row masks, and each
-    horizontal line ends at the column of its last cell.
+    facets its maximal matchings. A state is two row masks: ``used``, rows
+    whose current horizontal line holds a rook, and ``pending``, rows
+    whose current line must still take one because a vertical line next
+    to it ended empty. A line that ends while pending drops the state's
+    facet count. A vertical line lies in one column and a horizontal line
+    in one row, so each column's vertical lines are row masks, and each
+    horizontal line ends in the column of its last cell.
 
     Each state carries one int: coefficient k of the face polynomial in
     bits [k*width, (k+1)*width), and the facet polynomial likewise above
@@ -132,24 +175,13 @@ def _sweep_counts(h_lines: list[Line], v_lines: list[Line]) -> tuple[list[int], 
     than there are horizontal lines, so sums never carry between
     coefficients and a rook is one shift by ``width``.
     """
-    if max(line[0][1] for line in h_lines) > max(line[0][0] for line in v_lines):
-        h_lines, v_lines = (
-            [tuple((y, x) for x, y in line) for line in lines] for lines in (v_lines, h_lines)
-        )
-    n_rows = 1 + max(line[0][1] for line in h_lines)
-    columns: dict[int, list[int]] = {}
-    ends_at: dict[int, int] = {}
-    for line in v_lines:
-        columns.setdefault(line[0][0], []).append(sum(1 << y for _, y in line))
-    for line in h_lines:
-        x, y = line[-1]
-        ends_at[x] = ends_at.get(x, 0) | 1 << y
-    width = sum(map(len, h_lines)) + 2
-    top = width * (len(h_lines) + 1)
+    n_rows = max(ends.bit_length() for _, ends in columns)
+    width = sum(line.bit_count() for lines, _ in columns for line in lines) + 2
+    top = width * (sum(ends.bit_count() for _, ends in columns) + 1)
     faces_only = ~(-1 << top)
     states = {0: 1 | 1 << top}  # used | pending << n_rows -> packed counts
-    for x in sorted(columns):
-        for line in columns[x]:
+    for lines, ends in columns:
+        for line in lines:
             nxt: dict[int, int] = {}
             for key, counts in states.items():
                 free = line & ~key
@@ -163,7 +195,6 @@ def _sweep_counts(h_lines: list[Line], v_lines: list[Line]) -> tuple[list[int], 
                     k = (key | b) & ~(b << n_rows)
                     nxt[k] = nxt.get(k, 0) + counts
             states = nxt
-        ends = ends_at.get(x, 0)
         if ends:
             nxt = {}
             for key, counts in states.items():
@@ -247,21 +278,21 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
 
     The rook number is the size of the largest non-attacking placement.
     """
-    h_lines, v_lines = _lines(poly, convention)
-    cells = poly.sorted_cells
-    index = {c: i for i, c in enumerate(cells)}
-    masks = [0] * len(cells)
-    lines = tuple(tuple(sum(1 << index[c] for c in line) for line in side) for side in (h_lines, v_lines))
-    for line, line_mask in zip(h_lines + v_lines, lines[0] + lines[1]):
-        for c in line:
-            masks[index[c]] |= line_mask ^ (1 << index[c])
-    faces, facets_by_size = _sweep_counts(h_lines, v_lines)
+    lines = _lines(poly, convention)
+    masks = [0] * poly.rank
+    for line in lines[0] + lines[1]:
+        rest = line
+        while rest:
+            low = rest & -rest
+            masks[low.bit_length() - 1] |= line ^ low
+            rest ^= low
+    faces, facets_by_size = _sweep_counts(_sweep_columns(poly, convention))
     d = len(faces) - 1
     return RookComplex(
         tuple(faces),
         d,
         not any(facets_by_size[:d]),
-        SimpleGraph(cells, tuple(masks), lines),
+        SimpleGraph(poly.sorted_cells, tuple(masks), lines),
         tuple(facets_by_size),
     )
 

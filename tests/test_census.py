@@ -158,6 +158,18 @@ class TestFreeCensusCache:
         assert sorted(census._FREE_CODES) == list(range(1, 11))
         assert all(census._FREE_CODES[n] is codes for n, codes in ranks_to_eight.items())
 
+    def test_rank_ceiling(self, monkeypatch):
+        monkeypatch.delenv("ROOKLAB_MAX_RANK", raising=False)
+        for n_max in (0, -3, 11):
+            with pytest.raises(RankOutOfRangeError):
+                free_census(n_max)
+        assert 11 not in census._FREE_CODES
+        monkeypatch.setenv("ROOKLAB_MAX_RANK", "11")
+        try:
+            assert len(free_census(11)) == len(free_census(10)) + 17_073 == 23_546
+        finally:
+            census._FREE_CODES.pop(11, None)
+
     def test_each_call_builds_a_fresh_equal_tuple(self):
         first, second = free_census(8), free_census(8)
         assert first == second and first is not second

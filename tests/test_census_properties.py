@@ -73,5 +73,5 @@ class TestConventions:
                     line.pure,
                 ), poly
                 assert rook_complex._sweep_counts(
-                    *rook_complex._lines(poly, "interval")
-                ) == rook_complex._sweep_counts(*rook_complex._lines(poly, "line")), poly
+                    rook_complex._sweep_columns(poly, "interval")
+                ) == rook_complex._sweep_counts(rook_complex._sweep_columns(poly, "line")), poly

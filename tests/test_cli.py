@@ -13,6 +13,8 @@ from rooklab.census import CensusReport, CheckResult, Violation
 from rooklab.cli import EXIT_CLOSED_PIPE, analyze_polyomino, main, report_exit_code
 
 SKEW_TEXT = ".##\n##.\n"
+# The 7x7 board less its central 3x3.
+HOLED_7X7 = [(x, y) for x in range(7) for y in range(7) if not (2 <= x < 5 and 2 <= y < 5)]
 
 
 @pytest.fixture
@@ -182,6 +184,32 @@ class TestWitnessBytes:
             json.dumps(analyze_polyomino(poly, convention), indent=2) + "\n"
             for poly in free_census(6)
         )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+    @pytest.mark.parametrize(
+        "cells, convention, digest",
+        [
+            (HOLED_7X7, "interval", "0762ba4fa1a2380c24591a45446e71c345c1898e27169c9d132c559b6e47ed7a"),
+            (HOLED_7X7, "line", "ef418348b9fb9eaa444efe4e6c74de8f197b0ed4e0874619875aa0a45932937e"),
+            (
+                [(x, y) for y in range(11) for x in range(y, y + 3)],
+                "interval",
+                "0bc40bbb5b5964dd2aec605ab3c0944e60879774fcab85e6845a08f5d2e6e18c",
+            ),
+            (
+                [(i, y if i % 2 == 0 else -y) for i, n in enumerate((3, 3, 3, 3, 3, 3, 3, 4, 4)) for y in range(n)],
+                "interval",
+                "829f586c5c832df92443bbdc51e854e79e47934f14462df1eaf663873900070a",
+            ),
+        ],
+        ids=["holed-7x7-interval", "holed-7x7-line", "staircase-11x3", "pure-brush-9"],
+    )
+    def test_analyze_beyond_rank_six_bytes(self, cells, convention, digest):
+        # Recorded before shapes were read off an int bitboard: a hole, rows
+        # with gaps under ``line``, a long non-pure thin shape and a pure
+        # brush, none of which the rank-6 census reaches.
+        out = json.dumps(analyze_polyomino(parse_cells(cells), convention), indent=2) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -4,6 +4,8 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cell_scans
+
 from rooklab import (
     IndexOutOfRangeError,
     NotApplicableError,
@@ -28,7 +30,6 @@ from rooklab import (
     sigma_triples,
     single_cell_intervals,
 )
-from rooklab import rook_complex
 from rooklab.graphs import bits
 from rooklab.regularity import MatchingCertificate, _clique_cover, _verify_induced_matching
 
@@ -258,7 +259,7 @@ class TestInducedMatching:
                 members, least = _clique_cover(SimpleGraph(g.vertices, g.masks))
                 expected = [
                     sum(1 << g.index(cell) for cell in line)
-                    for lines in rook_complex._lines(poly, convention)
+                    for lines in cell_scans.lines(poly, convention)
                     for line in lines
                 ]
                 assert sorted(members) == sorted(expected), (poly, convention)

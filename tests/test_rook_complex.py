@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+import cell_scans
+
 from rooklab import (
     CellNotInPolyominoError,
     NotPureError,
@@ -152,11 +154,12 @@ class TestIsFace:
     "call",
     [
         lambda c: rook_complex._lines(RECT_2X3, c),
+        lambda c: rook_complex._sweep_columns(RECT_2X3, c),
         lambda c: attack_graph(RECT_2X3, c),
         lambda c: f_vector(RECT_2X3, c),
         lambda c: is_face(RECT_2X3, [(0, 0)], c),
     ],
-    ids=["_lines", "attack_graph", "f_vector", "is_face"],
+    ids=["_lines", "_sweep_columns", "attack_graph", "f_vector", "is_face"],
 )
 def test_unknown_convention_raises(call):
     with pytest.raises(ValueError, match="unknown attack convention 'rows'"):
@@ -259,7 +262,7 @@ class TestSweep:
         for convention in ("interval", "line"):
             for poly in census10:
                 oracle_facets, counts = enumerate_complex(attack_graph(poly, convention))
-                faces, facets_by_size = rook_complex._sweep_counts(*rook_complex._lines(poly, convention))
+                faces, facets_by_size = rook_complex._sweep_counts(rook_complex._sweep_columns(poly, convention))
                 d = len(faces) - 1
                 assert faces == counts[: d + 1] and not any(counts[d + 1 :]), poly
                 sizes = Counter(len(f) for f in oracle_facets)
@@ -270,7 +273,7 @@ class TestSweep:
                 assert rc.facets_by_size == tuple(facets_by_size), poly
                 assert rc.graph.lines == tuple(
                     tuple(sum(1 << rc.graph.index(c) for c in line) for line in lines)
-                    for lines in rook_complex._lines(poly, convention)
+                    for lines in cell_scans.lines(poly, convention)
                 ), poly
                 assert list(rc.facets) == oracle_facets, poly
 
@@ -282,7 +285,7 @@ class TestSweep:
                 seen = set()
                 for image in dihedral_images(poly):
                     rc = f_vector(image, convention)
-                    sizes = tuple(rook_complex._sweep_counts(*rook_complex._lines(image, convention))[1])
+                    sizes = tuple(rook_complex._sweep_counts(rook_complex._sweep_columns(image, convention))[1])
                     seen.add((rc.f_vector, rc.rook_number, rc.pure, sizes))
                 assert len(seen) == 1, (poly, convention, seen)
 
