@@ -23,7 +23,7 @@ from .errors import RankOutOfRangeError, UnknownCheckError
 from .partition import find_embedding
 from .polyomino import _BOX_SYMMETRIES, Cell, Polyomino, canonical_cells, render_ascii
 from .record import ShapeRecord
-from .regularity import brush_fh, check_sigma_identities, single_cell_intervals
+from .regularity import brush_fh, check_sigma_identities, induced_matching_number, single_cell_intervals
 
 DEFAULT_MAX_RANK = 10
 MAX_RANK_ENV = "ROOKLAB_MAX_RANK"
@@ -308,11 +308,12 @@ def _check_brush_fh() -> Iterator[Violation]:
 
 
 def _check_matching_bound(rec: ShapeRecord) -> Iterator[Violation]:
-    """Induced matching number at least the single-cell intervals."""
+    """Induced matching number at least the single-cell intervals. The
+    search stops at a witness; only a violation finds the exact nu."""
     if rec.poly.rank < 2 or not rec.predicates.simple:
         return
-    nu = rec.matching.size
     singles = len(single_cell_intervals(rec))
+    nu = induced_matching_number(rec.attack, at_least=singles).size
     if nu < singles:
         yield _violation(rec.poly, f"nu={nu} below single-cell interval count {singles}")
 

@@ -6,13 +6,14 @@ handle) met by every other maximal interval (the bristles), and at most
 as many bristles as handle cells. The complement of the attack graph of
 a simple thin polyomino is chordal exactly for short brushes (all
 bristles of length 2); among simple non-thin polyominoes only two small
-exceptional shapes have a chordal complement.
+exceptional shapes have a chordal complement. A chordless-cycle witness
+is searched for only when read: by ``analyze`` and brush-corollary findings.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -20,7 +21,7 @@ from .errors import NotSimpleThinError, RankTooSmallError
 from .graphs import SimpleGraph
 # shape_predicates is unused here but stays bound: perfbench/test_checkers.py
 # checks that the tracer patches a layer function in a module importing it.
-from .polyomino import CellInterval, canonical_cells, shape_predicates  # noqa: F401
+from .polyomino import CellInterval, canonical_cells, shape_predicates, stored_property  # noqa: F401
 
 if TYPE_CHECKING:
     from .record import ShapeRecord
@@ -42,9 +43,15 @@ _EXCEPTIONAL_RANKS = frozenset(len(key) for key in _EXCEPTIONAL_KEYS)
 
 @dataclass(frozen=True)
 class ChordalityResult:
+    """The verdict and its witness; ``chordless_cycle`` is searched for when read."""
+
     chordal: bool
     elimination_order: tuple | None
-    chordless_cycle: tuple | None
+    graph: SimpleGraph | None = field(repr=False)
+
+    @stored_property
+    def chordless_cycle(self) -> tuple | None:
+        return None if self.chordal else _shortest_chordless_cycle(self.graph)
 
 
 @dataclass(frozen=True)
@@ -112,8 +119,8 @@ def _is_perfect_elimination(graph: SimpleGraph, elim: list[int]) -> bool:
     return True
 
 
-def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple | None:
-    """Shortest cycle of length >= 4 with no chord, if one exists.
+def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple:
+    """Shortest cycle of length >= 4 with no chord; the graph is not chordal.
 
     For each vertex b and non-adjacent neighbors a, c, a shortest a-c path
     avoiding the rest of b's closed neighborhood closes into a chordless
@@ -152,6 +159,8 @@ def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple | None:
             cycle = tuple(graph.vertices[v] for v in [b] + path[::-1])
             if best is None or len(cycle) < len(best):
                 best = cycle
+    if best is None:
+        raise RuntimeError("elimination check failed but no chordless cycle found")
     return best
 
 
@@ -159,15 +168,12 @@ def is_chordal(graph: SimpleGraph) -> ChordalityResult:
     """Maximum cardinality search with elimination-order verification.
 
     On success the witness is the verified perfect elimination order; on
-    failure it is a shortest chordless cycle of length at least 4.
+    failure it is a shortest chordless cycle of length >= 4, found when read.
     """
     elim = _mcs_order(graph)[::-1]
     if _is_perfect_elimination(graph, elim):
-        return ChordalityResult(True, tuple(graph.vertices[v] for v in elim), None)
-    cycle = _shortest_chordless_cycle(graph)
-    if cycle is None:
-        raise RuntimeError("elimination check failed but no chordless cycle found")
-    return ChordalityResult(False, None, cycle)
+        return ChordalityResult(True, tuple(graph.vertices[v] for v in elim), graph)
+    return ChordalityResult(False, None, graph)
 
 
 def induced_cycle_lengths(graph: SimpleGraph, max_len: int) -> set[int]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -36,6 +35,21 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 
 _STEPS: tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+class stored_property:
+    """``functools.cached_property`` without the lock CPython 3.11 takes at
+    every first read: the value goes into the instance ``__dict__``."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
 
 def _normalized(cells: Iterable[Cell]) -> tuple[Cell, ...]:
     cells = list(cells)
@@ -86,6 +100,8 @@ class Polyomino:
     cells: frozenset[Cell]
 
     def __post_init__(self):
+        if not isinstance(self.cells, frozenset):  # a list, say, of integer pairs
+            object.__setattr__(self, "cells", frozenset(map(_pair, self.cells)))
         if not self.cells:
             raise EmptyInputError("a polyomino needs at least one cell")
         if min(x for x, _ in self.cells) != 0 or min(y for _, y in self.cells) != 0:
@@ -112,19 +128,19 @@ class Polyomino:
     def rank(self) -> int:
         return len(self.cells)
 
-    @cached_property
+    @stored_property
     def sorted_cells(self) -> tuple[Cell, ...]:
         return tuple(sorted(self.cells))
 
-    @cached_property
+    @stored_property
     def width(self) -> int:
         return 1 + self.sorted_cells[-1][0]
 
-    @cached_property
+    @stored_property
     def height(self) -> int:
         return 1 + max([y for _, y in self.sorted_cells])
 
-    @cached_property
+    @stored_property
     def board(self) -> int:
         """The cells as one int, column-major: bit ``x * (height + 1) + y``
         for cell (x, y). Row ``height`` is an empty guard row, so no run
@@ -139,7 +155,7 @@ class Polyomino:
             buf[p >> 3] |= 1 << (p & 7)
         return int.from_bytes(buf, "little")
 
-    @cached_property
+    @stored_property
     def columns(self) -> tuple[int, ...]:
         """The row mask of each column of ``board``, by x, read by shifting
         the board once per column; a connected shape has no empty column."""
@@ -151,7 +167,7 @@ class Polyomino:
             board >>= stride
         return tuple(columns)
 
-    @cached_property
+    @stored_property
     def runs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The maximal horizontal and the maximal vertical runs, singletons
         included, as masks over the sorted cells (bit i for
@@ -205,7 +221,7 @@ class CellInterval:
     def length(self) -> int:
         return len(self.cells)
 
-    @cached_property
+    @stored_property
     def cell_set(self) -> frozenset[Cell]:
         return frozenset(self.cells)
 
@@ -249,19 +265,18 @@ def parse_ascii(text: str) -> Polyomino:
     return Polyomino.from_cells(cells)
 
 
+def _pair(p) -> Cell:
+    """``p`` as a cell, if it is a tuple or list of two integers (not bools)."""
+    if isinstance(p, (tuple, list)) and len(p) == 2 and all(type(v) is not bool and isinstance(v, int) for v in p):
+        return tuple(p)
+    raise BadCellError(f"cell {p!r} is not a pair of integers")
+
+
 def parse_cells(pairs: Iterable[Sequence[int]]) -> Polyomino:
     """Build a polyomino from (x, y) integer pairs given as tuples or
     lists, rejecting any other entry (a bool coordinate included) and
     duplicates."""
-    cells: list[Cell] = []
-    for p in pairs:
-        if not (
-            isinstance(p, (tuple, list))
-            and len(p) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in p)
-        ):
-            raise BadCellError(f"cell {p!r} is not a pair of integers")
-        cells.append(tuple(p))
+    cells = [_pair(p) for p in pairs]
     if not cells:
         raise EmptyInputError("cell list is empty")
     if len(set(cells)) != len(cells):

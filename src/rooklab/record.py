@@ -9,10 +9,9 @@ however many checks look at it. Graphs are held as int neighbour masks.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import chordal, partition, polyomino, regularity
 from .graphs import SimpleGraph
+from .polyomino import stored_property
 from .rook_complex import INTERVAL, PurityResult, RookComplex, attack_graph, f_vector, h_from_f, is_pure
 
 
@@ -25,34 +24,34 @@ class GraphRecord:
         self.poly = poly
         self.convention = convention
 
-    @cached_property
+    @stored_property
     def attack(self) -> SimpleGraph:
         return attack_graph(self.poly, self.convention)
 
-    @cached_property
+    @stored_property
     def complement(self) -> SimpleGraph:
         return chordal.complement_graph(self.attack)
 
-    @cached_property
+    @stored_property
     def rook_complex(self) -> RookComplex:
         return f_vector(self.poly, self.convention)
 
-    @cached_property
+    @stored_property
     def h_vector(self) -> tuple[int, ...]:
         return h_from_f(self.rook_complex.f_vector)
 
-    @cached_property
+    @stored_property
     def purity(self) -> PurityResult:
         """Purity with its witness pair; facets are searched for only when
         the complex is not pure. Checks read ``rook_complex.pure``."""
         return is_pure(self.poly, self.convention)
 
-    @cached_property
+    @stored_property
     def chordality(self) -> chordal.ChordalityResult:
         """Chordality of the complement, with its witness."""
         return chordal.is_chordal(self.complement)
 
-    @cached_property
+    @stored_property
     def matching(self) -> regularity.MatchingCertificate:
         return regularity.induced_matching_number(self.attack)
 
@@ -69,11 +68,11 @@ class ShapeRecord(GraphRecord):
     def __init__(self, poly: polyomino.Polyomino):
         super().__init__(poly, INTERVAL)
 
-    @cached_property
+    @stored_property
     def intervals(self) -> list[polyomino.CellInterval]:
         return polyomino.maximal_intervals(self.poly)
 
-    @cached_property
+    @stored_property
     def interval_masks(self) -> list[int]:
         """The vertex mask of each member of ``intervals``, in order: the
         attack graph's lines of two cells or more. Two intervals meet when
@@ -81,19 +80,19 @@ class ShapeRecord(GraphRecord):
         shared cell, and a union is an OR."""
         return [line for side in self.rook_complex.graph.lines for line in side if line & (line - 1)]
 
-    @cached_property
+    @stored_property
     def predicates(self) -> polyomino.ShapePredicates:
         return polyomino.shape_predicates(self.poly)
 
-    @cached_property
+    @stored_property
     def super_partitions(self) -> list[partition.PartitionSet]:
         return partition.super_partitions(self)
 
-    @cached_property
+    @stored_property
     def purity_theorem(self) -> partition.PurityTheoremReport:
         return partition.check_purity_theorem(self)
 
-    @cached_property
+    @stored_property
     def brush(self) -> chordal.BrushDecomposition | None:
         """The brush decomposition; None unless the shape is simple and thin,
         of rank at least 2, and has one."""
@@ -101,14 +100,14 @@ class ShapeRecord(GraphRecord):
             return None
         return chordal.brush_decomposition(self)
 
-    @cached_property
+    @stored_property
     def classification(self) -> chordal.ChordalityClassification:
         return chordal.classify_chordality(self)
 
-    @cached_property
+    @stored_property
     def regularity(self) -> int:
         return regularity.regularity_pure_thin(self)
 
-    @cached_property
+    @stored_property
     def reg_nu(self) -> regularity.RegularityMatchReport:
         return regularity.check_reg_eq_nu(self)

@@ -4,8 +4,10 @@ brushes, exact induced matching, and combinatorial regularity.
 For a pure brush with bristle lengths l_1..l_d the face counts have the
 closed form f_(k-1) = e_k(l-1) + (d-k+1) e_(k-1)(l-1) and the h-entries
 the same form in l-2, where e_k is the k-th elementary symmetric
-polynomial. Regularity is only ever computed combinatorially, as the
-degree of the h-vector, and only for pure simple thin polyominoes.
+polynomial, all d + 1 of them from one pass. Regularity is only ever
+computed combinatorially, as the degree of the h-vector, and only for
+pure simple thin polyominoes. The induced matching number is exact where
+reported; a check of nu >= k stops at a witness of k edges.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ def elementary_symmetric(k: int, values: Sequence[int]) -> int:
     return acc[k]
 
 
+def _elementary_symmetric_all(values: Sequence[int]) -> list[int]:
+    """e_0..e_d of the d values, from one pass of ``elementary_symmetric``'s recurrence."""
+    acc = [1] + [0] * len(values)
+    for i, v in enumerate(values):
+        for j in range(i + 1, 0, -1):
+            acc[j] += acc[j - 1] * v
+    return acc
+
+
 def _check_lengths(lengths: Sequence[int]) -> tuple[int, ...]:
     lengths = tuple(lengths)
     if not lengths:
@@ -82,11 +93,7 @@ def sigma_triples(lengths: Sequence[int], k: int) -> SigmaTriple:
     lengths = _check_lengths(lengths)
     if not 0 <= k <= len(lengths):
         raise IndexOutOfRangeError(f"k={k} outside 0..{len(lengths)}")
-    return SigmaTriple(
-        elementary_symmetric(k, lengths),
-        elementary_symmetric(k, [v - 1 for v in lengths]),
-        elementary_symmetric(k, [v - 2 for v in lengths]),
-    )
+    return SigmaTriple(*(elementary_symmetric(k, [v - shift for v in lengths]) for shift in (0, 1, 2)))
 
 
 def check_sigma_identities(lengths: Sequence[int]) -> bool:
@@ -94,9 +101,7 @@ def check_sigma_identities(lengths: Sequence[int]) -> bool:
     polynomials together, exactly, for every k up to the arity."""
     lengths = _check_lengths(lengths)
     d = len(lengths)
-    s = [elementary_symmetric(k, lengths) for k in range(d + 1)]
-    sp = [elementary_symmetric(k, [v - 1 for v in lengths]) for k in range(d + 1)]
-    spp = [elementary_symmetric(k, [v - 2 for v in lengths]) for k in range(d + 1)]
+    s, sp, spp = (_elementary_symmetric_all([v - shift for v in lengths]) for shift in (0, 1, 2))
     for k in range(d + 1):
         lhs1 = sum((-1) ** (k - i) * comb(d - i, k - i) * s[i] for i in range(k + 1))
         lhs2 = sum(comb(d - i, k - i) * sp[i] for i in range(k + 1))
@@ -111,16 +116,10 @@ def brush_fh(lengths: Sequence[int]) -> BrushVectors:
     given bristle lengths; accepts the degenerate single-bristle case."""
     lengths = _check_lengths(lengths)
     d = len(lengths)
-    sp = [elementary_symmetric(k, [v - 1 for v in lengths]) for k in range(d + 1)]
-    spp = [elementary_symmetric(k, [v - 2 for v in lengths]) for k in range(d + 1)]
-    f = [1]
-    for k in range(1, d + 1):
-        f.append(sp[k] + (d - (k - 1)) * sp[k - 1])
-    h = []
-    for t in range(d + 1):
-        prev = spp[t - 1] if t >= 1 else 0
-        h.append(spp[t] + (d - (t - 1)) * prev)
-    return BrushVectors(tuple(f), tuple(h))
+    sp, spp = (_elementary_symmetric_all([v - shift for v in lengths]) for shift in (1, 2))
+    f = (1, *(sp[k] + (d - k + 1) * sp[k - 1] for k in range(1, d + 1)))
+    h = (spp[0], *(spp[t] + (d - t + 1) * spp[t - 1] for t in range(1, d + 1)))
+    return BrushVectors(f, h)
 
 
 def _clique_cover(graph: SimpleGraph) -> tuple[list[int], int]:
@@ -150,47 +149,58 @@ def _clique_cover(graph: SimpleGraph) -> tuple[list[int], int]:
     return members, min(((member_of[i] | member_of[j]).bit_count() for i, j in ends), default=1)
 
 
-def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
-    """Exact maximum induced matching, by branch and bound on a mask A of
+def induced_matching_number(graph: SimpleGraph, at_least: int | None = None) -> MatchingCertificate:
+    """Maximum induced matching, by branch and bound on a mask A of
     available vertices: those outside the closed neighbourhoods of the
     matched ends. Each step takes the lowest vertex i of A with a
     neighbour in A, includes each edge ij, by ascending j, on A - N[i] -
     N[j], and then drops i from A. That is "include, then exclude the
     lowest available edge" over the sorted edges, so the first leaf is
     the greedy matching. A vertex of A with a neighbour in A is live. The
-    search keeps an explicit stack, one frame per matched edge.
+    search keeps an explicit stack, one frame per matched edge. With
+    ``at_least`` it ends at the first leaf of that many edges; without
+    one it runs to the end, so a smaller result is exact.
 
-    The bound reads classes of cliques, as vertex masks. A clique meets
-    at most one edge of an induced matching (two would be joined by an
-    edge of it), and every edge meets at least one member of each class
-    and at least t members in all. So with m_c members of class c meeting
-    a live vertex, at most min(min_c m_c, sum_c m_c // t) more edges fit.
-    An attack graph gives two classes, its horizontal and its vertical
-    ``lines``, with t = 3: each cell is an edge of the line incidence
-    graph B, and a matched pair is a 2-edge path of B. On an m x n
-    rectangle the search then visits a number of nodes that does not grow
-    with n: 2 for 2 x n, 5 for 3 x n. Any other graph gives one class,
-    the ``_clique_cover`` family, with its own t.
+    A clique meets at most one edge of an induced matching. On an attack
+    graph each cell is an edge of the line incidence graph B, and a
+    matched pair is a 2-edge path of B centred on one of its ``lines``.
+    With x pairs centred on horizontal lines and y on vertical ones, H
+    and V lines meeting a live vertex and H2 and V2 meeting two, x + 2y
+    <= H, 2x + y <= V, x <= H2 and y <= V2: the centre-line bound below
+    is the exact optimum of these. On an m x n rectangle the search then
+    visits a number of nodes that does not grow with n: 2 for 2 x n, 5
+    for 3 x n. Any other graph takes the ``_clique_cover`` family, each
+    edge meeting at least t of its members.
 
     A node is pruned only when it cannot hold a strictly larger leaf, so
     the result is the first maximum leaf in search order whatever the
-    bound, and it is re-verified before returning.
+    bound, and no bound is read before the first leaf. It is re-verified
+    before returning.
     """
-    masks = graph.masks
-    if graph.lines is None:
+    masks, lines = graph.masks, graph.lines
+    if lines is None:
         cover, least = _clique_cover(graph)
-        classes: tuple = (cover,)
-    else:
-        classes, least = graph.lines, 3
     closed = [mask | (1 << i) for i, mask in enumerate(masks)]
+    goal = graph.n if at_least is None else at_least  # nu <= n/2 never reaches n
 
-    def live_in(avail: int) -> int:
-        return sum(1 << v for v in bits(avail) if masks[v] & avail)
+    def room_in(live: int) -> int:
+        if lines is None:
+            return len([1 for m in cover if m & live]) // least
+        counts = []
+        for side in lines:
+            c = c2 = 0
+            for m in side:
+                m &= live
+                if m:
+                    c, c2 = c + 1, c2 + (m & (m - 1) > 0)
+            counts += (c, c2)
+        h, h2, v, v2 = counts
+        return min((h + v) // 3, (h + h2) // 2, (v + v2) // 2, h2 + v2)
 
     best: list[tuple[int, int]] = []
     stack: list[tuple[int, ...]] = []  # per matched edge ij: avail, live, i, j, todo, room to resume
     avail = (1 << graph.n) - 1
-    live, i, todo, room = live_in(avail), 0, 0, 0
+    live, i, todo, room = sum(1 << v for v, mask in enumerate(masks) if mask), 0, 0, 0
     while True:
         if todo and room > len(best) - len(stack):  # include the next edge ij at i
             j = (todo & -todo).bit_length() - 1
@@ -206,20 +216,29 @@ def induced_matching_number(graph: SimpleGraph) -> MatchingCertificate:
                         live &= ~(1 << v)
             if rest:
                 stack.append((avail, live, i, j, todo, room))
-                avail, live, todo = rest, live_in(rest), 0
+                # A vertex live in rest was live in the larger avail.
+                near, avail, live, todo = live & rest, rest, 0, 0
+                while near:
+                    low = near & -near
+                    near ^= low
+                    if masks[low.bit_length() - 1] & rest:
+                        live |= low
             elif len(stack) >= len(best):  # a leaf one edge larger
                 best = [frame[2:4] for frame in stack] + [(i, j)]
+                if len(best) >= goal:
+                    break
         elif live and not todo:  # a step at the lowest live vertex i
-            counts = [len([1 for m in members if m & live]) for members in classes]
-            room = min(min(counts), sum(counts) // least)
+            room = room_in(live) if best else graph.n
             i = (live & -live).bit_length() - 1
             todo = masks[i] & avail
         else:  # a leaf, or a node pruned with no larger leaf below
             if len(stack) > len(best):
                 best = [frame[2:4] for frame in stack]
-            if not stack:
+            if not stack or len(best) >= goal:
                 break
             avail, live, i, _, todo, room = stack.pop()
+            if room == graph.n and todo:  # a step taken before the first leaf
+                room = room_in(live)
 
     vs = graph.vertices
     picked = sorted((vs[i], vs[j]) for i, j in best)

@@ -29,13 +29,13 @@ size; facets are listed only when read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import CellNotInPolyominoError, NotPureError
 from .graphs import SimpleGraph, bits
-from .polyomino import Cell, Polyomino
+from .polyomino import Cell, Polyomino, stored_property
 
 INTERVAL = "interval"
 LINE = "line"
@@ -61,7 +61,7 @@ class RookComplex:
     graph: SimpleGraph = field(repr=False, compare=False)
     facets_by_size: tuple[int, ...] = field(repr=False, compare=False)
 
-    @cached_property
+    @stored_property
     def facets(self) -> tuple[frozenset, ...]:
         """All inclusion-maximal non-attacking cell sets, ordered by their
         sorted cell tuples."""

@@ -209,6 +209,18 @@ class TestVerifyCorpus:
         with pytest.raises(RankOutOfRangeError):
             verify_corpus(11)
 
+    def test_cycle_search_runs_only_for_reported_findings(self, monkeypatch):
+        # Only brush-corollary reads a chordless cycle, one per finding.
+        import rooklab.chordal
+
+        calls = []
+        search = rooklab.chordal._shortest_chordless_cycle
+        monkeypatch.setattr(rooklab.chordal, "_shortest_chordless_cycle", lambda g: calls.append(g) or search(g))
+        report = verify_corpus(8)
+        findings = {r.name: len(r.violations) for r in report.results if r.violations}
+        assert list(findings) == ["brush-corollary"]
+        assert len(calls) == findings["brush-corollary"] > 0
+
     def test_jobs_do_not_change_results(self):
         # Both per-shape checks have findings spread over several shape
         # chunks, so the chunks must come back in census order.

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -144,6 +145,28 @@ class TestIsChordal:
                 for j in range(i + 1, len(cyc)):
                     consecutive = j - i == 1 or (i == 0 and j == len(cyc) - 1)
                     assert g.adjacent(u, cyc[j]) == consecutive
+
+    def test_witnesses_unchanged_on_census(self, census10):
+        # The digest of every verdict with its elimination order or its
+        # chordless cycle, on the complements of the census to rank 10 under
+        # both conventions, as the eager cycle search gave them.
+        digest = hashlib.sha256()
+        for poly in census10:
+            for convention in ("interval", "line"):
+                res = is_chordal(complement_graph(attack_graph(poly, convention)))
+                digest.update(repr((res.chordal, res.elimination_order, res.chordless_cycle)).encode())
+        assert digest.hexdigest() == "a55179b602616a1f97af0fea976dd16b302d8c802017c83f0ebddb8bc6f96497"
+
+    def test_cycle_is_searched_when_first_read(self, monkeypatch):
+        import rooklab.chordal
+
+        calls = []
+        search = rooklab.chordal._shortest_chordless_cycle
+        monkeypatch.setattr(rooklab.chordal, "_shortest_chordless_cycle", lambda g: calls.append(g) or search(g))
+        chordal_res, res = is_chordal(graph(3, [(0, 1)])), is_chordal(cycle_graph(5))
+        assert chordal_res.chordless_cycle is None and not calls
+        assert len(res.chordless_cycle) == 5 and len(res.chordless_cycle) == 5
+        assert calls == [cycle_graph(5)]
 
     @staticmethod
     def _brute_chordal(g):

@@ -1,4 +1,6 @@
+import functools
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import pytest
@@ -21,6 +23,10 @@ from rooklab import (
     render_ascii,
     shape_predicates,
 )
+from rooklab.chordal import ChordalityResult
+from rooklab.polyomino import CellInterval, stored_property
+from rooklab.record import GraphRecord, ShapeRecord
+from rooklab.rook_complex import RookComplex
 
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
@@ -92,6 +98,63 @@ class TestParseCells:
     def test_empty(self):
         with pytest.raises(EmptyInputError):
             parse_cells([])
+
+
+class TestPolyominoCells:
+    def test_list_is_stored_as_a_frozenset(self):
+        poly = Polyomino([(0, 0), (1, 0)])
+        assert isinstance(poly.cells, frozenset)
+        assert poly == parse_cells([(0, 0), (1, 0)]) and hash(poly) == hash(parse_cells([(0, 0), (1, 0)]))
+        assert poly.sorted_cells == ((0, 0), (1, 0)) and poly.board == 0b101
+        assert ShapeRecord(poly).matching.size == 1
+
+    def test_lists_as_cells(self):
+        assert Polyomino([[0, 0], [0, 1]]).cells == frozenset({(0, 0), (0, 1)})
+
+    @pytest.mark.parametrize("cells", [[(0.5, 0)], [(0, 0), (True, 0)], [(0, 0, 0)], [(0, 0), 7], "ab"])
+    def test_rejects_non_integer_pairs(self, cells):
+        with pytest.raises(BadCellError):
+            Polyomino(cells)
+
+    def test_checks_stay_on_coerced_cells(self):
+        with pytest.raises(NotConnectedError):
+            Polyomino([(0, 0), (2, 0)])
+        with pytest.raises(EmptyInputError):
+            Polyomino([])
+        with pytest.raises(ValueError):
+            Polyomino([(1, 1)])
+
+
+class TestStoredProperty:
+    def test_computes_once_on_a_frozen_instance(self):
+        calls = []
+
+        @dataclass(frozen=True)
+        class Frozen:
+            x: int
+
+            @stored_property
+            def double(self):
+                """Twice x."""
+                calls.append(self.x)
+                return 2 * self.x
+
+        one = Frozen(3)
+        assert one.double == 6 and one.double == 6 and calls == [3]
+        assert one.__dict__["double"] == 6 and one == Frozen(3)
+        assert Frozen.double.__doc__ == "Twice x."
+
+    def test_package_fields_are_stored_once(self):
+        poly = parse_cells([(0, 0), (1, 0), (1, 1)])
+        rec = ShapeRecord(poly)
+        assert "board" not in poly.__dict__ and "matching" not in rec.__dict__
+        assert poly.board is poly.__dict__["board"]
+        assert rec.matching is rec.matching is rec.__dict__["matching"]
+
+    def test_no_cached_property_is_left(self):
+        for cls in (Polyomino, CellInterval, GraphRecord, ShapeRecord, RookComplex, ChordalityResult):
+            fields = [attr for attr in vars(cls).values() if isinstance(attr, (stored_property, functools.cached_property))]
+            assert fields and all(isinstance(attr, stored_property) for attr in fields), cls
 
 
 class TestMaximalIntervals:

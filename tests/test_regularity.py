@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations, combinations_with_replacement
 
@@ -30,8 +31,14 @@ from rooklab import (
     sigma_triples,
     single_cell_intervals,
 )
+from rooklab.census import _SIGMA_SAMPLES, _SIGMA_SEED
 from rooklab.graphs import bits
-from rooklab.regularity import MatchingCertificate, _clique_cover, _verify_induced_matching
+from rooklab.regularity import (
+    MatchingCertificate,
+    _clique_cover,
+    _elementary_symmetric_all,
+    _verify_induced_matching,
+)
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -64,6 +71,21 @@ class TestElementarySymmetric:
     def test_matches_expansion(self, values, k):
         expected = sum(_prod(sub) for sub in combinations(values, k))
         assert elementary_symmetric(k, values) == expected
+
+    def test_one_pass_matches_each_k_on_the_sigma_samples(self):
+        # The length vectors the sigma-identities check draws, with the two
+        # shifts it and brush_fh take.
+        rng = random.Random(_SIGMA_SEED)
+        for _ in range(_SIGMA_SAMPLES):
+            d = rng.randint(1, 8)
+            lengths = [rng.randint(2, 9) for _ in range(d)]
+            for shift in (0, 1, 2):
+                values = [v - shift for v in lengths]
+                expected = [elementary_symmetric(k, values) for k in range(d + 1)]
+                assert _elementary_symmetric_all(values) == expected, values
+
+    def test_one_pass_of_nothing(self):
+        assert _elementary_symmetric_all([]) == [1]
 
 
 def _prod(values):
@@ -279,15 +301,41 @@ class TestInducedMatching:
         assert cert.size == 2 * n // 3
 
     def test_line_bound_matches_clique_cover_on_census(self, census10):
-        # The line bound only prunes nodes that hold no strictly larger
-        # leaf, so the certificate is that of the bare copy, which has no
-        # lines and takes the clique cover.
+        # The centre-line bound only prunes nodes that hold no strictly
+        # larger leaf, so the certificate is that of the bare copy, which
+        # has no lines and takes the clique cover.
         for poly in census10:
             for convention in ("interval", "line"):
                 g = attack_graph(poly, convention)
                 bare = SimpleGraph(g.vertices, g.masks)
                 assert g.lines is not None and bare.lines is None
                 assert induced_matching_number(g) == induced_matching_number(bare), (poly, convention)
+
+    def test_at_least_is_a_witness_or_exact_on_census(self, census10):
+        # For each k up to nu the search ends at a verified induced matching
+        # of at least k edges; above nu it finds no such leaf, runs to the
+        # end and returns the exact certificate.
+        for poly in census10:
+            for convention in ("interval", "line"):
+                g = attack_graph(poly, convention)
+                exact = induced_matching_number(g)
+                for k in range(exact.size + 2):
+                    cert = induced_matching_number(g, at_least=k)
+                    if k > exact.size:
+                        assert cert == exact, (poly, convention, k)
+                    else:
+                        assert k <= cert.size <= exact.size, (poly, convention, k)
+                        _verify_induced_matching(g, list(cert.edges))
+
+    def test_at_least_stops_at_the_first_leaf_of_that_size(self):
+        # The path 0-1-...-6: the greedy first leaf {01, 34} has two edges,
+        # and nu = 2 is first met by that leaf. On the graph without edges
+        # the only leaf is empty.
+        g = SimpleGraph.from_pairs(range(7), [(k, k + 1) for k in range(6)])
+        assert induced_matching_number(g, at_least=1).edges == ((0, 1), (3, 4))
+        assert induced_matching_number(g, at_least=3) == induced_matching_number(g)
+        empty = SimpleGraph.from_pairs([1, 2], [])
+        assert induced_matching_number(empty, at_least=1) == MatchingCertificate((), 0)
 
     def test_board_formula(self):
         # The m x n board's line incidence graph is K_{m,n}, and each matched
