@@ -13,6 +13,7 @@ partition whose size equals the rook number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import IntervalNotInPolyominoError, RankTooSmallError
@@ -60,13 +61,14 @@ def embeddings(rec: ShapeRecord, interval: CellInterval) -> Iterator[Embedding]:
     run; an embedding can therefore never intersect the interval itself,
     and the candidates for a target cell are its attackers outside the
     interval, the rest of its perpendicular run in increasing order.
+    One lookup in ``rec.interval_mask`` checks the interval and gives its
+    cells as vertices, in ascending order as the cells are.
     """
-    if interval not in rec.intervals:
+    target_mask = rec.interval_mask.get(interval)
+    if target_mask is None:
         raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
     graph = rec.attack
-    targets = [graph.index(c) for c in interval.cells]
-    target_mask = sum(1 << i for i in targets)
-    candidates = [list(bits(graph.masks[i] & ~target_mask)) for i in targets]
+    candidates = [list(bits(graph.masks[i] & ~target_mask)) for i in bits(target_mask)]
     if not all(candidates):  # a cell with no outside attacker: skip the search
         return
 
@@ -94,7 +96,7 @@ def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None
 
 def is_embedding(rec: ShapeRecord, interval: CellInterval, rooks: tuple[Cell, ...]) -> bool:
     """Validate a claimed embedding independently of the search."""
-    if interval not in rec.intervals:
+    if interval not in rec.interval_mask:
         raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
     if len(rooks) != interval.length or len(set(rooks)) != len(rooks):
         return False
@@ -102,11 +104,7 @@ def is_embedding(rec: ShapeRecord, interval: CellInterval, rooks: tuple[Cell, ..
         return False
     graph = rec.attack
     paired = all(graph.adjacent(r, c) for r, c in zip(rooks, interval.cells))
-    free = not any(
-        graph.adjacent(rooks[i], rooks[j])
-        for i in range(len(rooks))
-        for j in range(i + 1, len(rooks))
-    )
+    free = not any(graph.adjacent(a, b) for a, b in combinations(rooks, 2))
     return paired and free
 
 

@@ -28,6 +28,7 @@ from .errors import (
     EmptyInputError,
     NotConnectedError,
 )
+from .graphs import bits
 
 Cell = tuple[int, int]
 
@@ -296,26 +297,28 @@ def render_ascii(poly: Polyomino) -> str:
     return "\n".join(rows)
 
 
+def interval_runs(poly: Polyomino) -> dict[CellInterval, int]:
+    """Each maximal interval with its run of ``poly.runs``, the mask of
+    its cells over the sorted cells: the runs of two cells or more,
+    horizontal first, each side ordered by first cell."""
+    cells = poly.sorted_cells
+    return {
+        CellInterval(orientation, tuple([cells[i] for i in bits(run)])): run
+        for orientation, runs in zip((HORIZONTAL, VERTICAL), poly.runs)
+        for run in runs
+        if run & (run - 1)
+    }
+
+
 def maximal_intervals(poly: Polyomino) -> list[CellInterval]:
     """All maximal horizontal and vertical runs of length >= 2.
 
     Singleton runs are excluded: a lone cell in its row contributes no
     horizontal interval. The result is ordered by orientation
-    (horizontal first), then by anchor cell: the runs of ``poly.runs``
-    with two cells or more, in order.
+    (horizontal first), then by anchor cell: the keys of
+    ``interval_runs``, in order.
     """
-    cells = poly.sorted_cells
-    out = []
-    for orientation, runs in zip((HORIZONTAL, VERTICAL), poly.runs):
-        for run in runs:
-            if run & (run - 1):
-                members = []
-                while run:
-                    low = run & -run
-                    members.append(cells[low.bit_length() - 1])
-                    run ^= low
-                out.append(CellInterval(orientation, tuple(members)))
-    return out
+    return list(interval_runs(poly))
 
 
 def shape_predicates(poly: Polyomino) -> ShapePredicates:

@@ -12,13 +12,14 @@ from __future__ import annotations
 from . import chordal, partition, polyomino, regularity
 from .graphs import SimpleGraph
 from .polyomino import stored_property
-from .rook_complex import INTERVAL, PurityResult, RookComplex, attack_graph, f_vector, h_from_f, is_pure
+from .rook_complex import INTERVAL, PurityResult, RookComplex, f_vector, h_from_f, is_pure
 
 
 class GraphRecord:
     """The attack graph of one polyomino under one attack convention, and
     what is read off it: its complement, the rook complex, purity,
-    chordality of the complement and the induced matching number."""
+    chordality of the complement and the induced matching number.
+    ``attack`` is the graph built with, and read off, ``rook_complex``."""
 
     def __init__(self, poly: polyomino.Polyomino, convention: str = INTERVAL):
         self.poly = poly
@@ -26,7 +27,7 @@ class GraphRecord:
 
     @stored_property
     def attack(self) -> SimpleGraph:
-        return attack_graph(self.poly, self.convention)
+        return self.rook_complex.graph
 
     @stored_property
     def complement(self) -> SimpleGraph:
@@ -69,16 +70,22 @@ class ShapeRecord(GraphRecord):
         super().__init__(poly, INTERVAL)
 
     @stored_property
+    def interval_mask(self) -> dict[polyomino.CellInterval, int]:
+        """Each maximal interval, in order, with its vertex mask, from one
+        pass over the runs: one lookup gives an interval's mask and tells
+        whether it is an interval of this shape."""
+        return polyomino.interval_runs(self.poly)
+
+    @stored_property
     def intervals(self) -> list[polyomino.CellInterval]:
-        return polyomino.maximal_intervals(self.poly)
+        return list(self.interval_mask)
 
     @stored_property
     def interval_masks(self) -> list[int]:
-        """The vertex mask of each member of ``intervals``, in order: the
-        attack graph's lines of two cells or more. Two intervals meet when
-        their masks share a bit, the lowest shared bit is their first
-        shared cell, and a union is an OR."""
-        return [line for side in self.rook_complex.graph.lines for line in side if line & (line - 1)]
+        """The mask of each member of ``intervals``, read off the same dict.
+        Two intervals meet when their masks share a bit, the lowest shared
+        bit is their first shared cell, and a union is an OR."""
+        return list(self.interval_mask.values())
 
     @stored_property
     def predicates(self) -> polyomino.ShapePredicates:

@@ -60,18 +60,11 @@ def elementary_symmetric(k: int, values: Sequence[int]) -> int:
     """e_k over the values; e_0 = 1, and 0 once k exceeds the arity."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    if k > len(values):
-        return 0
-    acc = [0] * (k + 1)
-    acc[0] = 1
-    for i, v in enumerate(values):
-        for j in range(min(k, i + 1), 0, -1):
-            acc[j] += acc[j - 1] * v
-    return acc[k]
+    return _elementary_symmetric_all(values)[k] if k <= len(values) else 0
 
 
 def _elementary_symmetric_all(values: Sequence[int]) -> list[int]:
-    """e_0..e_d of the d values, from one pass of ``elementary_symmetric``'s recurrence."""
+    """e_0..e_d of the d values, from one pass of e_j += e_(j-1) v per value v."""
     acc = [1] + [0] * len(values)
     for i, v in enumerate(values):
         for j in range(i + 1, 0, -1):
@@ -240,16 +233,16 @@ def induced_matching_number(graph: SimpleGraph, at_least: int | None = None) -> 
             if room == graph.n and todo:  # a step taken before the first leaf
                 room = room_in(live)
 
+    _verify_induced_matching(graph, best)
     vs = graph.vertices
-    picked = sorted((vs[i], vs[j]) for i, j in best)
-    _verify_induced_matching(graph, picked)
-    return MatchingCertificate(tuple(picked), len(best))
+    return MatchingCertificate(tuple(sorted((vs[i], vs[j]) for i, j in best)), len(best))
 
 
-def _verify_induced_matching(graph: SimpleGraph, edges: list[tuple[Cell, Cell]]) -> None:
-    """Raise unless the matched cells are distinct and the only graph edges
-    among them are the matched pairs, so each pair is an edge too."""
-    matched = [graph.index(v) for e in edges for v in e]
+def _verify_induced_matching(graph: SimpleGraph, pairs: list[tuple[int, int]]) -> None:
+    """Raise unless the vertex positions of the pairs the search found are
+    distinct and the masks join them only within pairs, each pair too: a
+    check of the found pairs, apart from the search's own state."""
+    matched = [v for e in pairs for v in e]
     if len(set(matched)) != len(matched):
         raise RuntimeError("matching certificate has shared endpoints")
     covered = sum(1 << i for i in matched)

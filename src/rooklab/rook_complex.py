@@ -14,9 +14,7 @@ cells attack when a line holds both, and each cell lies in one
 horizontal and one vertical line, so it is an edge of the bipartite
 line incidence graph. ``f_vector`` builds from them the sweep below and
 the attack graph, which carries the vertex masks as its lines for the
-witness search, the induced-matching bound and the interval masks of
-brushes and single-cell intervals; the embedding search in
-``partition`` reads them through the graph's masks.
+witness search and the induced-matching bound.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
@@ -150,7 +148,7 @@ def _sweep_columns(poly: Polyomino, convention: str) -> list[tuple[tuple[int, ..
 @_per_shape_cache
 def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
     """The graph on the cells of ``poly`` whose edges are attacking pairs,
-    built by ``f_vector`` with the rook complex."""
+    built by ``f_vector`` with the rook complex, off which the package reads it."""
     return f_vector(poly, convention).graph
 
 
@@ -304,7 +302,7 @@ def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
 
 def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) -> bool:
     """True when no two of the given cells attack each other."""
-    graph = attack_graph(poly, convention)
+    graph = f_vector(poly, convention).graph
     chosen = 0
     for c in cells:
         if c not in poly.cells:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import os
+import sys
 import tracemalloc
 
 import pytest
@@ -21,7 +22,8 @@ from rooklab import (
     rook_complex,
     verify_corpus,
 )
-from rooklab.cli import report_json
+from rooklab.cli import analyze_polyomino, report_json
+from rooklab.graphs import SimpleGraph
 
 # Published counts for the standard enumeration sequences, n = 1..8.
 FREE_COUNTS = (1, 1, 2, 5, 12, 35, 108, 369)
@@ -285,6 +287,39 @@ class TestVerifyCorpus:
         report = verify_corpus(8)
         assert len(report.results) == len(CHECKS) == 14
         assert report.passed
+
+    def test_verify_and_analyze_read_vertices_off_the_record(self, monkeypatch):
+        # Checks and reports reach vertex masks through each shape's record:
+        # no cell is looked up in a graph and no graph is fetched through
+        # attack_graph. Only functions handed cells by a caller look them up.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell-to-vertex lookup or an attack_graph call")
+
+        original = rook_complex.attack_graph
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rooklab" and getattr(module, "attack_graph", None) is original:
+                monkeypatch.setattr(module, "attack_graph", refuse)
+        monkeypatch.setattr(SimpleGraph, "index", refuse)
+        rook_complex.f_vector.cache_clear()
+        assert verify_corpus(8).passed
+
+        # The benchmark's analyze shapes: 6x6 and 7x7 boards, the 7x7 board
+        # with a 3x3 hole, pure brushes of 9 and 10 bristles, a staircase.
+        def brush(lengths):
+            return [(i, y if i % 2 == 0 else -y) for i, length in enumerate(lengths) for y in range(length)]
+
+        holed = [(x, y) for x in range(7) for y in range(7) if not (2 <= x < 5 and 2 <= y < 5)]
+        shapes = [
+            [(x, y) for x in range(6) for y in range(6)],
+            [(x, y) for x in range(7) for y in range(7)],
+            holed,
+            brush((3,) * 7 + (4, 4)),
+            brush((3,) * 8 + (4, 4)),
+            [(x, y) for y in range(11) for x in range(y, y + 3)],
+        ]
+        for cells in shapes:
+            analyze_polyomino(Polyomino.from_cells(cells))
+        analyze_polyomino(Polyomino.from_cells(holed), "line")
 
     def test_empty_or_repeated_check_list(self):
         with pytest.raises(UnknownCheckError):

@@ -136,6 +136,18 @@ class TestFindEmbedding:
         with pytest.raises(IntervalNotInPolyominoError):
             is_embedding(rec, interval, ((0, 1), (1, 0)))
 
+    def test_interval_masks_align_with_intervals(self, census10):
+        # Mask k holds exactly the vertices of interval k's cells, and the
+        # record's intervals are the maximal intervals, in their order.
+        for poly in census10:
+            rec = ShapeRecord(poly)
+            vertex = {cell: i for i, cell in enumerate(poly.sorted_cells)}
+            assert rec.intervals == maximal_intervals(poly), poly
+            assert len(rec.interval_masks) == len(rec.intervals), poly
+            for k, iv in enumerate(rec.intervals):
+                assert rec.interval_masks[k] == sum(1 << vertex[c] for c in iv.cells), (poly, iv)
+                assert rec.interval_mask[iv] == rec.interval_masks[k], (poly, iv)
+
     def test_matches_subset_oracle(self, census6):
         # An embedding is an independent set, disjoint from the interval,
         # in which every rook attacks a distinct interval cell.

@@ -325,7 +325,7 @@ class TestInducedMatching:
                         assert cert == exact, (poly, convention, k)
                     else:
                         assert k <= cert.size <= exact.size, (poly, convention, k)
-                        _verify_induced_matching(g, list(cert.edges))
+                        _verify_induced_matching(g, [(g.index(u), g.index(v)) for u, v in cert.edges])
 
     def test_at_least_stops_at_the_first_leaf_of_that_size(self):
         # The path 0-1-...-6: the greedy first leaf {01, 34} has two edges,
@@ -406,14 +406,14 @@ class TestInducedMatching:
                 assert len(sizes) == 1, (poly, convention, sizes)
 
     def test_verifier_rejects_bad_certificates(self):
-        # On the path 0-1-2-3: the edge 12 joins (0, 1) and (2, 3), the
-        # pairs (0, 1) and (1, 2) share 1, and (0, 2) is no edge at all.
-        g = SimpleGraph.from_pairs(range(4), [(0, 1), (1, 2), (2, 3)])
+        # On the path a-b-c-d, at vertex positions 0-1-2-3: the edge bc
+        # joins ab and cd, the pairs ab and bc share b, and ac is no edge.
+        g = SimpleGraph.from_pairs("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
         _verify_induced_matching(g, [(0, 1)])
         _verify_induced_matching(g, [(2, 3)])
-        for edges in ([(0, 1), (2, 3)], [(0, 1), (1, 2)], [(0, 2)]):
+        for pairs in ([(0, 1), (2, 3)], [(0, 1), (1, 2)], [(0, 2)]):
             with pytest.raises(RuntimeError):
-                _verify_induced_matching(g, edges)
+                _verify_induced_matching(g, pairs)
 
     def test_certificate_is_induced(self, census5):
         for poly in census5:
