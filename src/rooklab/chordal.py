@@ -230,9 +230,10 @@ def brush_decomposition(rec: ShapeRecord) -> BrushDecomposition | None:
     Tries every maximal interval as the handle; valid when all remaining
     intervals meet it and their number does not exceed the handle length.
     If several handles work, a decomposition flagged pure is preferred,
-    then a short one. ``pure_brush`` additionally requires the bristles
-    to partition the cells with handle length = bristle count = rook
-    number.
+    then a short one, then the least sorted bristle lengths, which do not
+    depend on orientation, then the lowest handle anchor. ``pure_brush``
+    also requires the bristles to partition the cells with handle length
+    = bristle count = rook number.
     """
     preds = rec.predicates
     if not (preds.simple and preds.thin):
@@ -266,7 +267,7 @@ def brush_decomposition(rec: ShapeRecord) -> BrushDecomposition | None:
         found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))
     if not found:
         return None
-    found.sort(key=lambda b: (not b.pure_brush, not b.short, b.handle.anchor))
+    found.sort(key=lambda b: (not b.pure_brush, not b.short, tuple(sorted(b.lengths)), b.handle.anchor))
     return found[0]
 
 

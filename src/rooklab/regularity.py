@@ -239,9 +239,9 @@ def induced_matching_number(graph: SimpleGraph, at_least: int | None = None) -> 
 
 
 def _verify_induced_matching(graph: SimpleGraph, pairs: list[tuple[int, int]]) -> None:
-    """Raise unless the vertex positions of the pairs the search found are
-    distinct and the masks join them only within pairs, each pair too: a
-    check of the found pairs, apart from the search's own state."""
+    """Raise unless the pairs' vertex positions are distinct and, by the
+    masks, each pair is an edge and no other two of them are adjacent. It
+    reads only the pairs the search found, none of the search's state."""
     matched = [v for e in pairs for v in e]
     if len(set(matched)) != len(matched):
         raise RuntimeError("matching certificate has shared endpoints")

@@ -126,7 +126,7 @@ def brush_decomposition(rec):
         found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))
     if not found:
         return None
-    found.sort(key=lambda b: (not b.pure_brush, not b.short, b.handle.anchor))
+    found.sort(key=lambda b: (not b.pure_brush, not b.short, tuple(sorted(b.lengths)), b.handle.anchor))
     return found[0]
 
 

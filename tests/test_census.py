@@ -300,7 +300,6 @@ class TestVerifyCorpus:
             if name.split(".")[0] == "rooklab" and getattr(module, "attack_graph", None) is original:
                 monkeypatch.setattr(module, "attack_graph", refuse)
         monkeypatch.setattr(SimpleGraph, "index", refuse)
-        rook_complex.f_vector.cache_clear()
         assert verify_corpus(8).passed
 
         # The benchmark's analyze shapes: 6x6 and 7x7 boards, the 7x7 board

@@ -444,18 +444,13 @@ class TestDihedralImages:
     def test_chordality_and_brush_agree_on_every_image(self, dihedral_images, attack_pairs):
         # Every census shape to rank 7 in all 8 orientations: one chordality
         # verdict, each witness checked against attacks rebuilt from the
-        # cells, and one brush verdict. The bristle lengths are the same up
-        # to order on short and pure brushes. On other brushes the handle
-        # can depend on orientation (the L hexomino with arms 4 and 3 gives
-        # lengths (4,) or (3,)), so there only the lengths of all
-        # intervals, handle included, must agree.
+        # cells, and one brush verdict with the same bristle lengths up to
+        # order on every brush: handle ties are broken by sorted lengths
+        # before the orientation-dependent anchor (the L hexomino with arms
+        # 4 and 3 has lengths (3,) in every orientation).
         def brush_key(rec):
             b = rec.brush
-            if b is None:
-                return None
-            if b.short or b.pure_brush:
-                return tuple(sorted(b.lengths)), b.short, b.pure_brush
-            return tuple(sorted(b.lengths + (b.handle.length,))), b.short, b.pure_brush
+            return None if b is None else (tuple(sorted(b.lengths)), b.short, b.pure_brush)
 
         for poly in free_census(7):
             base = ShapeRecord(poly)
