@@ -65,7 +65,7 @@ def analyze_polyomino(poly: Polyomino, convention: str = INTERVAL) -> dict:
     view = rec if convention == INTERVAL else GraphRecord(poly, convention)
     preds = rec.predicates
     rc = view.rook_complex
-    purity = view.purity
+    purity = rc.purity
     chord = view.chordality
     classification = rec.classification
     matching = view.matching

@@ -101,8 +101,7 @@ class Polyomino:
     cells: frozenset[Cell]
 
     def __post_init__(self):
-        if not isinstance(self.cells, frozenset):  # a list, say, of integer pairs
-            object.__setattr__(self, "cells", frozenset(map(_pair, self.cells)))
+        object.__setattr__(self, "cells", frozenset(map(_pair, self.cells)))
         if not self.cells:
             raise EmptyInputError("a polyomino needs at least one cell")
         if min(x for x, _ in self.cells) != 0 or min(y for _, y in self.cells) != 0:
@@ -123,7 +122,7 @@ class Polyomino:
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "Polyomino":
         """Build a polyomino from any translate of its cell set."""
-        return cls(frozenset(_normalized(cells)))
+        return cls(frozenset(_normalized(map(_pair, cells))))
 
     @property
     def rank(self) -> int:

@@ -12,13 +12,14 @@ from __future__ import annotations
 from . import chordal, partition, polyomino, regularity
 from .graphs import SimpleGraph
 from .polyomino import stored_property
-from .rook_complex import INTERVAL, PurityResult, RookComplex, f_vector, h_from_f, is_pure
+from .rook_complex import INTERVAL, RookComplex, f_vector, h_from_f
 
 
 class GraphRecord:
     """The attack graph of one polyomino under one attack convention, and
-    what is read off it: its complement, the rook complex, purity,
-    chordality of the complement and the induced matching number.
+    what is read off it: its complement, the rook complex (purity and its
+    witness included), chordality of the complement and the induced
+    matching number.
     ``attack`` is the graph built with, and read off, ``rook_complex``."""
 
     def __init__(self, poly: polyomino.Polyomino, convention: str = INTERVAL):
@@ -40,12 +41,6 @@ class GraphRecord:
     @stored_property
     def h_vector(self) -> tuple[int, ...]:
         return h_from_f(self.rook_complex.f_vector)
-
-    @stored_property
-    def purity(self) -> PurityResult:
-        """Purity with its witness pair; facets are searched for only when
-        the complex is not pure. Checks read ``rook_complex.pure``."""
-        return is_pure(self.poly, self.convention)
 
     @stored_property
     def chordality(self) -> chordal.ChordalityResult:

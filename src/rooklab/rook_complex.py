@@ -5,23 +5,23 @@ Two cells attack each other when some maximal cell interval contains both
 two cells attack whenever they share a grid row or column, even across a
 gap; the two conventions agree on row- and column-convex polyominoes.
 
-A convention becomes lines in two readings of the polyomino's int
-bitboard: the horizontal and vertical runs under ``interval``, the rows
-and columns under ``line``. ``_lines`` gives them as vertex masks, bit
-i for the i-th sorted cell, which is the rank of the cell's bit on the
-board; ``_sweep_columns`` gives them column by column as row masks. Two
-cells attack when a line holds both, and each cell lies in one
-horizontal and one vertical line, so it is an edge of the bipartite
-line incidence graph. ``f_vector`` builds from them the sweep below and
-the attack graph, which carries the vertex masks as its lines for the
-witness search and the induced-matching bound.
+A convention becomes lines in ``_lines`` alone: the polyomino's
+horizontal and vertical runs under ``interval``, merged into whole rows
+and columns under ``line``, as vertex masks (bit i for the i-th sorted
+cell). Two cells attack when a line holds both, and each cell lies in
+one horizontal and one vertical line, so it is an edge of the bipartite
+line incidence graph. ``f_vector`` builds everything else from the
+lines: the attack graph, which keeps them for the witness search and the
+induced-matching bound, and the sweep below, whose columns
+``_sweep_columns`` reads off them.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
 incidence graph. The f-vector, rook number, purity and the facet counts
-by size come from one transfer-matrix sweep over it. A non-purity
-witness is found by a bounded search for the first facet of a given
-size; facets are listed only when read.
+by size come from one transfer-matrix sweep over it, into one
+``RookComplex``. Its non-purity witness is found, when first read, by a
+bounded search for the first facet of a given size; facets are listed
+only when read.
 """
 
 from __future__ import annotations
@@ -33,10 +33,18 @@ from typing import Iterable, Sequence
 
 from .errors import CellNotInPolyominoError, NotPureError
 from .graphs import SimpleGraph, bits
-from .polyomino import Cell, Polyomino, stored_property
+from .polyomino import Cell, Polyomino, _pair, stored_property
 
 INTERVAL = "interval"
 LINE = "line"
+
+Lines = tuple[tuple[int, ...], tuple[int, ...]]  # horizontal, vertical: vertex masks
+
+
+@dataclass(frozen=True)
+class PurityResult:
+    pure: bool
+    witness: tuple[frozenset, frozenset] | None
 
 
 @dataclass(frozen=True)
@@ -45,8 +53,9 @@ class RookComplex:
 
     ``f_vector`` has length ``rook_number + 1``; entry k counts the faces
     of size k, so it starts with 1 for the empty face. ``pure`` holds when
-    every facet has ``rook_number`` cells. ``facets`` are searched for on
-    the attack graph when first read.
+    every facet has ``rook_number`` cells. ``purity``, the flag with its
+    witness pair, and ``facets`` are searched for on the attack graph when
+    first read.
 
     Two fields are kept for later searches and are left out of
     comparisons: ``graph``, the attack graph with its lines, and
@@ -65,11 +74,22 @@ class RookComplex:
         sorted cell tuples."""
         return tuple(_cells_of(self.graph, mask) for mask in _facet_search(self.graph))
 
-
-@dataclass(frozen=True)
-class PurityResult:
-    pure: bool
-    witness: tuple[frozenset, frozenset] | None
+    @stored_property
+    def purity(self) -> PurityResult:
+        """``pure`` with a witness pair when it fails: the first smallest and
+        the first largest facet in sorted-cell-tuple order. Each is found by
+        ``_first_facet`` at the size that ``facets_by_size`` names, and no
+        facet list is built."""
+        if self.pure:
+            return PurityResult(True, None)
+        smallest = next(k for k, count in enumerate(self.facets_by_size) if count)
+        return PurityResult(
+            False,
+            tuple(
+                frozenset(self.graph.vertices[i] for i in bits(_first_facet(self.graph, size)))
+                for size in (smallest, self.rook_number)
+            ),
+        )
 
 
 def _per_shape_cache(func):
@@ -88,61 +108,54 @@ def _per_shape_cache(func):
     return lookup
 
 
-def _lines(poly: Polyomino, convention: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _lines(poly: Polyomino, convention: str) -> Lines:
     """The horizontal and the vertical lines of ``poly`` as masks over its
-    sorted cells: the maximal runs, singletons included, under
-    ``interval``, and whole rows (by y) and columns (by x) under ``line``.
-    Two cells attack when some line holds both, and every cell lies in
-    exactly one line of each orientation. A column's cells are
-    consecutive in sorted order, so a column is one block of bits."""
+    sorted cells: the maximal runs of ``poly.runs``, singletons included,
+    under ``interval``, and under ``line`` those runs merged into whole
+    rows (by y) and columns (by x). Two cells attack when some line holds
+    both, and every cell lies in exactly one line of each orientation."""
     if convention == INTERVAL:
         return poly.runs
     if convention == LINE:
-        rows = [0] * poly.height
-        columns = []
-        i = 0
-        for col in poly.columns:
-            columns.append(((1 << col.bit_count()) - 1) << i)
-            for y in bits(col):
-                rows[y] |= 1 << i
-                i += 1
+        cells = poly.sorted_cells
+        rows, columns = [0] * poly.height, [0] * poly.width
+        for runs, lines, axis in zip(poly.runs, (rows, columns), (1, 0)):
+            for run in runs:
+                lines[cells[(run & -run).bit_length() - 1][axis]] |= run
         return tuple(rows), tuple(columns)
     raise ValueError(f"unknown attack convention {convention!r}")
 
 
-def _sweep_columns(poly: Polyomino, convention: str) -> list[tuple[tuple[int, ...], int]]:
-    """The columns that ``_sweep_counts`` sweeps, each as the row masks of
-    its vertical lines and the mask of the rows whose horizontal line
-    ends in it. The board is transposed when it is taller than wide, so
-    that rows are the shorter side. Under ``interval`` the vertical lines
-    are the column's runs and a row's run ends where the next column
-    lacks the row; under ``line`` the column is one line and a row ends
-    in its last column."""
+def _sweep_columns(poly: Polyomino, lines: Lines) -> list[tuple[tuple[int, ...], int]]:
+    """The columns that ``_sweep_counts`` sweeps, read off the ``lines`` of
+    ``_lines``: each column as the row masks of its vertical lines and the
+    mask of the rows whose horizontal line ends in it. The board is
+    transposed when it is taller than wide, so that rows are the shorter
+    side, and then its horizontal lines are the ones swept as vertical.
+
+    A line holds every cell of its row or column between its first and
+    its last cell, so a vertical line is its column's row mask cut to
+    those ends, and a horizontal line ends in the column of its last cell."""
+    cells = poly.sorted_cells
+    h_lines, v_lines = lines
     if poly.height > poly.width:
-        # The columns of the transposed board: row y as a mask of its x.
+        cells = [(y, x) for x, y in cells]
+        h_lines, v_lines = v_lines, h_lines
         columns = [0] * poly.height
-        for x, y in poly.sorted_cells:
-            columns[y] |= 1 << x
+        for x, y in cells:
+            columns[x] |= 1 << y
     else:
-        columns = list(poly.columns)
-    if convention == INTERVAL:
-        out = []
-        for col, nxt in zip(columns, columns[1:] + [0]):
-            runs, rest = [], col
-            while rest:
-                low = rest & -rest
-                run = rest & ~(rest + low)  # the run of bits starting at ``low``
-                runs.append(run)
-                rest ^= run
-            out.append((tuple(runs), col & ~nxt))
-        return out
-    if convention == LINE:
-        out, later = [], 0
-        for col in reversed(columns):
-            out.append(((col,), col & ~later))
-            later |= col
-        return out[::-1]
-    raise ValueError(f"unknown attack convention {convention!r}")
+        columns = poly.columns
+    vertical = [[] for _ in columns]
+    ends = [0] * len(columns)
+    for line in v_lines:
+        x, first = cells[(line & -line).bit_length() - 1]
+        last = cells[line.bit_length() - 1][1]
+        vertical[x].append(columns[x] & ((2 << last) - (1 << first)))
+    for line in h_lines:
+        x, y = cells[line.bit_length() - 1]
+        ends[x] |= 1 << y
+    return [(tuple(v), e) for v, e in zip(vertical, ends)]
 
 
 @_per_shape_cache
@@ -284,7 +297,7 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
             low = rest & -rest
             masks[low.bit_length() - 1] |= line ^ low
             rest ^= low
-    faces, facets_by_size = _sweep_counts(_sweep_columns(poly, convention))
+    faces, facets_by_size = _sweep_counts(_sweep_columns(poly, lines))
     d = len(faces) - 1
     return RookComplex(
         tuple(faces),
@@ -301,10 +314,11 @@ def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
 
 
 def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) -> bool:
-    """True when no two of the given cells attack each other."""
+    """True when no two of the given cells attack each other. Cells are
+    integer pairs, as tuples or lists, as ``Polyomino`` takes them."""
     graph = f_vector(poly, convention).graph
     chosen = 0
-    for c in cells:
+    for c in map(_pair, cells):
         if c not in poly.cells:
             raise CellNotInPolyominoError(f"{c} is not a cell of the polyomino")
         chosen |= 1 << graph.index(c)
@@ -371,21 +385,9 @@ def _first_facet(graph: SimpleGraph, size: int) -> int:
 
 
 def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:
-    """Whether all facets share the top cardinality; a witness pair otherwise:
-    the first smallest and the first largest facet in sorted-cell-tuple
-    order. Each is found by ``_first_facet`` at the size that the kept
-    facet counts name, and no facet list is built."""
-    rc = f_vector(poly, convention)
-    if rc.pure:
-        return PurityResult(True, None)
-    smallest = next(k for k, count in enumerate(rc.facets_by_size) if count)
-    return PurityResult(
-        False,
-        tuple(
-            frozenset(rc.graph.vertices[i] for i in bits(_first_facet(rc.graph, size)))
-            for size in (smallest, rc.rook_number)
-        ),
-    )
+    """Whether all facets share the top cardinality, with a witness pair
+    otherwise: ``RookComplex.purity`` of the shape's complex."""
+    return f_vector(poly, convention).purity
 
 
 def h_from_f(f: Sequence[int]) -> tuple[int, ...]:

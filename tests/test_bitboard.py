@@ -34,7 +34,7 @@ def _assert_matches_scans(poly, counts=True):
         lines = rook_complex._lines(poly, convention)
         assert lines == cell_scans.line_masks(poly, convention), convention
         columns = cell_scans.sweep_columns(poly, convention)
-        assert rook_complex._sweep_columns(poly, convention) == columns, convention
+        assert rook_complex._sweep_columns(poly, lines) == columns, convention
         if counts:
             # Uncached, so that no record outlives its shape.
             rc = rook_complex.f_vector.__wrapped__(poly, convention)

@@ -30,6 +30,26 @@ FREE_COUNTS = (1, 1, 2, 5, 12, 35, 108, 369)
 FIXED_COUNTS = (1, 2, 6, 19, 63, 216, 760, 2725)
 
 
+def _brush(lengths):
+    return [(i, y if i % 2 == 0 else -y) for i, length in enumerate(lengths) for y in range(length)]
+
+
+_HOLED = [(x, y) for x in range(7) for y in range(7) if not (2 <= x < 5 and 2 <= y < 5)]
+
+# The benchmark's analyze shapes, with their conventions: 6x6 and 7x7
+# boards, the 7x7 board with a 3x3 hole under both conventions, pure
+# brushes of 9 and 10 bristles, a staircase.
+ANALYZE_SHAPES = [
+    ([(x, y) for x in range(6) for y in range(6)], "interval"),
+    ([(x, y) for x in range(7) for y in range(7)], "interval"),
+    (_HOLED, "interval"),
+    (_HOLED, "line"),
+    (_brush((3,) * 7 + (4, 4)), "interval"),
+    (_brush((3,) * 8 + (4, 4)), "interval"),
+    ([(x, y) for y in range(11) for x in range(y, y + 3)], "interval"),
+]
+
+
 class TestGenerate:
     @pytest.mark.parametrize("mode, counts", [("free", FREE_COUNTS), ("fixed", FIXED_COUNTS)])
     def test_counts_to_rank_six(self, mode, counts):
@@ -301,24 +321,32 @@ class TestVerifyCorpus:
                 monkeypatch.setattr(module, "attack_graph", refuse)
         monkeypatch.setattr(SimpleGraph, "index", refuse)
         assert verify_corpus(8).passed
+        for cells, convention in ANALYZE_SHAPES:
+            analyze_polyomino(Polyomino.from_cells(cells), convention)
 
-        # The benchmark's analyze shapes: 6x6 and 7x7 boards, the 7x7 board
-        # with a 3x3 hole, pure brushes of 9 and 10 bristles, a staircase.
-        def brush(lengths):
-            return [(i, y if i % 2 == 0 else -y) for i, length in enumerate(lengths) for y in range(length)]
+    def test_analyze_reads_one_complex_per_record(self, monkeypatch):
+        # Each record's complex is built by one f_vector call, and purity
+        # with its witness is read off it, never through is_pure: one call
+        # under interval, and one more for the line view under line.
+        calls = {"f_vector": 0, "is_pure": 0}
 
-        holed = [(x, y) for x in range(7) for y in range(7) if not (2 <= x < 5 and 2 <= y < 5)]
-        shapes = [
-            [(x, y) for x in range(6) for y in range(6)],
-            [(x, y) for x in range(7) for y in range(7)],
-            holed,
-            brush((3,) * 7 + (4, 4)),
-            brush((3,) * 8 + (4, 4)),
-            [(x, y) for y in range(11) for x in range(y, y + 3)],
-        ]
-        for cells in shapes:
-            analyze_polyomino(Polyomino.from_cells(cells))
-        analyze_polyomino(Polyomino.from_cells(holed), "line")
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        originals = {name: getattr(rook_complex, name) for name in calls}
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "rooklab":
+                for name, original in originals.items():
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, counted(name, original))
+        for cells, convention in ANALYZE_SHAPES:
+            calls.update(f_vector=0)
+            analyze_polyomino(Polyomino.from_cells(cells), convention)
+            assert calls == {"f_vector": 1 if convention == "interval" else 2, "is_pure": 0}, (cells, convention)
 
     def test_empty_or_repeated_check_list(self):
         with pytest.raises(UnknownCheckError):

@@ -72,6 +72,8 @@ class TestConventions:
                     line.rook_number,
                     line.pure,
                 ), poly
-                assert rook_complex._sweep_counts(
-                    rook_complex._sweep_columns(poly, "interval")
-                ) == rook_complex._sweep_counts(rook_complex._sweep_columns(poly, "line")), poly
+                interval_sweep, line_sweep = (
+                    rook_complex._sweep_counts(rook_complex._sweep_columns(poly, rook_complex._lines(poly, c)))
+                    for c in ("interval", "line")
+                )
+                assert interval_sweep == line_sweep, poly

@@ -111,10 +111,26 @@ class TestPolyominoCells:
     def test_lists_as_cells(self):
         assert Polyomino([[0, 0], [0, 1]]).cells == frozenset({(0, 0), (0, 1)})
 
-    @pytest.mark.parametrize("cells", [[(0.5, 0)], [(0, 0), (True, 0)], [(0, 0, 0)], [(0, 0), 7], "ab"])
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [(0.5, 0)],
+            [(0, 0), (True, 0)],
+            [(0, 0, 0)],
+            [(0, 0), 7],
+            "ab",
+            # Every entry is checked, whatever the container.
+            [(0.0, 0), (1.0, 0)],
+            frozenset({(0.0, 0), (1.0, 0)}),
+            frozenset({(0, 0, 0)}),
+            frozenset({(0, 0), (True, 1)}),
+        ],
+    )
     def test_rejects_non_integer_pairs(self, cells):
         with pytest.raises(BadCellError):
             Polyomino(cells)
+        with pytest.raises(BadCellError):
+            Polyomino.from_cells(cells)
 
     def test_checks_stay_on_coerced_cells(self):
         with pytest.raises(NotConnectedError):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import cell_scans
 
 from rooklab import (
+    BadCellError,
     CellNotInPolyominoError,
     NotPureError,
     SimpleGraph,
@@ -142,6 +143,13 @@ class TestIsFace:
         with pytest.raises(CellNotInPolyominoError):
             is_face(SKEW, [(9, 9)])
 
+    def test_takes_cells_as_polyomino_does(self):
+        assert is_face(SKEW, [[0, 0], [2, 1]])
+        assert not is_face(SKEW, [[1, 0], (1, 1)])
+        for cells in ([(0.0, 0)], [(0, 0, 0)], [(True, 0)]):
+            with pytest.raises(BadCellError):
+                is_face(SKEW, cells)
+
     def test_matches_pairwise_attacks(self, census6, attack_pairs):
         for poly in census6:
             for convention in ("interval", "line"):
@@ -154,12 +162,11 @@ class TestIsFace:
     "call",
     [
         lambda c: rook_complex._lines(RECT_2X3, c),
-        lambda c: rook_complex._sweep_columns(RECT_2X3, c),
         lambda c: attack_graph(RECT_2X3, c),
         lambda c: f_vector(RECT_2X3, c),
         lambda c: is_face(RECT_2X3, [(0, 0)], c),
     ],
-    ids=["_lines", "_sweep_columns", "attack_graph", "f_vector", "is_face"],
+    ids=["_lines", "attack_graph", "f_vector", "is_face"],
 )
 def test_unknown_convention_raises(call):
     with pytest.raises(ValueError, match="unknown attack convention 'rows'"):
@@ -262,7 +269,8 @@ class TestSweep:
         for convention in ("interval", "line"):
             for poly in census10:
                 oracle_facets, counts = enumerate_complex(attack_graph(poly, convention))
-                faces, facets_by_size = rook_complex._sweep_counts(rook_complex._sweep_columns(poly, convention))
+                line_masks = rook_complex._lines(poly, convention)
+                faces, facets_by_size = rook_complex._sweep_counts(rook_complex._sweep_columns(poly, line_masks))
                 d = len(faces) - 1
                 assert faces == counts[: d + 1] and not any(counts[d + 1 :]), poly
                 sizes = Counter(len(f) for f in oracle_facets)
@@ -285,7 +293,8 @@ class TestSweep:
                 seen = set()
                 for image in dihedral_images(poly):
                     rc = f_vector(image, convention)
-                    sizes = tuple(rook_complex._sweep_counts(rook_complex._sweep_columns(image, convention))[1])
+                    lines = rook_complex._lines(image, convention)
+                    sizes = tuple(rook_complex._sweep_counts(rook_complex._sweep_columns(image, lines))[1])
                     seen.add((rc.f_vector, rc.rook_number, rc.pure, sizes))
                 assert len(seen) == 1, (poly, convention, seen)
 
