@@ -25,6 +25,17 @@ from .polyomino import _BOX_SYMMETRIES, Cell, Polyomino, canonical_cells, render
 from .record import ShapeRecord
 from .regularity import brush_fh, check_sigma_identities, induced_matching_number, single_cell_intervals
 
+__all__ = [
+    "CHECKS",
+    "CensusReport",
+    "CheckResult",
+    "Violation",
+    "free_census",
+    "generate",
+    "pure_brush_realizations",
+    "verify_corpus",
+]
+
 DEFAULT_MAX_RANK = 10
 MAX_RANK_ENV = "ROOKLAB_MAX_RANK"
 
@@ -44,6 +55,13 @@ def max_rank_limit() -> int:
         return int(raw)
     except ValueError:
         raise RankOutOfRangeError(f"{MAX_RANK_ENV}={raw!r} is not an integer rank") from None
+
+
+def _check_rank(n: int, what: str) -> None:
+    """Raise ``RankOutOfRangeError``, naming n as ``what``, unless n is within 1..ceiling."""
+    limit = max_rank_limit()
+    if not 1 <= n <= limit:
+        raise RankOutOfRangeError(f"{what} {n} outside 1..{limit}")
 
 
 def _grow_codes(n: int, mode: str) -> list[tuple[int, ...]]:
@@ -110,9 +128,7 @@ def _rank_cells(n: int, mode: str) -> Iterator[tuple[Cell, ...]]:
 
 def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
     """All polyominoes of rank n, one per canonical form, in sorted order, built unchecked."""
-    limit = max_rank_limit()
-    if not 1 <= n <= limit:
-        raise RankOutOfRangeError(f"rank {n} outside 1..{limit}")
+    _check_rank(n, "rank")
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown mode {mode!r}")
     yield from map(Polyomino._trusted, _rank_cells(n, mode))
@@ -134,9 +150,7 @@ def free_census(n_max: int) -> tuple[Polyomino, ...]:
     """All free polyominoes of rank 1..n_max, by rank then cell order, built
     unchecked into a fresh tuple; only the code tuples stay cached. Raises
     ``RankOutOfRangeError`` for a rank outside 1..ceiling."""
-    limit = max_rank_limit()
-    if not 1 <= n_max <= limit:
-        raise RankOutOfRangeError(f"max rank {n_max} outside 1..{limit}")
+    _check_rank(n_max, "max rank")
     return tuple(Polyomino._trusted(_cells(codes)) for codes in _free_codes(n_max))
 
 
@@ -470,9 +484,7 @@ def verify_corpus(n_max: int, checks: Iterable[str] | None = None, jobs: int = 1
     ``UnknownCheckError`` for an unknown name, an empty list or a name
     given twice.
     """
-    limit = max_rank_limit()
-    if not 1 <= n_max <= limit:
-        raise RankOutOfRangeError(f"max rank {n_max} outside 1..{limit}")
+    _check_rank(n_max, "max rank")
     names = list(CHECKS) if checks is None else list(checks)
     if not names:
         raise UnknownCheckError("no check named")

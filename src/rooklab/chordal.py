@@ -26,6 +26,17 @@ from .polyomino import CellInterval, canonical_cells, shape_predicates, stored_p
 if TYPE_CHECKING:
     from .record import ShapeRecord
 
+__all__ = [
+    "BrushDecomposition",
+    "ChordalityClassification",
+    "ChordalityResult",
+    "brush_decomposition",
+    "classify_chordality",
+    "complement_graph",
+    "induced_cycle_lengths",
+    "is_chordal",
+]
+
 SHORT_BRUSH = "short_brush"
 EXCEPTIONAL_NONTHIN = "exceptional_nonthin"
 OTHER = "other"

@@ -227,8 +227,7 @@ def report_json(report: census_mod.CensusReport) -> dict:
 
 
 def report_exit_code(report: census_mod.CensusReport) -> int:
-    bad = any(not r.passed and not r.informational for r in report.results)
-    return EXIT_VIOLATIONS if bad else EXIT_OK
+    return EXIT_OK if report.passed else EXIT_VIOLATIONS
 
 
 def _cmd_verify(args) -> int:

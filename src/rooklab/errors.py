@@ -1,5 +1,23 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BadCellError",
+    "BadCharacterError",
+    "CellNotInPolyominoError",
+    "DuplicateCellError",
+    "EmptyInputError",
+    "IntervalNotInPolyominoError",
+    "NotApplicableError",
+    "NotConnectedError",
+    "NotPureBrushError",
+    "NotPureError",
+    "NotSimpleThinError",
+    "RankOutOfRangeError",
+    "RankTooSmallError",
+    "RookLabError",
+    "UnknownCheckError",
+]
+
 
 class RookLabError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -56,10 +74,6 @@ class RankTooSmallError(RookLabError):
 class RankOutOfRangeError(RookLabError):
     """Requested rank is outside 1..configured maximum, or the maximum
     configured in the environment is not an integer."""
-
-
-class IndexOutOfRangeError(RookLabError, IndexError):
-    """A symmetric-polynomial index k is outside 0..d."""
 
 
 class NotPureError(RookLabError):

@@ -6,6 +6,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
+__all__ = ["SimpleGraph"]
+
 Vertex = Hashable
 
 
@@ -62,9 +64,6 @@ class SimpleGraph:
 
     def adjacent(self, u: Vertex, v: Vertex) -> bool:
         return bool(self.masks[self.index(u)] >> self.index(v) & 1)
-
-    def degree(self, v: Vertex) -> int:
-        return self.masks[self.index(v)].bit_count()
 
     @property
     def n(self) -> int:

@@ -13,7 +13,6 @@ partition whose size equals the rook number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import IntervalNotInPolyominoError, RankTooSmallError
@@ -22,6 +21,17 @@ from .polyomino import Cell, CellInterval, HORIZONTAL, VERTICAL
 
 if TYPE_CHECKING:
     from .record import ShapeRecord
+
+__all__ = [
+    "Embedding",
+    "PartitionSet",
+    "PurityTheoremReport",
+    "check_purity_theorem",
+    "embeddings",
+    "find_embedding",
+    "partitions",
+    "super_partitions",
+]
 
 
 @dataclass(frozen=True)
@@ -38,10 +48,6 @@ class Embedding:
 
     target: CellInterval
     rooks: tuple[Cell, ...]
-
-    @property
-    def rook_set(self) -> frozenset[Cell]:
-        return frozenset(self.rooks)
 
 
 @dataclass(frozen=True)
@@ -92,20 +98,6 @@ def embeddings(rec: ShapeRecord, interval: CellInterval) -> Iterator[Embedding]:
 def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None:
     """First embedding of ``interval`` in deterministic order, or None."""
     return next(embeddings(rec, interval), None)
-
-
-def is_embedding(rec: ShapeRecord, interval: CellInterval, rooks: tuple[Cell, ...]) -> bool:
-    """Validate a claimed embedding independently of the search."""
-    if interval not in rec.interval_mask:
-        raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
-    if len(rooks) != interval.length or len(set(rooks)) != len(rooks):
-        return False
-    if any(r not in rec.poly.cells for r in rooks):
-        return False
-    graph = rec.attack
-    paired = all(graph.adjacent(r, c) for r, c in zip(rooks, interval.cells))
-    free = not any(graph.adjacent(a, b) for a, b in combinations(rooks, 2))
-    return paired and free
 
 
 def partitions(rec: ShapeRecord) -> list[PartitionSet]:

@@ -30,6 +30,19 @@ from .errors import (
 )
 from .graphs import bits
 
+__all__ = [
+    "Cell",
+    "CellInterval",
+    "Polyomino",
+    "ShapePredicates",
+    "canonical_cells",
+    "maximal_intervals",
+    "parse_ascii",
+    "parse_cells",
+    "render_ascii",
+    "shape_predicates",
+]
+
 Cell = tuple[int, int]
 
 HORIZONTAL = "horizontal"
@@ -357,9 +370,3 @@ def canonical_cells(cells: Iterable[Cell], mode: str = "free") -> tuple[Cell, ..
         return base
     w, h = base[-1][0], max([y for _, y in base])
     return min(base, *(tuple(sorted([f(x, y, w, h) for x, y in base])) for f in _BOX_SYMMETRIES))
-
-
-def canonical_form(poly: Polyomino, mode: str = "free") -> Polyomino:
-    """Canonical representative of ``poly`` under translation (``fixed``)
-    or under the full dihedral symmetry group (``free``)."""
-    return Polyomino(frozenset(canonical_cells(poly.cells, mode)))

@@ -14,6 +14,8 @@ from .graphs import SimpleGraph
 from .polyomino import stored_property
 from .rook_complex import INTERVAL, RookComplex, f_vector, h_from_f
 
+__all__ = ["ShapeRecord"]
+
 
 class GraphRecord:
     """The attack graph of one polyomino under one attack convention, and

@@ -17,7 +17,6 @@ from math import comb
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
-    IndexOutOfRangeError,
     NotApplicableError,
     NotPureBrushError,
     RankTooSmallError,
@@ -28,12 +27,17 @@ from .polyomino import Cell, CellInterval
 if TYPE_CHECKING:
     from .record import ShapeRecord
 
-
-@dataclass(frozen=True)
-class SigmaTriple:
-    sigma: int
-    sigma_prime: int
-    sigma_double: int
+__all__ = [
+    "BrushVectors",
+    "MatchingCertificate",
+    "RegularityMatchReport",
+    "brush_fh",
+    "check_reg_eq_nu",
+    "check_sigma_identities",
+    "induced_matching_number",
+    "regularity_pure_thin",
+    "single_cell_intervals",
+]
 
 
 @dataclass(frozen=True)
@@ -56,13 +60,6 @@ class RegularityMatchReport:
     consistent: bool
 
 
-def elementary_symmetric(k: int, values: Sequence[int]) -> int:
-    """e_k over the values; e_0 = 1, and 0 once k exceeds the arity."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return _elementary_symmetric_all(values)[k] if k <= len(values) else 0
-
-
 def _elementary_symmetric_all(values: Sequence[int]) -> list[int]:
     """e_0..e_d of the d values, from one pass of e_j += e_(j-1) v per value v."""
     acc = [1] + [0] * len(values)
@@ -79,14 +76,6 @@ def _check_lengths(lengths: Sequence[int]) -> tuple[int, ...]:
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 2 for v in lengths):
         raise ValueError(f"bristle lengths are integers of at least 2, not {lengths!r}")
     return lengths
-
-
-def sigma_triples(lengths: Sequence[int], k: int) -> SigmaTriple:
-    """e_k of the lengths, of the lengths minus one, and minus two."""
-    lengths = _check_lengths(lengths)
-    if not 0 <= k <= len(lengths):
-        raise IndexOutOfRangeError(f"k={k} outside 0..{len(lengths)}")
-    return SigmaTriple(*(elementary_symmetric(k, [v - shift for v in lengths]) for shift in (0, 1, 2)))
 
 
 def check_sigma_identities(lengths: Sequence[int]) -> bool:

@@ -35,6 +35,18 @@ from .errors import CellNotInPolyominoError, NotPureError
 from .graphs import SimpleGraph, bits
 from .polyomino import Cell, Polyomino, _pair, stored_property
 
+__all__ = [
+    "PurityResult",
+    "RookComplex",
+    "attack_graph",
+    "f_vector",
+    "facets",
+    "h_from_f",
+    "is_face",
+    "is_pure",
+    "is_vertex_decomposable",
+]
+
 INTERVAL = "interval"
 LINE = "line"
 
@@ -397,14 +409,6 @@ def h_from_f(f: Sequence[int]) -> tuple[int, ...]:
     return tuple(
         sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
         for k in range(d + 1)
-    )
-
-
-def f_from_h(h: Sequence[int]) -> tuple[int, ...]:
-    """Inverse transform: f_(i-1) = sum_k C(d-k, i-k) h_k, where d = len(h) - 1."""
-    d = len(h) - 1
-    return tuple(
-        sum(comb(d - k, i - k) * h[k] for k in range(i + 1)) for i in range(d + 1)
     )
 
 

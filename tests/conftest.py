@@ -3,7 +3,16 @@ from itertools import combinations
 
 import pytest
 
-from rooklab import CellNotInPolyominoError, NotConnectedError, Polyomino, ShapeRecord, free_census
+import cell_scans
+
+from rooklab import (
+    CellNotInPolyominoError,
+    IntervalNotInPolyominoError,
+    NotConnectedError,
+    Polyomino,
+    ShapeRecord,
+    free_census,
+)
 from rooklab.graphs import bits
 
 _STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
@@ -195,6 +204,33 @@ def _attack_pairs(poly, convention="interval"):
 @pytest.fixture(scope="session")
 def attack_pairs():
     return _attack_pairs
+
+
+def _is_embedding(poly, interval, rooks):
+    """Whether ``rooks`` embed ``interval``, checked against the attacks
+    ``_attack_pairs`` rebuilds from the cells, not against the attack graph
+    the search reads: as many distinct cells of the shape as the interval
+    has, ``rooks[i]`` attacking ``interval.cells[i]``, no two rooks
+    attacking. Raises ``IntervalNotInPolyominoError`` unless ``interval``
+    is a maximal interval of the shape by the cell scans."""
+    if interval not in cell_scans.maximal_intervals(poly):
+        raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
+    if len(rooks) != interval.length or len(set(rooks)) != len(rooks) or not set(rooks) <= poly.cells:
+        return False
+    attacks = _attack_pairs(poly)
+
+    def attack(a, b):
+        return (min(a, b), max(a, b)) in attacks
+
+    paired = all(attack(r, c) for r, c in zip(rooks, interval.cells))
+    return paired and not any(attack(a, b) for a, b in combinations(rooks, 2))
+
+
+@pytest.fixture(scope="session")
+def is_embedding():
+    """The embedding validator the package used to export; tests use it as
+    an independent check of the search's witnesses."""
+    return _is_embedding
 
 
 def _enumerate_complex(graph):

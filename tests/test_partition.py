@@ -11,7 +11,6 @@ from rooklab import (
     embeddings,
     facets,
     find_embedding,
-    is_embedding,
     is_pure,
     maximal_intervals,
     parse_ascii,
@@ -87,16 +86,18 @@ class TestPartitions:
 
 
 class TestFindEmbedding:
-    def test_rectangle_column_embedded(self):
+    def test_rectangle_column_embedded(self, is_embedding):
         col0 = interval_of(RECT_2X3, "vertical", (0, 0))
         emb = find_embedding(ShapeRecord(RECT_2X3), col0)
         assert emb is not None
         assert emb.rooks == ((1, 0), (2, 1))
-        assert is_embedding(ShapeRecord(RECT_2X3), col0, emb.rooks)
+        assert is_embedding(RECT_2X3, col0, emb.rooks)
         # The worked witness pairing the top cell with (1, 1) is also valid.
-        assert is_embedding(ShapeRecord(RECT_2X3), col0, ((2, 0), (1, 1)))
+        assert is_embedding(RECT_2X3, col0, ((2, 0), (1, 1)))
+        # Rooks in one column attack each other.
+        assert not is_embedding(RECT_2X3, col0, ((1, 0), (1, 1)))
 
-    def test_rectangle_all_columns_have_worked_witnesses(self):
+    def test_rectangle_all_columns_have_worked_witnesses(self, is_embedding):
         # One witness per column of the 2-row rectangle, pairing
         # (bottom, top) cells with attackers from the other columns.
         witnesses = {
@@ -106,7 +107,7 @@ class TestFindEmbedding:
         }
         for anchor, rooks in witnesses.items():
             col = interval_of(RECT_2X3, "vertical", anchor)
-            assert is_embedding(ShapeRecord(RECT_2X3), col, rooks)
+            assert is_embedding(RECT_2X3, col, rooks)
 
     def test_skew_handle_embedded(self):
         handle = interval_of(SKEW, "vertical", (1, 0))
@@ -131,10 +132,10 @@ class TestFindEmbedding:
             CellInterval("horizontal", ((0, 0), (1, 0))),
         ],
     )
-    def test_is_embedding_rejects_foreign_interval(self, interval):
-        rec = ShapeRecord(parse_cells([(0, 0), (1, 0), (2, 0), (0, 1)]))
+    def test_is_embedding_rejects_foreign_interval(self, interval, is_embedding):
+        poly = parse_cells([(0, 0), (1, 0), (2, 0), (0, 1)])
         with pytest.raises(IntervalNotInPolyominoError):
-            is_embedding(rec, interval, ((0, 1), (1, 0)))
+            is_embedding(poly, interval, ((0, 1), (1, 0)))
 
     def test_interval_masks_align_with_intervals(self, census10):
         # Mask k holds exactly the vertices of interval k's cells, and the
@@ -280,7 +281,7 @@ class TestProofStepInvariants:
                     )
                     if linked:
                         assert any(
-                            e.rook_set & other.cell_set for e in embeddings(rec, first)
+                            set(e.rooks) & other.cell_set for e in embeddings(rec, first)
                         )
 
     def test_outside_unique_super_partition_all_embedded(self, census6):

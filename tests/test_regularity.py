@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import cell_scans
 
 from rooklab import (
-    IndexOutOfRangeError,
     NotApplicableError,
     NotPureBrushError,
     RankTooSmallError,
@@ -18,7 +17,6 @@ from rooklab import (
     brush_fh,
     check_reg_eq_nu,
     check_sigma_identities,
-    elementary_symmetric,
     f_vector,
     h_from_f,
     induced_matching_number,
@@ -28,7 +26,6 @@ from rooklab import (
     pure_brush_realizations,
     regularity_pure_thin,
     shape_predicates,
-    sigma_triples,
     single_cell_intervals,
 )
 from rooklab.census import _SIGMA_SAMPLES, _SIGMA_SEED
@@ -52,25 +49,26 @@ BRUSH_322 = parse_cells(
 )
 
 
+def _expansion(values):
+    """e_0..e_d of the d values, each a sum of products over k-subsets."""
+    return [sum(_prod(sub) for sub in combinations(values, k)) for k in range(len(values) + 1)]
+
+
 class TestElementarySymmetric:
     def test_degree_zero(self):
-        assert elementary_symmetric(0, [7, 8, 9]) == 1
-        assert elementary_symmetric(0, []) == 1
+        assert _elementary_symmetric_all([7, 8, 9])[0] == 1
+        assert _elementary_symmetric_all([])[0] == 1
 
     def test_pairs(self):
-        assert elementary_symmetric(2, [2, 3, 4]) == 26
+        assert _elementary_symmetric_all([2, 3, 4])[2] == 26
 
     def test_exceeds_arity(self):
-        assert elementary_symmetric(4, [1, 2, 3]) == 0
+        # e_0..e_3 and nothing past the arity, where every e_k is 0.
+        assert _elementary_symmetric_all([1, 2, 3]) == [1, 6, 11, 6]
 
-    def test_negative_k(self):
-        with pytest.raises(ValueError):
-            elementary_symmetric(-1, [1])
-
-    @given(st.lists(st.integers(-9, 9), min_size=0, max_size=7), st.integers(0, 7))
-    def test_matches_expansion(self, values, k):
-        expected = sum(_prod(sub) for sub in combinations(values, k))
-        assert elementary_symmetric(k, values) == expected
+    @given(st.lists(st.integers(-9, 9), min_size=0, max_size=7))
+    def test_matches_expansion(self, values):
+        assert _elementary_symmetric_all(values) == _expansion(values)
 
     def test_one_pass_matches_each_k_on_the_sigma_samples(self):
         # The length vectors the sigma-identities check draws, with the two
@@ -81,8 +79,7 @@ class TestElementarySymmetric:
             lengths = [rng.randint(2, 9) for _ in range(d)]
             for shift in (0, 1, 2):
                 values = [v - shift for v in lengths]
-                expected = [elementary_symmetric(k, values) for k in range(d + 1)]
-                assert _elementary_symmetric_all(values) == expected, values
+                assert _elementary_symmetric_all(values) == _expansion(values), values
 
     def test_one_pass_of_nothing(self):
         assert _elementary_symmetric_all([]) == [1]
@@ -95,20 +92,19 @@ def _prod(values):
     return out
 
 
+def _sigma_triple(lengths, k):
+    """e_k of the lengths, of the lengths minus one and minus two, as
+    ``check_sigma_identities`` and ``brush_fh`` read them off one pass each."""
+    return tuple(_elementary_symmetric_all([v - shift for v in lengths])[k] for shift in (0, 1, 2))
+
+
 class TestSigmaTriples:
     def test_worked_pairs(self):
-        t = sigma_triples((2, 2), 1)
-        assert (t.sigma, t.sigma_prime, t.sigma_double) == (4, 2, 0)
-        t = sigma_triples((3, 3), 2)
-        assert (t.sigma, t.sigma_prime, t.sigma_double) == (9, 4, 1)
+        assert _sigma_triple((2, 2), 1) == (4, 2, 0)
+        assert _sigma_triple((3, 3), 2) == (9, 4, 1)
 
     def test_k_zero(self):
-        t = sigma_triples((5, 7, 2), 0)
-        assert (t.sigma, t.sigma_prime, t.sigma_double) == (1, 1, 1)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
-            sigma_triples((2, 2), 3)
+        assert _sigma_triple((5, 7, 2), 0) == (1, 1, 1)
 
 
 class TestSigmaIdentities:
@@ -177,8 +173,8 @@ class TestBrushFH:
 
 @pytest.mark.parametrize(
     "call",
-    [brush_fh, check_sigma_identities, lambda lengths: sigma_triples(lengths, 1)],
-    ids=["brush_fh", "check_sigma_identities", "sigma_triples"],
+    [brush_fh, check_sigma_identities],
+    ids=["brush_fh", "check_sigma_identities"],
 )
 @pytest.mark.parametrize("lengths", [(2.9, 3), (3.0, 3), ("3", 3), (True, 3), (3, None)])
 def test_lengths_must_be_ints(call, lengths):

@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,6 @@ from rooklab import (
     SimpleGraph,
     attack_graph,
     complement_graph,
-    f_from_h,
     f_vector,
     facets,
     h_from_f,
@@ -397,6 +397,13 @@ def _witness_problems(cells, pairs, oracle_facets, witness):
     return problems
 
 
+def f_from_h(h):
+    """The inverse of ``h_from_f``, f_(i-1) = sum_k C(d-k, i-k) h_k where
+    d = len(h) - 1, which the package used to export; an oracle here."""
+    d = len(h) - 1
+    return tuple(sum(comb(d - k, i - k) * h[k] for k in range(i + 1)) for i in range(d + 1))
+
+
 class TestHFConversions:
     @pytest.mark.parametrize(
         "f, d, h",
@@ -421,8 +428,6 @@ class TestHFConversions:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_simplex_pattern(self, d):
-        from math import comb
-
         h = (1,) + (0,) * d
         assert f_from_h(h) == tuple(comb(d, i) for i in range(d + 1))
 
