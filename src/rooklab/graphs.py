@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
@@ -31,10 +30,13 @@ class SimpleGraph:
     and loop-free from a shape's lines or by complementing. Outside graphs
     come in through ``from_pairs``, which builds and checks them itself.
 
-    An attack graph carries its shape's ``lines``: the horizontal and the
-    vertical lines as vertex masks, each a clique, with every vertex in
-    one line of each. They are None on graphs from ``from_pairs`` or a
-    complement, and equality and hashing ignore them.
+    An attack graph, built by ``rook_complex.attack_graph``, carries its
+    shape's ``lines``: the horizontal and the vertical lines as vertex
+    masks, each a clique, with every vertex in one line of each. The
+    face sweep, the witness search and the induced-matching bound need
+    them. They are None on graphs from ``from_pairs`` or a complement,
+    which go to the functions of ``chordal`` alone, and equality and
+    hashing ignore them.
     """
 
     vertices: tuple
@@ -54,16 +56,6 @@ class SimpleGraph:
             masks[index[u]] |= 1 << index[v]
             masks[index[v]] |= 1 << index[u]
         return cls(vs, tuple(masks))
-
-    def index(self, v: Vertex) -> int:
-        """Position of ``v`` in the sorted vertex tuple."""
-        i = bisect_left(self.vertices, v)
-        if i == len(self.vertices) or self.vertices[i] != v:
-            raise KeyError(v)
-        return i
-
-    def adjacent(self, u: Vertex, v: Vertex) -> bool:
-        return bool(self.masks[self.index(u)] >> self.index(v) & 1)
 
     @property
     def n(self) -> int:

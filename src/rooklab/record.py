@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import chordal, partition, polyomino, regularity
 from .graphs import SimpleGraph
 from .polyomino import stored_property
-from .rook_complex import INTERVAL, RookComplex, f_vector, h_from_f
+from .rook_complex import INTERVAL, RookComplex, attack_graph, f_vector, h_from_f
 
 __all__ = ["ShapeRecord"]
 
@@ -22,7 +22,8 @@ class GraphRecord:
     what is read off it: its complement, the rook complex (purity and its
     witness included), chordality of the complement and the induced
     matching number.
-    ``attack`` is the graph built with, and read off, ``rook_complex``."""
+    ``attack`` is ``attack_graph``'s, which ``rook_complex`` also holds,
+    so no graph field waits for the face sweep."""
 
     def __init__(self, poly: polyomino.Polyomino, convention: str = INTERVAL):
         self.poly = poly
@@ -30,7 +31,7 @@ class GraphRecord:
 
     @stored_property
     def attack(self) -> SimpleGraph:
-        return self.rook_complex.graph
+        return attack_graph(self.poly, self.convention)
 
     @stored_property
     def complement(self) -> SimpleGraph:

@@ -104,33 +104,6 @@ def brush_fh(lengths: Sequence[int]) -> BrushVectors:
     return BrushVectors(f, h)
 
 
-def _clique_cover(graph: SimpleGraph) -> tuple[list[int], int]:
-    """The clique class for the induced-matching bound on a graph without
-    lines, as vertex masks, and the fewest members that any one edge meets.
-
-    The members are every closed common neighbourhood N[u] & N[v] of an
-    edge uv that is a clique, once each, and the singleton of every
-    vertex that lies in fewer than two of those. So every edge meets at
-    least two members. On an attack graph the members are its lines,
-    singletons included, and every edge meets three of them. Each edge
-    costs one mask AND, and each distinct common neighbourhood one clique
-    test.
-    """
-    closed = [mask | (1 << i) for i, mask in enumerate(graph.masks)]
-    ends = [(i, j) for i, mask in enumerate(graph.masks) for j in bits(mask >> i << i)]
-    commons = dict.fromkeys(closed[i] & closed[j] for i, j in ends)
-    members = [c for c in commons if all(closed[v] & c == c for v in bits(c))]
-    member_of = [0] * graph.n
-    for k, clique in enumerate(members):
-        for v in bits(clique):
-            member_of[v] |= 1 << k
-    for v, of in enumerate(member_of):
-        if of.bit_count() < 2:
-            member_of[v] |= 1 << len(members)
-            members.append(1 << v)
-    return members, min(((member_of[i] | member_of[j]).bit_count() for i, j in ends), default=1)
-
-
 def induced_matching_number(graph: SimpleGraph, at_least: int | None = None) -> MatchingCertificate:
     """Maximum induced matching, by branch and bound on a mask A of
     available vertices: those outside the closed neighbourhoods of the
@@ -143,31 +116,28 @@ def induced_matching_number(graph: SimpleGraph, at_least: int | None = None) -> 
     ``at_least`` it ends at the first leaf of that many edges; without
     one it runs to the end, so a smaller result is exact.
 
-    A clique meets at most one edge of an induced matching. On an attack
-    graph each cell is an edge of the line incidence graph B, and a
-    matched pair is a 2-edge path of B centred on one of its ``lines``.
-    With x pairs centred on horizontal lines and y on vertical ones, H
-    and V lines meeting a live vertex and H2 and V2 meeting two, x + 2y
-    <= H, 2x + y <= V, x <= H2 and y <= V2: the centre-line bound below
-    is the exact optimum of these. On an m x n rectangle the search then
-    visits a number of nodes that does not grow with n: 2 for 2 x n, 5
-    for 3 x n. Any other graph takes the ``_clique_cover`` family, each
-    edge meeting at least t of its members.
+    ``graph`` is an attack graph, from ``attack_graph``, and the bound
+    reads its ``lines``; a graph without them raises ValueError. Each
+    cell is an edge of the line incidence graph B, and a matched pair is
+    a 2-edge path of B centred on one line, as a line is a clique and
+    meets at most one edge of an induced matching. With x pairs centred
+    on horizontal lines and y on vertical ones, H and V lines meeting a
+    live vertex and H2 and V2 meeting two, x + 2y <= H, 2x + y <= V,
+    x <= H2 and y <= V2: the centre-line bound below is the exact
+    optimum of these. On an m x n rectangle the search then visits a
+    number of nodes that does not grow with n: 2 for 2 x n, 5 for 3 x n.
 
     A node is pruned only when it cannot hold a strictly larger leaf, so
-    the result is the first maximum leaf in search order whatever the
-    bound, and no bound is read before the first leaf. It is re-verified
-    before returning.
+    the result is the first maximum leaf in search order, and no bound is
+    read before the first leaf. It is re-verified before returning.
     """
     masks, lines = graph.masks, graph.lines
     if lines is None:
-        cover, least = _clique_cover(graph)
+        raise ValueError("induced_matching_number needs an attack graph: its bound reads the graph's lines")
     closed = [mask | (1 << i) for i, mask in enumerate(masks)]
     goal = graph.n if at_least is None else at_least  # nu <= n/2 never reaches n
 
     def room_in(live: int) -> int:
-        if lines is None:
-            return len([1 for m in cover if m & live]) // least
         counts = []
         for side in lines:
             c = c2 = 0

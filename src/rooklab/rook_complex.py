@@ -10,10 +10,9 @@ horizontal and vertical runs under ``interval``, merged into whole rows
 and columns under ``line``, as vertex masks (bit i for the i-th sorted
 cell). Two cells attack when a line holds both, and each cell lies in
 one horizontal and one vertical line, so it is an edge of the bipartite
-line incidence graph. ``f_vector`` builds everything else from the
-lines: the attack graph, which keeps them for the witness search and the
-induced-matching bound, and the sweep below, whose columns
-``_sweep_columns`` reads off them.
+line incidence graph. ``attack_graph`` builds the graph from the lines
+and keeps them; every graph layer reads it alone. ``f_vector`` sweeps
+the columns that ``_sweep_columns`` reads off the same lines.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
@@ -26,6 +25,7 @@ only when read.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from math import comb
@@ -173,8 +173,18 @@ def _sweep_columns(poly: Polyomino, lines: Lines) -> list[tuple[tuple[int, ...],
 @_per_shape_cache
 def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
     """The graph on the cells of ``poly`` whose edges are attacking pairs,
-    built by ``f_vector`` with the rook complex, off which the package reads it."""
-    return f_vector(poly, convention).graph
+    built from the lines of ``_lines``: each line is a clique, and the
+    graph keeps them as vertex masks for the sweep, the witness search
+    and the induced-matching bound."""
+    lines = _lines(poly, convention)
+    masks = [0] * poly.rank
+    for line in lines[0] + lines[1]:
+        rest = line
+        while rest:
+            low = rest & -rest
+            masks[low.bit_length() - 1] |= line ^ low
+            rest ^= low
+    return SimpleGraph(poly.sorted_cells, tuple(masks), lines)
 
 
 def _sweep_counts(columns: list[tuple[tuple[int, ...], int]]) -> tuple[list[int], list[int]]:
@@ -294,30 +304,16 @@ def _facet_search(graph: SimpleGraph) -> list[int]:
 @_per_shape_cache
 def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     """Exact face counts of the rook complex, its rook number and purity,
-    from one transfer-matrix sweep, with the attack graph built from the
-    same lines: each line is a clique, and the graph keeps them as
-    vertex masks. The facet counts by size are kept on the result; facets
-    are built when first read.
+    from one transfer-matrix sweep over the lines of ``attack_graph``,
+    whose graph the result keeps. The facet counts by size are kept on
+    the result; facets are built when first read.
 
     The rook number is the size of the largest non-attacking placement.
     """
-    lines = _lines(poly, convention)
-    masks = [0] * poly.rank
-    for line in lines[0] + lines[1]:
-        rest = line
-        while rest:
-            low = rest & -rest
-            masks[low.bit_length() - 1] |= line ^ low
-            rest ^= low
-    faces, facets_by_size = _sweep_counts(_sweep_columns(poly, lines))
+    graph = attack_graph(poly, convention)
+    faces, facets_by_size = _sweep_counts(_sweep_columns(poly, graph.lines))
     d = len(faces) - 1
-    return RookComplex(
-        tuple(faces),
-        d,
-        not any(facets_by_size[:d]),
-        SimpleGraph(poly.sorted_cells, tuple(masks), lines),
-        tuple(facets_by_size),
-    )
+    return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), graph, tuple(facets_by_size))
 
 
 def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
@@ -328,13 +324,13 @@ def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
 def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) -> bool:
     """True when no two of the given cells attack each other. Cells are
     integer pairs, as tuples or lists, as ``Polyomino`` takes them."""
-    graph = f_vector(poly, convention).graph
+    masks = attack_graph(poly, convention).masks
     chosen = 0
     for c in map(_pair, cells):
         if c not in poly.cells:
             raise CellNotInPolyominoError(f"{c} is not a cell of the polyomino")
-        chosen |= 1 << graph.index(c)
-    return not any(graph.masks[i] & chosen for i in bits(chosen))
+        chosen |= 1 << bisect_left(poly.sorted_cells, c)
+    return not any(masks[i] & chosen for i in bits(chosen))
 
 
 def _first_facet(graph: SimpleGraph, size: int) -> int:

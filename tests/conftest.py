@@ -206,6 +206,14 @@ def attack_pairs():
     return _attack_pairs
 
 
+def adjacent(graph, u, v):
+    """Whether vertices ``u`` and ``v`` of ``graph`` are adjacent, read off
+    the masks at their places in the vertex tuple. The package looks no
+    vertex up in a graph, so tests that name vertices use this."""
+    vs = graph.vertices
+    return bool(graph.masks[vs.index(u)] >> vs.index(v) & 1)
+
+
 def _is_embedding(poly, interval, rooks):
     """Whether ``rooks`` embed ``interval``, checked against the attacks
     ``_attack_pairs`` rebuilds from the cells, not against the attack graph

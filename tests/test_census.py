@@ -23,7 +23,6 @@ from rooklab import (
     verify_corpus,
 )
 from rooklab.cli import analyze_polyomino, report_json
-from rooklab.graphs import SimpleGraph
 
 # Published counts for the standard enumeration sequences, n = 1..8.
 FREE_COUNTS = (1, 1, 2, 5, 12, 35, 108, 369)
@@ -309,20 +308,39 @@ class TestVerifyCorpus:
         assert report.passed
 
     def test_verify_and_analyze_read_vertices_off_the_record(self, monkeypatch):
-        # Checks and reports reach vertex masks through each shape's record:
-        # no cell is looked up in a graph and no graph is fetched through
-        # attack_graph. Only functions handed cells by a caller look them up.
+        # Checks and reports reach vertex masks through each shape's record,
+        # whose graph attack_graph builds once per (shape, convention) in a
+        # pass: its misses are the distinct pairs asked for. No cell is
+        # looked up in a graph; only is_face, handed cells by a caller, does.
         def refuse(*args, **kwargs):
-            raise AssertionError("a cell-to-vertex lookup or an attack_graph call")
+            raise AssertionError("a cell-to-vertex lookup")
 
+        asked = set()
         original = rook_complex.attack_graph
+
+        def recorded(poly, convention="interval"):
+            asked.add((poly, convention))
+            return original(poly, convention)
+
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "rooklab" and getattr(module, "attack_graph", None) is original:
-                monkeypatch.setattr(module, "attack_graph", refuse)
-        monkeypatch.setattr(SimpleGraph, "index", refuse)
-        assert verify_corpus(8).passed
+                monkeypatch.setattr(module, "attack_graph", recorded)
+        monkeypatch.setattr(rook_complex, "bisect_left", refuse)
+
+        def built_once(run):
+            asked.clear()
+            original.cache_clear()
+            result = run()
+            assert original.cache_info().misses == len(asked) > 0
+            return result
+
+        # The census-wide checks build records of their own, some of shapes
+        # the per-shape pass has left, so each kind is its own pass.
+        for census_wide in (False, True):
+            names = [name for name, spec in CHECKS.items() if spec.census_wide == census_wide]
+            assert built_once(lambda: verify_corpus(8, names)).passed
         for cells, convention in ANALYZE_SHAPES:
-            analyze_polyomino(Polyomino.from_cells(cells), convention)
+            built_once(lambda: analyze_polyomino(Polyomino.from_cells(cells), convention))
 
     def test_analyze_reads_one_complex_per_record(self, monkeypatch):
         # Each record's complex is built by one f_vector call, and purity

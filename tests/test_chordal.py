@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import adjacent
+
 from rooklab import (
     NotSimpleThinError,
     ShapeRecord,
@@ -144,7 +146,7 @@ class TestIsChordal:
             for i, u in enumerate(cyc):
                 for j in range(i + 1, len(cyc)):
                     consecutive = j - i == 1 or (i == 0 and j == len(cyc) - 1)
-                    assert g.adjacent(u, cyc[j]) == consecutive
+                    assert adjacent(g, u, cyc[j]) == consecutive
 
     def test_witnesses_unchanged_on_census(self, census10):
         # The digest of every verdict with its elimination order or its
@@ -175,13 +177,13 @@ class TestIsChordal:
         for r in range(4, len(vs) + 1):
             for sub in combinations(vs, r):
                 if not all(
-                    sum(1 for u in sub if u != v and g.adjacent(u, v)) == 2 for v in sub
+                    sum(1 for u in sub if u != v and adjacent(g, u, v)) == 2 for v in sub
                 ):
                     continue
                 start = sub[0]
                 prev, cur, seen = None, start, {start}
                 while True:
-                    nxt = [u for u in sub if u not in (cur, prev) and g.adjacent(u, cur)]
+                    nxt = [u for u in sub if u not in (cur, prev) and adjacent(g, u, cur)]
                     if not nxt:
                         break
                     prev, cur = cur, nxt[0]

@@ -2,6 +2,8 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import adjacent
+
 from rooklab import (
     CellInterval,
     ShapeRecord,
@@ -164,12 +166,12 @@ class TestFindEmbedding:
                 outside = [c for c in cells if c not in iv.cell_set]
                 exists = False
                 for sub in combinations(outside, iv.length):
-                    if any(graph.adjacent(u, v) for u, v in combinations(sub, 2)):
+                    if any(adjacent(graph, u, v) for u, v in combinations(sub, 2)):
                         continue
                     targets = set()
                     ok = True
                     for rook in sub:
-                        hit = [c for c in iv.cells if graph.adjacent(rook, c)]
+                        hit = [c for c in iv.cells if adjacent(graph, rook, c)]
                         if len(hit) != 1 or hit[0] in targets:
                             ok = False
                             break

@@ -3,9 +3,9 @@ import time
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-import cell_scans
+from conftest import adjacent
 
 from rooklab import (
     NotApplicableError,
@@ -17,6 +17,7 @@ from rooklab import (
     brush_fh,
     check_reg_eq_nu,
     check_sigma_identities,
+    complement_graph,
     f_vector,
     h_from_f,
     induced_matching_number,
@@ -32,7 +33,6 @@ from rooklab.census import _SIGMA_SAMPLES, _SIGMA_SEED
 from rooklab.graphs import bits
 from rooklab.regularity import (
     MatchingCertificate,
-    _clique_cover,
     _elementary_symmetric_all,
     _verify_induced_matching,
 )
@@ -47,6 +47,12 @@ BRUSH_33 = parse_cells([(0, 0), (0, 1), (0, 2), (1, 0), (1, -1), (1, -2)])
 BRUSH_322 = parse_cells(
     [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, -1), (2, 1)]
 )
+
+
+def staircase(n):
+    """The thin staircase (0, 0), (1, 0), (1, 1), (2, 1), ... of ``n``
+    cells, whose attack graph is a path through its sorted cells."""
+    return parse_cells([((k + 1) // 2, k // 2) for k in range(n)])
 
 
 def _expansion(values):
@@ -256,32 +262,25 @@ class TestInducedMatching:
     def test_long_path_does_not_hit_the_recursion_limit(self):
         # The search holds one frame per matched edge, and nu = 1,100 is
         # past the interpreter's default recursion limit of 1,000.
-        g = SimpleGraph.from_pairs(range(3300), [(k, k + 1) for k in range(3299)])
-        cert = induced_matching_number(g)
+        poly = staircase(3300)
+        cert = induced_matching_number(attack_graph(poly))
+        cells = poly.sorted_cells
         assert cert.size == 1100
-        assert cert.edges == tuple((3 * k, 3 * k + 1) for k in range(1100))
+        assert cert.edges == tuple((cells[3 * k], cells[3 * k + 1]) for k in range(1100))
 
     def test_empty_graph(self):
-        g = SimpleGraph.from_pairs([1, 2, 3], [])
-        cert = induced_matching_number(g)
+        cert = induced_matching_number(attack_graph(parse_cells([(0, 0)])))
         assert cert.size == 0 and cert.edges == ()
 
-    def test_clique_cover_is_the_lines_on_attack_graphs(self, census8):
-        # On an attack graph the bound's cliques are the lines, singletons
-        # included, each as a vertex mask, and every edge meets three of them.
-        for poly in census8:
-            for convention in ("interval", "line"):
-                g = attack_graph(poly, convention)
-                if not any(g.masks):
-                    continue
-                members, least = _clique_cover(SimpleGraph(g.vertices, g.masks))
-                expected = [
-                    sum(1 << g.index(cell) for cell in line)
-                    for lines in cell_scans.lines(poly, convention)
-                    for line in lines
-                ]
-                assert sorted(members) == sorted(expected), (poly, convention)
-                assert least == 3
+    def test_graph_without_lines_raises(self):
+        # The centre-line bound reads the attack graph's lines; the same
+        # masks without them, a complement or a graph from pairs have none.
+        g = attack_graph(SKEW)
+        bare = SimpleGraph(g.vertices, g.masks)
+        pairs = SimpleGraph.from_pairs(g.vertices, g.edge_pairs())
+        for other in (bare, pairs, complement_graph(g)):
+            with pytest.raises(ValueError, match="needs an attack graph"):
+                induced_matching_number(other)
 
     def test_matches_edge_indexed_search_on_census(self, census10):
         for poly in (p for p in census10 if p.rank <= 9):
@@ -295,17 +294,6 @@ class TestInducedMatching:
         cert = induced_matching_number(g)
         assert cert == _edge_indexed_matching(g)
         assert cert.size == 2 * n // 3
-
-    def test_line_bound_matches_clique_cover_on_census(self, census10):
-        # The centre-line bound only prunes nodes that hold no strictly
-        # larger leaf, so the certificate is that of the bare copy, which
-        # has no lines and takes the clique cover.
-        for poly in census10:
-            for convention in ("interval", "line"):
-                g = attack_graph(poly, convention)
-                bare = SimpleGraph(g.vertices, g.masks)
-                assert g.lines is not None and bare.lines is None
-                assert induced_matching_number(g) == induced_matching_number(bare), (poly, convention)
 
     def test_at_least_is_a_witness_or_exact_on_census(self, census10):
         # For each k up to nu the search ends at a verified induced matching
@@ -321,16 +309,19 @@ class TestInducedMatching:
                         assert cert == exact, (poly, convention, k)
                     else:
                         assert k <= cert.size <= exact.size, (poly, convention, k)
-                        _verify_induced_matching(g, [(g.index(u), g.index(v)) for u, v in cert.edges])
+                        vs = g.vertices
+                        _verify_induced_matching(g, [(vs.index(u), vs.index(v)) for u, v in cert.edges])
 
     def test_at_least_stops_at_the_first_leaf_of_that_size(self):
-        # The path 0-1-...-6: the greedy first leaf {01, 34} has two edges,
-        # and nu = 2 is first met by that leaf. On the graph without edges
-        # the only leaf is empty.
-        g = SimpleGraph.from_pairs(range(7), [(k, k + 1) for k in range(6)])
-        assert induced_matching_number(g, at_least=1).edges == ((0, 1), (3, 4))
+        # The staircase's attack graph is the path c0-c1-...-c6 on its
+        # sorted cells: the greedy first leaf {c0c1, c3c4} has two edges,
+        # and nu = 2 is first met by that leaf. On the monomino, a graph
+        # without edges, the only leaf is empty.
+        poly = staircase(7)
+        g, c = attack_graph(poly), poly.sorted_cells
+        assert induced_matching_number(g, at_least=1).edges == ((c[0], c[1]), (c[3], c[4]))
         assert induced_matching_number(g, at_least=3) == induced_matching_number(g)
-        empty = SimpleGraph.from_pairs([1, 2], [])
+        empty = attack_graph(parse_cells([(0, 0)]))
         assert induced_matching_number(empty, at_least=1) == MatchingCertificate((), 0)
 
     def test_board_formula(self):
@@ -364,7 +355,7 @@ class TestInducedMatching:
                     continue
                 chosen = {frozenset(e) for e in sub}
                 if all(
-                    not g.adjacent(u, v) or frozenset((u, v)) in chosen
+                    not adjacent(g, u, v) or frozenset((u, v)) in chosen
                     for u, v in combinations(matched, 2)
                 ):
                     best = max(best, r)
@@ -377,20 +368,6 @@ class TestInducedMatching:
                 g = attack_graph(poly, convention)
                 cert = induced_matching_number(g)
                 assert cert.size == self._oracle(g), (poly, convention)
-
-    @given(st.integers(2, 9), st.floats(0.2, 0.8), st.integers(0, 10**6))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_oracle_on_random_graphs(self, n, density, seed):
-        # Random graphs have common neighbourhoods that are not cliques,
-        # which the clique bound must leave out without losing validity.
-        import random
-
-        rng = random.Random(seed)
-        edges = [e for e in combinations(range(n), 2) if rng.random() < density]
-        g = SimpleGraph.from_pairs(range(n), edges)
-        cert = induced_matching_number(g)
-        assert cert.size == self._oracle(g)
-        assert cert == _edge_indexed_matching(g)
 
     def test_same_on_every_dihedral_image(self, census8, dihedral_images):
         for poly in (p for p in census8 if p.rank <= 7):
@@ -419,7 +396,7 @@ class TestInducedMatching:
             assert len(set(matched)) == len(matched)
             chosen = {frozenset(e) for e in cert.edges}
             for u, v in combinations(matched, 2):
-                if g.adjacent(u, v):
+                if adjacent(g, u, v):
                     assert frozenset((u, v)) in chosen
 
 
@@ -441,7 +418,7 @@ def is_interval_matching(poly, edges):
         if a in matched or b in matched or a == b:
             return False
         matched |= {a, b}
-        if not graph.adjacent(a, b):
+        if not adjacent(graph, a, b):
             return False
         home = [iv for iv in ivs if a in iv and b in iv]
         if len(home) != 1:
@@ -463,11 +440,11 @@ class TestIntervalMatchingView:
         matched = [v for e in edges for v in e]
         if len(set(matched)) != len(matched):
             return False
-        if not all(g.adjacent(a, b) for a, b in edges):
+        if not all(adjacent(g, a, b) for a, b in edges):
             return False
         chosen = {frozenset(e) for e in edges}
         return all(
-            not g.adjacent(u, v) or frozenset((u, v)) in chosen
+            not adjacent(g, u, v) or frozenset((u, v)) in chosen
             for u, v in combinations(matched, 2)
         )
 
@@ -502,7 +479,7 @@ class TestIntervalMatchingView:
         edges = (((0, 0), (1, 0)), ((3, 0), (3, 1)))
         g = attack_graph(hook)
         assert is_interval_matching(hook, edges)
-        assert g.adjacent((1, 0), (3, 0))  # extra edge the view misses
+        assert adjacent(g, (1, 0), (3, 0))  # extra edge the view misses
 
 
 class TestSingleCellIntervals:

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cell_scans
+from conftest import adjacent
 
 from rooklab import (
     BadCellError,
     CellNotInPolyominoError,
     NotPureError,
+    ShapeRecord,
     SimpleGraph,
     attack_graph,
     complement_graph,
@@ -73,7 +76,7 @@ class TestAttackGraph:
             graph = attack_graph(poly)
             for iv in maximal_intervals(poly):
                 for a, b in combinations(iv.cells, 2):
-                    assert graph.adjacent(a, b)
+                    assert adjacent(graph, a, b)
 
     def test_interval_edges_match_pairwise_attacks(self, census8, attack_pairs):
         for poly in census8:
@@ -88,6 +91,29 @@ class TestAttackGraph:
         attack_graph(SKEW)
         assert f_vector.cache_info().misses == 1
         assert attack_graph.cache_info().misses == 1
+
+    def test_complex_holds_the_attack_graph(self, census8):
+        # f_vector sweeps the lines of attack_graph's graph and keeps that
+        # graph, so both caches hand out one object per shape.
+        attack_graph.cache_clear()
+        f_vector.cache_clear()
+        for poly in census8:
+            for convention in ("interval", "line"):
+                assert f_vector(poly, convention).graph is attack_graph(poly, convention)
+
+    def test_graph_layers_need_no_sweep(self, monkeypatch):
+        # The attack graph, nu and chordality of the complement are read
+        # off attack_graph alone, with f_vector refusing every call.
+        def refuse(*args, **kwargs):
+            raise AssertionError("f_vector was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rooklab" and getattr(module, "f_vector", None) is f_vector:
+                monkeypatch.setattr(module, "f_vector", refuse)
+        rec = ShapeRecord(parse_cells([(x, y) for x in range(30) for y in range(30)]))
+        assert rec.attack.n == 900 and rec.attack.edge_pairs()[0] == ((0, 0), (0, 1))
+        assert rec.matching.size == 20
+        assert not rec.chordality.chordal
 
     def test_per_shape_caches_hold_one_shape(self):
         # A census pass leaves only the shape in hand, under both conventions.
@@ -197,10 +223,10 @@ class TestFacets:
             maximal = set()
             for r in range(len(cells) + 1):
                 for sub in combinations(cells, r):
-                    if any(graph.adjacent(u, v) for u, v in combinations(sub, 2)):
+                    if any(adjacent(graph, u, v) for u, v in combinations(sub, 2)):
                         continue
                     rest = [u for u in cells if u not in sub]
-                    if all(any(graph.adjacent(u, v) for v in sub) for u in rest):
+                    if all(any(adjacent(graph, u, v) for v in sub) for u in rest):
                         maximal.add(frozenset(sub))
             assert set(facets(poly)) == maximal
 
@@ -226,7 +252,7 @@ class TestFVector:
             counts = [0] * (len(cells) + 1)
             for r in range(len(cells) + 1):
                 for sub in combinations(cells, r):
-                    if not any(graph.adjacent(u, v) for u, v in combinations(sub, 2)):
+                    if not any(adjacent(graph, u, v) for u, v in combinations(sub, 2)):
                         counts[r] += 1
             rc = f_vector(poly)
             d = max(k for k, c in enumerate(counts) if c)
@@ -280,7 +306,7 @@ class TestSweep:
                 assert (rc.f_vector, rc.rook_number, rc.pure) == (tuple(faces), d, len(sizes) == 1)
                 assert rc.facets_by_size == tuple(facets_by_size), poly
                 assert rc.graph.lines == tuple(
-                    tuple(sum(1 << rc.graph.index(c) for c in line) for line in lines)
+                    tuple(sum(1 << rc.graph.vertices.index(c) for c in line) for line in lines)
                     for lines in cell_scans.lines(poly, convention)
                 ), poly
                 assert list(rc.facets) == oracle_facets, poly
