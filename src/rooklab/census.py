@@ -58,7 +58,10 @@ def max_rank_limit() -> int:
 
 
 def _check_rank(n: int, what: str) -> None:
-    """Raise ``RankOutOfRangeError``, naming n as ``what``, unless n is within 1..ceiling."""
+    """Raise ``RankOutOfRangeError``, naming n as ``what``, unless n is an
+    int, not a bool, within 1..ceiling."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise RankOutOfRangeError(f"{what} {n!r} is not an integer rank")
     limit = max_rank_limit()
     if not 1 <= n <= limit:
         raise RankOutOfRangeError(f"{what} {n} outside 1..{limit}")
@@ -149,7 +152,7 @@ def _free_codes(n_max: int) -> list[tuple[int, ...]]:
 def free_census(n_max: int) -> tuple[Polyomino, ...]:
     """All free polyominoes of rank 1..n_max, by rank then cell order, built
     unchecked into a fresh tuple; only the code tuples stay cached. Raises
-    ``RankOutOfRangeError`` for a rank outside 1..ceiling."""
+    ``RankOutOfRangeError`` for a rank that is not an int within 1..ceiling."""
     _check_rank(n_max, "max rank")
     return tuple(Polyomino._trusted(_cells(codes)) for codes in _free_codes(n_max))
 
@@ -480,11 +483,13 @@ def verify_corpus(n_max: int, checks: Iterable[str] | None = None, jobs: int = 1
     are dropped; under ``jobs`` > 1 the workers are sent chunks of code
     tuples. The census-wide checks run once. ``jobs`` is clamped to
     [1, min(CPU count, number of shapes)], and the report does not depend
-    on it. Raises ``RankOutOfRangeError`` for a rank outside 1..ceiling and
-    ``UnknownCheckError`` for an unknown name, an empty list or a name
-    given twice.
+    on it. Raises ``RankOutOfRangeError`` for a rank that is not an int
+    within 1..ceiling and ``UnknownCheckError`` for a bare string, an
+    unknown name, an empty list or a name given twice.
     """
     _check_rank(n_max, "max rank")
+    if isinstance(checks, str):
+        raise UnknownCheckError(f"checks must be a list of names, not the string {checks!r}")
     names = list(CHECKS) if checks is None else list(checks)
     if not names:
         raise UnknownCheckError("no check named")

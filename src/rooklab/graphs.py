@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator
+from typing import Iterator
 
 __all__ = ["SimpleGraph"]
-
-Vertex = Hashable
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -26,36 +24,21 @@ class SimpleGraph:
     ``vertices[j]`` are adjacent. Bit order is vertex order, so scanning a
     mask from its lowest bit visits neighbours in sorted order.
 
-    The constructor trusts its masks, which the package builds symmetric
-    and loop-free from a shape's lines or by complementing. Outside graphs
-    come in through ``from_pairs``, which builds and checks them itself.
+    Graphs come only from ``rook_complex.attack_graph`` and
+    ``chordal.complement_graph``, which build the masks symmetric and
+    loop-free; the constructor trusts them.
 
-    An attack graph, built by ``rook_complex.attack_graph``, carries its
-    shape's ``lines``: the horizontal and the vertical lines as vertex
-    masks, each a clique, with every vertex in one line of each. The
-    face sweep, the witness search and the induced-matching bound need
-    them. They are None on graphs from ``from_pairs`` or a complement,
-    which go to the functions of ``chordal`` alone, and equality and
+    An attack graph carries its shape's ``lines``: the horizontal and the
+    vertical lines as vertex masks, each a clique, with every vertex in
+    one line of each. The face sweep, the witness search and the
+    induced-matching bound need them. They are None on a complement,
+    which goes to the functions of ``chordal`` alone, and equality and
     hashing ignore them.
     """
 
     vertices: tuple
     masks: tuple[int, ...]
     lines: tuple[tuple[int, ...], tuple[int, ...]] | None = field(default=None, compare=False, repr=False)
-
-    @classmethod
-    def from_pairs(cls, vertices: Iterable[Vertex], pairs: Iterable[tuple]) -> "SimpleGraph":
-        vs = tuple(sorted(set(vertices)))
-        index = {v: i for i, v in enumerate(vs)}
-        masks = [0] * len(vs)
-        for u, v in pairs:
-            if u == v:
-                continue
-            if u not in index or v not in index:
-                raise ValueError(f"bad edge {(u, v)!r}")
-            masks[index[u]] |= 1 << index[v]
-            masks[index[v]] |= 1 << index[u]
-        return cls(vs, tuple(masks))
 
     @property
     def n(self) -> int:
@@ -64,9 +47,7 @@ class SimpleGraph:
     @property
     def edges(self) -> frozenset[frozenset]:
         """All edges as vertex pairs; derived from the masks on each access."""
-        return frozenset(frozenset(e) for e in self.edge_pairs())
-
-    def edge_pairs(self) -> list[tuple]:
-        """All edges as sorted pairs, in sorted order."""
         vs = self.vertices
-        return [(vs[i], vs[j]) for i, mask in enumerate(self.masks) for j in bits((mask >> (i + 1)) << (i + 1))]
+        return frozenset(
+            frozenset((vs[i], vs[j])) for i, mask in enumerate(self.masks) for j in bits((mask >> (i + 1)) << (i + 1))
+        )

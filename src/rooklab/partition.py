@@ -13,7 +13,7 @@ partition whose size equals the rook number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .errors import IntervalNotInPolyominoError, RankTooSmallError
 from .graphs import bits
@@ -27,7 +27,6 @@ __all__ = [
     "PartitionSet",
     "PurityTheoremReport",
     "check_purity_theorem",
-    "embeddings",
     "find_embedding",
     "partitions",
     "super_partitions",
@@ -58,9 +57,9 @@ class PurityTheoremReport:
     consistent: bool
 
 
-def embeddings(rec: ShapeRecord, interval: CellInterval) -> Iterator[Embedding]:
-    """Every embedding of ``interval``, in lexicographic order of the
-    rook tuple aligned with the interval's cells.
+def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None:
+    """The first embedding of ``interval`` in lexicographic order of the
+    rook tuple aligned with the interval's cells, or None when there is none.
 
     Under the interval attack convention a cell outside the interval can
     attack at most one of its cells, namely through the perpendicular
@@ -76,28 +75,21 @@ def embeddings(rec: ShapeRecord, interval: CellInterval) -> Iterator[Embedding]:
     graph = rec.attack
     candidates = [list(bits(graph.masks[i] & ~target_mask)) for i in bits(target_mask)]
     if not all(candidates):  # a cell with no outside attacker: skip the search
-        return
+        return None
 
-    chosen: list[int] = []
-
-    def extend(i: int, blocked: int) -> Iterator[Embedding]:
+    def extend(i: int, blocked: int) -> tuple[int, ...] | None:
         # ``blocked`` holds the chosen rooks and every cell they attack.
         if i == len(candidates):
-            yield Embedding(interval, tuple(graph.vertices[c] for c in chosen))
-            return
+            return ()
         for cand in candidates[i]:
-            if blocked >> cand & 1:
-                continue
-            chosen.append(cand)
-            yield from extend(i + 1, blocked | graph.masks[cand] | (1 << cand))
-            chosen.pop()
+            if not blocked >> cand & 1:
+                rest = extend(i + 1, blocked | graph.masks[cand] | (1 << cand))
+                if rest is not None:
+                    return (cand, *rest)
+        return None
 
-    yield from extend(0, 0)
-
-
-def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None:
-    """First embedding of ``interval`` in deterministic order, or None."""
-    return next(embeddings(rec, interval), None)
+    rooks = extend(0, 0)
+    return None if rooks is None else Embedding(interval, tuple(graph.vertices[c] for c in rooks))
 
 
 def partitions(rec: ShapeRecord) -> list[PartitionSet]:

@@ -234,16 +234,9 @@ class CellInterval:
     def length(self) -> int:
         return len(self.cells)
 
-    @stored_property
-    def cell_set(self) -> frozenset[Cell]:
-        return frozenset(self.cells)
-
     @property
     def anchor(self) -> Cell:
         return self.cells[0]
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cell_set
 
     def __repr__(self) -> str:
         return f"CellInterval({self.orientation[0]}, {self.cells[0]}..{self.cells[-1]})"
@@ -360,13 +353,10 @@ def shape_predicates(poly: Polyomino) -> ShapePredicates:
     )
 
 
-def canonical_cells(cells: Iterable[Cell], mode: str = "free") -> tuple[Cell, ...]:
-    """Canonical cell tuple: translation-normalized for ``fixed``, the
-    least normalized sorted tuple over the 8 dihedral images for ``free``."""
-    if mode not in ("free", "fixed"):
-        raise ValueError(f"unknown canonicalization mode {mode!r}")
+def canonical_cells(cells: Iterable[Cell]) -> tuple[Cell, ...]:
+    """The free canonical cell tuple: the least translation-normalized
+    sorted tuple over the 8 dihedral images. ``_normalized`` gives the
+    fixed form, up to translation only."""
     base = _normalized(cells)
-    if mode == "fixed":
-        return base
     w, h = base[-1][0], max([y for _, y in base])
     return min(base, *(tuple(sorted([f(x, y, w, h) for x, y in base])) for f in _BOX_SYMMETRIES))

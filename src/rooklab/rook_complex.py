@@ -20,7 +20,7 @@ incidence graph. The f-vector, rook number, purity and the facet counts
 by size come from one transfer-matrix sweep over it, into one
 ``RookComplex``. Its non-purity witness is found, when first read, by a
 bounded search for the first facet of a given size; facets are listed
-only when read.
+only when ``RookComplex.facets`` is read.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "RookComplex",
     "attack_graph",
     "f_vector",
-    "facets",
     "h_from_f",
     "is_face",
     "is_pure",
@@ -262,6 +261,9 @@ def _facet_search(graph: SimpleGraph) -> list[int]:
     Bit j of a returned mask stands for vertex n - 1 - j. Facets form an
     antichain, so in this labelling descending int order is the order of
     their sorted cell tuples, and the list comes in that order.
+
+    It lists every facet faster than ``_first_facet`` would run without
+    a size bound; that search finds one facet of a given size instead.
     """
     n = graph.n
     closed = [0] * n
@@ -314,11 +316,6 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     faces, facets_by_size = _sweep_counts(_sweep_columns(poly, graph.lines))
     d = len(faces) - 1
     return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), graph, tuple(facets_by_size))
-
-
-def facets(poly: Polyomino, convention: str = INTERVAL) -> list[frozenset]:
-    """All inclusion-maximal non-attacking cell sets, deterministically ordered."""
-    return list(f_vector(poly, convention).facets)
 
 
 def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) -> bool:

@@ -112,15 +112,15 @@ def brush_decomposition(rec):
         bristles = tuple(iv for iv in ivs if iv != handle)
         if len(bristles) > handle.length:
             continue
-        if any(not (iv.cell_set & handle.cell_set) for iv in bristles):
+        if any(set(iv.cells).isdisjoint(handle.cells) for iv in bristles):
             continue
-        bristles = tuple(sorted(bristles, key=lambda iv: min(iv.cell_set & handle.cell_set)))
+        bristles = tuple(sorted(bristles, key=lambda iv: min(frozenset(iv.cells) & frozenset(handle.cells))))
         lengths = tuple(iv.length for iv in bristles)
         short = all(length == 2 for length in lengths)
         d = rec.rook_complex.rook_number
         pure = (
             sum(lengths) == rec.poly.rank
-            and frozenset().union(*(iv.cell_set for iv in bristles)) == rec.poly.cells
+            and frozenset().union(*(frozenset(iv.cells) for iv in bristles)) == rec.poly.cells
             and handle.length == len(bristles) == d
         )
         found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))

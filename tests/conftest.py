@@ -11,6 +11,7 @@ from rooklab import (
     NotConnectedError,
     Polyomino,
     ShapeRecord,
+    SimpleGraph,
     free_census,
 )
 from rooklab.graphs import bits
@@ -212,6 +213,25 @@ def adjacent(graph, u, v):
     vertex up in a graph, so tests that name vertices use this."""
     vs = graph.vertices
     return bool(graph.masks[vs.index(u)] >> vs.index(v) & 1)
+
+
+def graph_from_pairs(vertices, pairs):
+    """A graph on the sorted distinct ``vertices`` with an edge for each
+    pair. The package builds graphs only from shapes, so tests build their
+    oracle graphs here, say from ``_attack_pairs``, and any other graph
+    they need."""
+    vs = tuple(sorted(set(vertices)))
+    index = {v: i for i, v in enumerate(vs)}
+    masks = [0] * len(vs)
+    for u, v in pairs:
+        masks[index[u]] |= 1 << index[v]
+        masks[index[v]] |= 1 << index[u]
+    return SimpleGraph(vs, tuple(masks))
+
+
+def edge_pairs(graph):
+    """All edges of ``graph`` as sorted vertex pairs, in sorted order."""
+    return sorted(tuple(sorted(e)) for e in graph.edges)
 
 
 def _is_embedding(poly, interval, rooks):

@@ -136,6 +136,17 @@ class TestGenerate:
                 assert is_chordal(complement_graph(attack_graph(moved))).chordal == chordal
 
 
+@pytest.mark.parametrize("rank", [3.0, 5.5, "4", True, None], ids=["3.0", "5.5", "'4'", "True", "None"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: list(generate(n)), free_census, verify_corpus],
+    ids=["generate", "free_census", "verify_corpus"],
+)
+def test_rank_that_is_not_an_int_is_out_of_range(call, rank):
+    with pytest.raises(RankOutOfRangeError, match="is not an integer rank"):
+        call(rank)
+
+
 class TestFreeCensusCache:
     """The free census is cached as int code tuples, one entry per rank;
     shapes are built from the codes and held only by whoever asked."""
@@ -226,6 +237,11 @@ class TestVerifyCorpus:
         with pytest.raises(UnknownCheckError):
             verify_corpus(4, ["no-such-check"])
 
+    def test_bare_string_is_not_a_check_list(self):
+        # A string is iterable, but its characters are no check names.
+        with pytest.raises(UnknownCheckError, match="list of names"):
+            verify_corpus(3, "purity-theorem")
+
     def test_rank_above_ceiling(self):
         with pytest.raises(RankOutOfRangeError):
             verify_corpus(11)
@@ -297,7 +313,7 @@ class TestVerifyCorpus:
 
     def test_verify_searches_no_facets(self, monkeypatch):
         # Every check reads purity as the transfer-matrix flag; facets are
-        # listed only by facets().
+        # listed only when RookComplex.facets is read.
         def refuse(graph):
             raise AssertionError("verify searched for facets")
 

@@ -4,7 +4,6 @@ from rooklab import (
     ShapeRecord,
     attack_graph,
     f_vector,
-    facets,
     find_embedding,
     is_pure,
     maximal_intervals,
@@ -52,10 +51,10 @@ class TestProofSteps:
             rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
-            fs = facets(poly)
+            fs = f_vector(poly).facets
             for iv in maximal_intervals(poly):
                 if find_embedding(rec, iv) is None:
-                    assert all(f & iv.cell_set for f in fs)
+                    assert all(f & frozenset(iv.cells) for f in fs)
 
 
 class TestConventions:

@@ -3,12 +3,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import adjacent
+from conftest import adjacent, graph_from_pairs
 
 from rooklab import (
     NotSimpleThinError,
     ShapeRecord,
-    SimpleGraph,
     attack_graph,
     brush_decomposition,
     classify_chordality,
@@ -31,7 +30,7 @@ T_COMB = parse_cells([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (2, 1), (2, 2)])
 
 
 def graph(n, edges):
-    return SimpleGraph.from_pairs(range(n), edges)
+    return graph_from_pairs(range(n), edges)
 
 
 def cycle_graph(n):
@@ -347,16 +346,16 @@ class TestBrushDecomposition:
                 bristles = [iv for iv in ivs if iv != handle]
                 if len(bristles) > handle.length:
                     continue
-                if any(not (iv.cell_set & handle.cell_set) for iv in bristles):
+                if any(set(iv.cells).isdisjoint(handle.cells) for iv in bristles):
                     continue
                 short = all(iv.length == 2 for iv in bristles)
                 covered = set()
                 disjoint = True
                 for iv in bristles:
-                    if covered & iv.cell_set:
+                    if covered & frozenset(iv.cells):
                         disjoint = False
                         break
-                    covered |= iv.cell_set
+                    covered |= frozenset(iv.cells)
                 d = f_vector(poly).rook_number
                 pure = (
                     bool(bristles)

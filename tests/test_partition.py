@@ -10,8 +10,7 @@ from rooklab import (
     IntervalNotInPolyominoError,
     RankTooSmallError,
     check_purity_theorem,
-    embeddings,
-    facets,
+    f_vector,
     find_embedding,
     is_pure,
     maximal_intervals,
@@ -25,6 +24,23 @@ SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
 RECT_2X3 = parse_ascii("###\n###")
 MONOMINO = parse_cells([(0, 0)])
+
+
+def embeddings_from_cells(poly, iv, attacks):
+    """Every tuple that pairs each cell of ``iv`` with an attacker from
+    outside it, pairwise distinct and non-attacking, in lexicographic
+    order, with ``attacks`` the attacking pairs rebuilt from the cells."""
+
+    def attack(a, b):
+        return (min(a, b), max(a, b)) in attacks
+
+    outside = sorted(poly.cells - frozenset(iv.cells))
+    options = [[c for c in outside if attack(c, t)] for t in iv.cells]
+    return [
+        rooks
+        for rooks in product(*options)
+        if not any(a == b or attack(a, b) for a, b in combinations(rooks, 2))
+    ]
 
 
 def interval_of(poly, orientation, anchor):
@@ -61,8 +77,8 @@ class TestPartitions:
             for part in partitions(rec):
                 seen = set()
                 for iv in part.intervals:
-                    assert not (seen & iv.cell_set)
-                    seen |= iv.cell_set
+                    assert not (seen & frozenset(iv.cells))
+                    seen |= frozenset(iv.cells)
                 assert seen == set(poly.cells)
 
     def test_brute_force_family_oracle(self, census6):
@@ -163,7 +179,7 @@ class TestFindEmbedding:
             graph = attack_graph(poly)
             cells = poly.sorted_cells
             for iv in maximal_intervals(poly):
-                outside = [c for c in cells if c not in iv.cell_set]
+                outside = [c for c in cells if c not in iv.cells]
                 exists = False
                 for sub in combinations(outside, iv.length):
                     if any(adjacent(graph, u, v) for u, v in combinations(sub, 2)):
@@ -176,34 +192,27 @@ class TestFindEmbedding:
                             ok = False
                             break
                         targets.add(hit[0])
-                    if ok and targets == iv.cell_set:
+                    if ok and targets == frozenset(iv.cells):
                         exists = True
                         break
                 assert (find_embedding(rec, iv) is not None) == exists
 
 
     def test_full_list_matches_enumeration_from_cells(self, census8, attack_pairs):
-        # Every tuple that pairs each interval cell with an attacker from
-        # outside, pairwise distinct and non-attacking, in lexicographic
-        # order, with attacks rebuilt from the cells.
+        # The search returns the first of every embedding in lexicographic
+        # order, listed with attacks rebuilt from the cells.
         for poly in census8:
             if poly.rank < 2:
                 continue
             rec = ShapeRecord(poly)
             attacks = attack_pairs(poly)
-
-            def attack(a, b):
-                return (min(a, b), max(a, b)) in attacks
-
             for iv in maximal_intervals(poly):
-                outside = sorted(poly.cells - iv.cell_set)
-                options = [[c for c in outside if attack(c, t)] for t in iv.cells]
-                expected = [
-                    rooks
-                    for rooks in product(*options)
-                    if not any(a == b or attack(a, b) for a, b in combinations(rooks, 2))
-                ]
-                assert [e.rooks for e in embeddings(rec, iv)] == expected, (poly, iv)
+                expected = embeddings_from_cells(poly, iv, attacks)
+                emb = find_embedding(rec, iv)
+                if expected:
+                    assert emb is not None and emb.target == iv and emb.rooks == expected[0], (poly, iv)
+                else:
+                    assert emb is None, (poly, iv)
 
 
 class TestSuperPartitions:
@@ -260,9 +269,9 @@ class TestProofStepInvariants:
                 continue
             for iv in maximal_intervals(poly):
                 if find_embedding(rec, iv) is None:
-                    assert all(f & iv.cell_set for f in facets(poly))
+                    assert all(f & frozenset(iv.cells) for f in f_vector(poly).facets)
 
-    def test_embedding_can_be_steered_into_crossing_interval(self, census6):
+    def test_embedding_can_be_steered_into_crossing_interval(self, census6, attack_pairs):
         # If an interval is embedded and some interval meets both it and
         # another interval, then some embedding meets that other interval.
         for poly in census6:
@@ -271,6 +280,7 @@ class TestProofStepInvariants:
                 continue
             ivs = maximal_intervals(poly)
             embedded = {iv: find_embedding(rec, iv) is not None for iv in ivs}
+            attacks = attack_pairs(poly)
             for first in ivs:
                 if not embedded[first]:
                     continue
@@ -278,12 +288,11 @@ class TestProofStepInvariants:
                     if other == first:
                         continue
                     linked = any(
-                        (j.cell_set & first.cell_set) and (j.cell_set & other.cell_set)
-                        for j in ivs
+                        set(j.cells) & set(first.cells) and set(j.cells) & set(other.cells) for j in ivs
                     )
                     if linked:
                         assert any(
-                            set(e.rooks) & other.cell_set for e in embeddings(rec, first)
+                            set(rooks) & set(other.cells) for rooks in embeddings_from_cells(poly, first, attacks)
                         )
 
     def test_outside_unique_super_partition_all_embedded(self, census6):

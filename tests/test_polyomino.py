@@ -23,7 +23,7 @@ from rooklab import (
     shape_predicates,
 )
 from rooklab.chordal import ChordalityResult
-from rooklab.polyomino import CellInterval, stored_property
+from rooklab.polyomino import _normalized, stored_property
 from rooklab.record import GraphRecord, ShapeRecord
 from rooklab.rook_complex import RookComplex
 
@@ -167,7 +167,7 @@ class TestStoredProperty:
         assert rec.matching is rec.matching is rec.__dict__["matching"]
 
     def test_no_cached_property_is_left(self):
-        for cls in (Polyomino, CellInterval, GraphRecord, ShapeRecord, RookComplex, ChordalityResult):
+        for cls in (Polyomino, GraphRecord, ShapeRecord, RookComplex, ChordalityResult):
             fields = [attr for attr in vars(cls).values() if isinstance(attr, (stored_property, functools.cached_property))]
             assert fields and all(isinstance(attr, stored_property) for attr in fields), cls
 
@@ -195,12 +195,12 @@ class TestMaximalIntervals:
             ivs = maximal_intervals(poly)
             covered = set()
             for iv in ivs:
-                covered |= iv.cell_set
+                covered |= frozenset(iv.cells)
             assert covered == set(poly.cells)
             for orientation in ("horizontal", "vertical"):
                 same = [iv for iv in ivs if iv.orientation == orientation]
                 for a, b in combinations(same, 2):
-                    assert not (a.cell_set & b.cell_set)
+                    assert not (frozenset(a.cells) & frozenset(b.cells))
 
 
 class TestShapePredicates:
@@ -329,14 +329,14 @@ class TestCanonicalForm:
     def test_rotated_l_same_free_form(self):
         rotated = parse_cells([(0, 0), (0, 1), (1, 1)])
         assert canonical_cells(L_TROMINO.cells) == canonical_cells(rotated.cells)
-        assert canonical_cells(rotated.cells, "fixed") == rotated.sorted_cells
-        assert canonical_cells(rotated.cells, "fixed") != canonical_cells(L_TROMINO.cells, "fixed")
+        assert _normalized(rotated.cells) == rotated.sorted_cells
+        assert _normalized(rotated.cells) != _normalized(L_TROMINO.cells)
 
     def test_domino_orientations(self):
         h = parse_cells([(0, 0), (1, 0)])
         v = parse_cells([(0, 0), (0, 1)])
         assert canonical_cells(h.cells) == canonical_cells(v.cells)
-        assert canonical_cells(h.cells, "fixed") != canonical_cells(v.cells, "fixed")
+        assert _normalized(h.cells) != _normalized(v.cells)
 
     def test_free_form_invariant_under_dihedral(self, census5):
         transforms = [
@@ -362,17 +362,14 @@ class TestCanonicalForm:
                 dx, dy = rng.randint(-50, 50), rng.randint(-50, 50)
                 cells = [(x + dx, y + dy) for x, y in poly.cells]
                 rng.shuffle(cells)
-                for mode in ("free", "fixed"):
-                    assert canonical_cells(cells, mode) == canonical_oracle(cells, mode), (cells, mode)
+                assert canonical_cells(cells) == canonical_oracle(cells, "free"), cells
+                assert _normalized(cells) == canonical_oracle(cells, "fixed"), cells
 
     def test_edge_inputs(self):
         with pytest.raises(EmptyInputError):
             canonical_cells([])
         with pytest.raises(EmptyInputError):
             Polyomino.from_cells([])
-        for cells in ([], [(0, 0)]):
-            with pytest.raises(ValueError, match="unknown canonicalization mode"):
-                canonical_cells(cells, "bogus")
 
 
 class TestRenderAscii:

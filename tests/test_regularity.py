@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import adjacent
+from conftest import adjacent, edge_pairs, graph_from_pairs
 
 from rooklab import (
     NotApplicableError,
@@ -272,12 +272,13 @@ class TestInducedMatching:
         cert = induced_matching_number(attack_graph(parse_cells([(0, 0)])))
         assert cert.size == 0 and cert.edges == ()
 
-    def test_graph_without_lines_raises(self):
+    def test_graph_without_lines_raises(self, attack_pairs):
         # The centre-line bound reads the attack graph's lines; the same
-        # masks without them, a complement or a graph from pairs have none.
+        # masks without them, a complement or an oracle graph from the
+        # pairwise attacks have none.
         g = attack_graph(SKEW)
         bare = SimpleGraph(g.vertices, g.masks)
-        pairs = SimpleGraph.from_pairs(g.vertices, g.edge_pairs())
+        pairs = graph_from_pairs(SKEW.cells, attack_pairs(SKEW))
         for other in (bare, pairs, complement_graph(g)):
             with pytest.raises(ValueError, match="needs an attack graph"):
                 induced_matching_number(other)
@@ -343,7 +344,7 @@ class TestInducedMatching:
 
     @staticmethod
     def _oracle(g):
-        edges = g.edge_pairs()
+        edges = edge_pairs(g)
         best = 0
         # Matched edges have distinct endpoints, so at most n // 2 fit.
         for r in range(min(len(edges), g.n // 2), 0, -1):
@@ -381,7 +382,7 @@ class TestInducedMatching:
     def test_verifier_rejects_bad_certificates(self):
         # On the path a-b-c-d, at vertex positions 0-1-2-3: the edge bc
         # joins ab and cd, the pairs ab and bc share b, and ac is no edge.
-        g = SimpleGraph.from_pairs("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+        g = graph_from_pairs("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
         _verify_induced_matching(g, [(0, 1)])
         _verify_induced_matching(g, [(2, 3)])
         for pairs in ([(0, 1), (2, 3)], [(0, 1), (1, 2)], [(0, 2)]):
@@ -420,7 +421,7 @@ def is_interval_matching(poly, edges):
         matched |= {a, b}
         if not adjacent(graph, a, b):
             return False
-        home = [iv for iv in ivs if a in iv and b in iv]
+        home = [iv for iv in ivs if a in iv.cells and b in iv.cells]
         if len(home) != 1:
             return False
         homes.append(home[0])
@@ -428,8 +429,8 @@ def is_interval_matching(poly, edges):
     for j in range(len(edges)):
         for k in range(j + 1, len(edges)):
             for connector in ivs:
-                meets_j = connector.cell_set & homes[j].cell_set
-                meets_k = connector.cell_set & homes[k].cell_set
+                meets_j = frozenset(connector.cells) & frozenset(homes[j].cells)
+                meets_k = frozenset(connector.cells) & frozenset(homes[k].cells)
                 if meets_j and meets_k and meets_j <= pairs[j] and meets_k <= pairs[k]:
                     return False
     return True
@@ -453,7 +454,7 @@ class TestIntervalMatchingView:
             if not shape_predicates(poly).thin:
                 continue
             g = attack_graph(poly)
-            edges = g.edge_pairs()
+            edges = edge_pairs(g)
             for r in (1, 2):
                 for sub in combinations(edges, r):
                     if self._graph_level(g, sub):
@@ -468,7 +469,7 @@ class TestIntervalMatchingView:
             if not shape_predicates(poly).thin:
                 continue
             g = attack_graph(poly)
-            edges = g.edge_pairs()
+            edges = edge_pairs(g)
             for sub in combinations(edges, 2):
                 if is_interval_matching(poly, sub) and not self._graph_level(g, sub):
                     counterexamples.append((poly, sub))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cell_scans
-from conftest import adjacent
+from conftest import adjacent, edge_pairs, graph_from_pairs
 
 from rooklab import (
     BadCellError,
@@ -18,7 +18,6 @@ from rooklab import (
     attack_graph,
     complement_graph,
     f_vector,
-    facets,
     h_from_f,
     induced_cycle_lengths,
     is_chordal,
@@ -80,7 +79,7 @@ class TestAttackGraph:
 
     def test_interval_edges_match_pairwise_attacks(self, census8, attack_pairs):
         for poly in census8:
-            assert set(attack_graph(poly).edge_pairs()) == attack_pairs(poly)
+            assert attack_graph(poly) == graph_from_pairs(poly.cells, attack_pairs(poly))
 
     def test_one_cache_entry_per_shape(self):
         # The default convention and the explicit one share a cache entry.
@@ -111,7 +110,7 @@ class TestAttackGraph:
             if name.split(".")[0] == "rooklab" and getattr(module, "f_vector", None) is f_vector:
                 monkeypatch.setattr(module, "f_vector", refuse)
         rec = ShapeRecord(parse_cells([(x, y) for x in range(30) for y in range(30)]))
-        assert rec.attack.n == 900 and rec.attack.edge_pairs()[0] == ((0, 0), (0, 1))
+        assert rec.attack.n == 900 and edge_pairs(rec.attack)[0] == ((0, 0), (0, 1))
         assert rec.matching.size == 20
         assert not rec.chordality.chordal
 
@@ -141,17 +140,10 @@ class TestAttackGraph:
         graph = attack_graph(parse_cells([(0, 0), (1, 0), (1, 1)]))
         assert graph.lines == ((0b011, 0b100), (0b001, 0b110))
         bare = SimpleGraph(graph.vertices, graph.masks)
-        pairs = SimpleGraph.from_pairs(graph.vertices, graph.edge_pairs())
-        for g in (bare, pairs, complement_graph(graph)):
+        for g in (bare, complement_graph(graph)):
             assert g.lines is None
-        assert graph == bare == pairs and hash(graph) == hash(bare) == hash(pairs)
+        assert graph == bare and hash(graph) == hash(bare)
         assert "lines" not in repr(graph)
-
-    def test_from_pairs_rejects_unknown_vertex(self):
-        with pytest.raises(ValueError):
-            SimpleGraph.from_pairs([(0, 0), (1, 0)], [((0, 0), (2, 0))])
-        with pytest.raises(ValueError):
-            SimpleGraph.from_pairs(range(3), [(5, 0)])
 
     def test_conventions_agree_on_convex(self, census6):
         for poly in census6:
@@ -201,20 +193,20 @@ def test_unknown_convention_raises(call):
 
 class TestFacets:
     def test_l_tromino(self):
-        assert facets(L_TROMINO) == [
+        assert f_vector(L_TROMINO).facets == (
             frozenset({(0, 0), (1, 1)}),
             frozenset({(1, 0)}),
-        ]
+        )
 
     def test_square_diagonals(self):
-        assert facets(SQUARE) == [
+        assert f_vector(SQUARE).facets == (
             frozenset({(0, 0), (1, 1)}),
             frozenset({(0, 1), (1, 0)}),
-        ]
+        )
 
     def test_domino(self):
         domino = parse_cells([(0, 0), (1, 0)])
-        assert facets(domino) == [frozenset({(0, 0)}), frozenset({(1, 0)})]
+        assert f_vector(domino).facets == (frozenset({(0, 0)}), frozenset({(1, 0)}))
 
     def test_against_subset_oracle(self, census5):
         for poly in census5:
@@ -228,7 +220,7 @@ class TestFacets:
                     rest = [u for u in cells if u not in sub]
                     if all(any(adjacent(graph, u, v) for v in sub) for u in rest):
                         maximal.add(frozenset(sub))
-            assert set(facets(poly)) == maximal
+            assert set(f_vector(poly).facets) == maximal
 
 
 class TestFVector:
@@ -346,7 +338,7 @@ class TestIsPure:
                 if f_vector(poly, convention).pure:
                     continue
                 pairs = attack_pairs(poly, convention)
-                oracle_facets, _ = enumerate_complex(SimpleGraph.from_pairs(poly.cells, pairs))
+                oracle_facets, _ = enumerate_complex(graph_from_pairs(poly.cells, pairs))
                 witness = analyze_polyomino(poly, convention)["pureWitness"]
                 problems = _witness_problems(poly.cells, pairs, oracle_facets, witness)
                 assert not problems, (poly, convention, problems)
@@ -538,7 +530,7 @@ class TestVertexDecomposable:
             for convention in ("interval", "line"):
                 if f_vector(poly, convention).pure:
                     pairs += 1
-                    expected = _facet_family_decomposable(frozenset(facets(poly, convention)), {})
+                    expected = _facet_family_decomposable(frozenset(f_vector(poly, convention).facets), {})
                     assert is_vertex_decomposable(poly, convention) == expected, (poly.sorted_cells, convention)
         assert pairs == 339
 
