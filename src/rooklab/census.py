@@ -130,11 +130,13 @@ def _rank_cells(n: int, mode: str) -> Iterator[tuple[Cell, ...]]:
 
 
 def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
-    """All polyominoes of rank n, one per canonical form, in sorted order, built unchecked."""
+    """All polyominoes of rank n, one per canonical form, in sorted order,
+    built unchecked as they are taken. The rank and mode are checked, and
+    the shapes grown, when it is called."""
     _check_rank(n, "rank")
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown mode {mode!r}")
-    yield from map(Polyomino._trusted, _rank_cells(n, mode))
+    return map(Polyomino._trusted, _rank_cells(n, mode))
 
 
 _FREE_CODES: dict[int, tuple[tuple[int, ...], ...]] = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import TYPE_CHECKING
 
-from .errors import NotSimpleThinError, RankTooSmallError
+from .errors import NotApplicableError
 from .graphs import SimpleGraph
 # shape_predicates is unused here but stays bound: perfbench/test_checkers.py
 # checks that the tracer patches a layer function in a module importing it.
@@ -248,10 +248,10 @@ def brush_decomposition(rec: ShapeRecord) -> BrushDecomposition | None:
     """
     preds = rec.predicates
     if not (preds.simple and preds.thin):
-        raise NotSimpleThinError("brush recognition needs a simple thin polyomino")
+        raise NotApplicableError("brush recognition needs a simple thin polyomino")
     if rec.poly.rank < 2:
-        raise RankTooSmallError("rank 1 has no maximal intervals")
-    ivs, masks = rec.intervals, rec.interval_masks
+        raise NotApplicableError("rank 1 has no maximal intervals")
+    ivs, masks = list(rec.intervals), list(rec.intervals.values())
     d = rec.rook_complex.rook_number
     found: list[BrushDecomposition] = []
     for k, handle in enumerate(ivs):

@@ -15,7 +15,6 @@ import sys
 from . import census as census_mod
 from .errors import (
     NotApplicableError,
-    NotPureBrushError,
     RankOutOfRangeError,
     RookLabError,
     UnknownCheckError,
@@ -102,7 +101,7 @@ def analyze_polyomino(poly: Polyomino, convention: str = INTERVAL) -> dict:
     reg_nu_flag = None
     try:
         reg_nu_flag = rec.reg_nu.consistent
-    except NotPureBrushError:
+    except NotApplicableError:
         pass
 
     if chord.chordal:
@@ -259,15 +258,13 @@ def _cmd_enumerate(args) -> int:
         render, sep = (lambda poly: json.dumps({"cells": _order_json(poly.sorted_cells)})), "\n"
     else:
         render, sep = render_ascii, "\n\n"
-    shapes = census_mod.generate(args.rank, args.mode)
     try:
-        first = next(shapes)  # checks the rank before anything is written
+        shapes = census_mod.generate(args.rank, args.mode)
     except RankOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(render(first))
-    for poly in shapes:
-        sys.stdout.write(sep + render(poly))
+    for i, poly in enumerate(shapes):
+        sys.stdout.write(sep + render(poly) if i else render(poly))
     sys.stdout.write("\n")
     return EXIT_OK
 

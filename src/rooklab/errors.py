@@ -9,11 +9,7 @@ __all__ = [
     "IntervalNotInPolyominoError",
     "NotApplicableError",
     "NotConnectedError",
-    "NotPureBrushError",
-    "NotPureError",
-    "NotSimpleThinError",
     "RankOutOfRangeError",
-    "RankTooSmallError",
     "RookLabError",
     "UnknownCheckError",
 ]
@@ -67,31 +63,21 @@ class IntervalNotInPolyominoError(RookLabError):
     """An interval argument is not a maximal interval of the polyomino."""
 
 
-class RankTooSmallError(RookLabError):
-    """The operation needs rank >= 2; the monomino is a documented trivial case."""
-
-
 class RankOutOfRangeError(RookLabError):
     """Requested rank is outside 1..configured maximum, or the maximum
     configured in the environment is not an integer."""
 
 
-class NotPureError(RookLabError):
-    """Vertex decomposability is defined here only for pure complexes."""
-
-
-class NotSimpleThinError(RookLabError):
-    """Brush recognition needs a simple thin polyomino."""
-
-
 class NotApplicableError(RookLabError):
-    """The combinatorial regularity formula is licensed only for pure,
-    simple, thin polyominoes."""
+    """The shape is outside what the operation is stated for; the message
+    names the precondition that fails:
 
-
-class NotPureBrushError(RookLabError):
-    """The regularity/matching comparison is stated for pure brush
-    polyominoes only."""
+    - rank >= 2 (partitions, the purity theorem, brush recognition and the
+      single-cell intervals; the monomino is a documented trivial case);
+    - simple and thin (brush recognition and the regularity formula);
+    - a pure complex (the regularity formula and vertex decomposability);
+    - a pure brush (the regularity/matching comparison).
+    """
 
 
 class UnknownCheckError(RookLabError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import IntervalNotInPolyominoError, RankTooSmallError
+from .errors import IntervalNotInPolyominoError, NotApplicableError
 from .graphs import bits
 from .polyomino import Cell, CellInterval, HORIZONTAL, VERTICAL
 
@@ -66,10 +66,10 @@ def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None
     run; an embedding can therefore never intersect the interval itself,
     and the candidates for a target cell are its attackers outside the
     interval, the rest of its perpendicular run in increasing order.
-    One lookup in ``rec.interval_mask`` checks the interval and gives its
+    One lookup in ``rec.intervals`` checks the interval and gives its
     cells as vertices, in ascending order as the cells are.
     """
-    target_mask = rec.interval_mask.get(interval)
+    target_mask = rec.intervals.get(interval)
     if target_mask is None:
         raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
     graph = rec.attack
@@ -100,7 +100,7 @@ def partitions(rec: ShapeRecord) -> list[PartitionSet]:
     are pairwise disjoint, so that is when their lengths sum to the rank.
     """
     if rec.poly.rank < 2:
-        raise RankTooSmallError("a monomino has no partitions: its interval family is empty")
+        raise NotApplicableError("a monomino has no partitions: its interval family is empty")
     out: list[PartitionSet] = []
     for orientation in (HORIZONTAL, VERTICAL):
         members = tuple(iv for iv in rec.intervals if iv.orientation == orientation)
@@ -122,7 +122,7 @@ def check_purity_theorem(rec: ShapeRecord) -> PurityTheoremReport:
     the existence of a super partition whose size is the rook number.
     """
     if rec.poly.rank < 2:
-        raise RankTooSmallError("rank 1 is a documented trivial case (pure, no partitions)")
+        raise NotApplicableError("rank 1 is a documented trivial case (pure, no partitions)")
     pure = rec.rook_complex.pure
     d = rec.rook_complex.rook_number
     supers = rec.super_partitions

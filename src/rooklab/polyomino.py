@@ -10,9 +10,9 @@ first read: column-major, bit ``x * (height + 1) + y``, with an empty
 guard row on top of every column. Bit order is sorted-cell order, so the
 rank of a cell's bit is its index in ``sorted_cells``, and that index is
 its vertex in the attack graph. The maximal runs (as masks over those
-indices), the maximal intervals and the shape predicates are all read
-off the board: the predicates by popcounts of shifted copies, the runs
-by one pass over its columns.
+indices), the maximal intervals with their masks and the shape
+predicates are all read off the board: the predicates by popcounts of
+shifted copies, the runs by one pass over its columns.
 """
 
 from __future__ import annotations
@@ -302,10 +302,11 @@ def render_ascii(poly: Polyomino) -> str:
     return "\n".join(rows)
 
 
-def interval_runs(poly: Polyomino) -> dict[CellInterval, int]:
-    """Each maximal interval with its run of ``poly.runs``, the mask of
-    its cells over the sorted cells: the runs of two cells or more,
-    horizontal first, each side ordered by first cell."""
+def maximal_intervals(poly: Polyomino) -> dict[CellInterval, int]:
+    """Each maximal interval, the runs of ``poly.runs`` of two cells or
+    more, mapped to its run: the mask of its cells over the sorted cells.
+    Horizontal intervals come first, each side ordered by anchor cell; a
+    lone cell in its row contributes no horizontal interval."""
     cells = poly.sorted_cells
     return {
         CellInterval(orientation, tuple([cells[i] for i in bits(run)])): run
@@ -313,17 +314,6 @@ def interval_runs(poly: Polyomino) -> dict[CellInterval, int]:
         for run in runs
         if run & (run - 1)
     }
-
-
-def maximal_intervals(poly: Polyomino) -> list[CellInterval]:
-    """All maximal horizontal and vertical runs of length >= 2.
-
-    Singleton runs are excluded: a lone cell in its row contributes no
-    horizontal interval. The result is ordered by orientation
-    (horizontal first), then by anchor cell: the keys of
-    ``interval_runs``, in order.
-    """
-    return list(interval_runs(poly))
 
 
 def shape_predicates(poly: Polyomino) -> ShapePredicates:

@@ -68,22 +68,12 @@ class ShapeRecord(GraphRecord):
         super().__init__(poly, INTERVAL)
 
     @stored_property
-    def interval_mask(self) -> dict[polyomino.CellInterval, int]:
-        """Each maximal interval, in order, with its vertex mask, from one
-        pass over the runs: one lookup gives an interval's mask and tells
-        whether it is an interval of this shape."""
-        return polyomino.interval_runs(self.poly)
-
-    @stored_property
-    def intervals(self) -> list[polyomino.CellInterval]:
-        return list(self.interval_mask)
-
-    @stored_property
-    def interval_masks(self) -> list[int]:
-        """The mask of each member of ``intervals``, read off the same dict.
-        Two intervals meet when their masks share a bit, the lowest shared
-        bit is their first shared cell, and a union is an OR."""
-        return list(self.interval_mask.values())
+    def intervals(self) -> dict[polyomino.CellInterval, int]:
+        """Each maximal interval, in order, with its vertex mask. One lookup
+        gives an interval's mask and tells whether it is one of this
+        shape's; two intervals meet when their masks share a bit, the
+        lowest shared bit is their first shared cell, and a union is an OR."""
+        return polyomino.maximal_intervals(self.poly)
 
     @stored_property
     def predicates(self) -> polyomino.ShapePredicates:

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import (
-    NotApplicableError,
-    NotPureBrushError,
-    RankTooSmallError,
-)
+from .errors import NotApplicableError
 from .graphs import SimpleGraph, bits
 from .polyomino import Cell, CellInterval
 
@@ -213,14 +209,14 @@ def _verify_induced_matching(graph: SimpleGraph, pairs: list[tuple[int, int]]) -
 def single_cell_intervals(rec: ShapeRecord) -> list[CellInterval]:
     """Intervals owning at least two cells that belong to no other interval."""
     if rec.poly.rank < 2:
-        raise RankTooSmallError("rank 1 has no maximal intervals")
+        raise NotApplicableError("rank 1 has no maximal intervals")
     # A cell lies in at most two intervals, one of each orientation.
     once = twice = 0
-    for mask in rec.interval_masks:
+    for mask in rec.intervals.values():
         twice |= once & mask
         once |= mask
     single = once & ~twice
-    return [iv for iv, mask in zip(rec.intervals, rec.interval_masks) if (mask & single).bit_count() >= 2]
+    return [iv for iv, mask in rec.intervals.items() if (mask & single).bit_count() >= 2]
 
 
 def regularity_pure_thin(rec: ShapeRecord) -> int:
@@ -238,7 +234,7 @@ def check_reg_eq_nu(rec: ShapeRecord) -> RegularityMatchReport:
     on a pure brush, together with the single-cell lower bound."""
     brush = rec.brush
     if brush is None or not brush.pure_brush:
-        raise NotPureBrushError("input is not a pure brush polyomino")
+        raise NotApplicableError("input is not a pure brush polyomino")
     reg = rec.regularity
     nu = rec.matching.size
     singles = len(single_cell_intervals(rec))

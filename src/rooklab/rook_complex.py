@@ -31,7 +31,7 @@ from functools import lru_cache, wraps
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import CellNotInPolyominoError, NotPureError
+from .errors import CellNotInPolyominoError, NotApplicableError
 from .graphs import SimpleGraph, bits
 from .polyomino import Cell, Polyomino, _pair, stored_property
 
@@ -419,7 +419,7 @@ def is_vertex_decomposable(poly: Polyomino, convention: str = INTERVAL) -> bool:
     """
     rc = f_vector(poly, convention)
     if not rc.pure:
-        raise NotPureError("vertex decomposability is only defined for pure complexes")
+        raise NotApplicableError("vertex decomposability is only defined for pure complexes")
     adj = rc.graph.masks
     memo: dict[int, bool] = {}
 

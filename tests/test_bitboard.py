@@ -27,7 +27,7 @@ def _assert_matches_scans(poly, counts=True):
     cells = poly.sorted_cells
     for orientation, runs in zip((HORIZONTAL, VERTICAL), poly.runs):
         assert [tuple(cells[i] for i in bits(run)) for run in runs] == cell_scans.runs(poly.cells, orientation)
-    assert maximal_intervals(poly) == cell_scans.maximal_intervals(poly)
+    assert list(maximal_intervals(poly)) == cell_scans.maximal_intervals(poly)
     assert shape_predicates(poly) == cell_scans.shape_predicates(poly)
     assert (poly.width, poly.height) == (1 + max(x for x, _ in cells), 1 + max(y for _, y in cells))
     for convention in CONVENTIONS:

@@ -3,6 +3,7 @@ import gc
 import os
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from rooklab import (
     CHECKS,
     Polyomino,
     RankOutOfRangeError,
+    ShapeRecord,
     UnknownCheckError,
     attack_graph,
     canonical_cells,
@@ -19,7 +21,9 @@ from rooklab import (
     generate,
     is_chordal,
     is_pure,
+    polyomino,
     rook_complex,
+    single_cell_intervals,
     verify_corpus,
 )
 from rooklab.cli import analyze_polyomino, report_json
@@ -108,6 +112,13 @@ class TestGenerate:
             list(generate(0))
         with pytest.raises(RankOutOfRangeError):
             list(generate(11))
+
+    def test_bad_rank_or_mode_raises_when_called(self):
+        # Both are checked at the call, before a shape is taken.
+        with pytest.raises(RankOutOfRangeError, match="rank 0 outside"):
+            generate(0)
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            generate(3, "bogus")
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("ROOKLAB_MAX_RANK", "4")
@@ -381,6 +392,45 @@ class TestVerifyCorpus:
             calls.update(f_vector=0)
             analyze_polyomino(Polyomino.from_cells(cells), convention)
             assert calls == {"f_vector": 1 if convention == "interval" else 2, "is_pure": 0}, (cells, convention)
+
+    def test_each_record_builds_its_intervals_once(self, monkeypatch):
+        # polyomino.maximal_intervals is wrapped, as the benchmark tracer
+        # wraps it, in every rooklab module that binds it. A record's
+        # interval table is one call, however many of its layers read it,
+        # and a pass over the census builds one record per shape.
+        calls = Counter()
+        original = polyomino.maximal_intervals
+
+        def counted(poly):
+            calls[poly] += 1
+            return original(poly)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rooklab":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        for poly in free_census(6):
+            calls.clear()
+            rec = ShapeRecord(poly)
+            assert rec.intervals is rec.intervals
+            if poly.rank >= 2:
+                rec.super_partitions, rec.purity_theorem, rec.brush, rec.classification
+                single_cell_intervals(rec)
+            for spec in CHECKS.values():
+                if not spec.census_wide:
+                    list(spec.func(rec))
+            assert calls == {poly: 1}, poly
+        for census_wide in (False, True):
+            calls.clear()
+            names = [name for name, spec in CHECKS.items() if spec.census_wide == census_wide]
+            assert verify_corpus(8, names).passed
+            assert calls and set(calls.values()) == {1}, census_wide
+        for cells, convention in ANALYZE_SHAPES:
+            calls.clear()
+            poly = Polyomino.from_cells(cells)
+            analyze_polyomino(poly, convention)
+            assert calls == {poly: 1}, (cells, convention)
 
     def test_empty_or_repeated_check_list(self):
         with pytest.raises(UnknownCheckError):

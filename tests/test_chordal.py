@@ -6,7 +6,7 @@ import pytest
 from conftest import adjacent, graph_from_pairs
 
 from rooklab import (
-    NotSimpleThinError,
+    NotApplicableError,
     ShapeRecord,
     attack_graph,
     brush_decomposition,
@@ -319,7 +319,7 @@ class TestBrushDecomposition:
         assert brush.short and not brush.pure_brush
 
     def test_square_rejected(self):
-        with pytest.raises(NotSimpleThinError):
+        with pytest.raises(NotApplicableError, match="brush recognition needs a simple thin polyomino"):
             brush_decomposition(ShapeRecord(SQUARE))
 
     def test_t_tetromino_prefers_short_handle(self):

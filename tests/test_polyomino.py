@@ -186,7 +186,7 @@ class TestMaximalIntervals:
         assert sorted(iv.length for iv in ivs) == [2, 2, 2, 3, 3]
 
     def test_monomino_empty(self):
-        assert maximal_intervals(parse_cells([(0, 0)])) == []
+        assert list(maximal_intervals(parse_cells([(0, 0)]))) == []
 
     def test_cover_and_uniqueness(self, census6):
         for poly in census6:

@@ -12,7 +12,7 @@ from conftest import adjacent, edge_pairs, graph_from_pairs
 from rooklab import (
     BadCellError,
     CellNotInPolyominoError,
-    NotPureError,
+    NotApplicableError,
     ShapeRecord,
     SimpleGraph,
     attack_graph,
@@ -494,7 +494,7 @@ class TestVertexDecomposable:
         assert is_vertex_decomposable(poly)
 
     def test_not_pure_raises(self):
-        with pytest.raises(NotPureError):
+        with pytest.raises(NotApplicableError, match="only defined for pure complexes"):
             is_vertex_decomposable(L_TROMINO)
 
     def test_square_not_decomposable(self):
