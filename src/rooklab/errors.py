@@ -3,7 +3,6 @@
 __all__ = [
     "BadCellError",
     "BadCharacterError",
-    "CellNotInPolyominoError",
     "DuplicateCellError",
     "EmptyInputError",
     "IntervalNotInPolyominoError",
@@ -55,10 +54,6 @@ class NotConnectedError(RookLabError):
         super().__init__(f"cells {witness[0]} and {witness[1]} are not edge-connected")
 
 
-class CellNotInPolyominoError(RookLabError):
-    """A cell argument is not a cell of the polyomino."""
-
-
 class IntervalNotInPolyominoError(RookLabError):
     """An interval argument is not a maximal interval of the polyomino."""
 
@@ -75,7 +70,7 @@ class NotApplicableError(RookLabError):
     - rank >= 2 (partitions, the purity theorem, brush recognition and the
       single-cell intervals; the monomino is a documented trivial case);
     - simple and thin (brush recognition and the regularity formula);
-    - a pure complex (the regularity formula and vertex decomposability);
+    - a pure complex (the regularity formula);
     - a pure brush (the regularity/matching comparison).
     """
 

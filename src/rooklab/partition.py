@@ -23,7 +23,6 @@ if TYPE_CHECKING:
     from .record import ShapeRecord
 
 __all__ = [
-    "Embedding",
     "PartitionSet",
     "PurityTheoremReport",
     "check_purity_theorem",
@@ -41,15 +40,6 @@ class PartitionSet:
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """A witness that ``target`` is embedded: ``rooks[i]`` attacks
-    ``target.cells[i]`` and the rooks are pairwise non-attacking."""
-
-    target: CellInterval
-    rooks: tuple[Cell, ...]
-
-
-@dataclass(frozen=True)
 class PurityTheoremReport:
     pure: bool
     super_exists: bool
@@ -57,9 +47,10 @@ class PurityTheoremReport:
     consistent: bool
 
 
-def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None:
-    """The first embedding of ``interval`` in lexicographic order of the
-    rook tuple aligned with the interval's cells, or None when there is none.
+def find_embedding(rec: ShapeRecord, interval: CellInterval) -> tuple[Cell, ...] | None:
+    """The first embedding of ``interval`` in lexicographic order, or None
+    when there is none. An embedding is a tuple of pairwise non-attacking
+    rooks aligned with the interval's cells: rook i attacks cell i.
 
     Under the interval attack convention a cell outside the interval can
     attack at most one of its cells, namely through the perpendicular
@@ -89,7 +80,7 @@ def find_embedding(rec: ShapeRecord, interval: CellInterval) -> Embedding | None
         return None
 
     rooks = extend(0, 0)
-    return None if rooks is None else Embedding(interval, tuple(graph.vertices[c] for c in rooks))
+    return None if rooks is None else tuple(graph.vertices[c] for c in rooks)
 
 
 def partitions(rec: ShapeRecord) -> list[PartitionSet]:

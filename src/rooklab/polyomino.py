@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadCellError,
@@ -212,12 +212,6 @@ class Polyomino:
                 i += 1
             prev = col
         return tuple(h_runs), tuple(v_runs)
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cells
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(self.sorted_cells)
 
     def __repr__(self) -> str:
         return f"Polyomino({list(self.sorted_cells)!r})"

@@ -25,15 +25,13 @@ only when ``RookComplex.facets`` is read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import CellNotInPolyominoError, NotApplicableError
 from .graphs import SimpleGraph, bits
-from .polyomino import Cell, Polyomino, _pair, stored_property
+from .polyomino import Polyomino, stored_property
 
 __all__ = [
     "PurityResult",
@@ -41,9 +39,7 @@ __all__ = [
     "attack_graph",
     "f_vector",
     "h_from_f",
-    "is_face",
     "is_pure",
-    "is_vertex_decomposable",
 ]
 
 INTERVAL = "interval"
@@ -318,18 +314,6 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), graph, tuple(facets_by_size))
 
 
-def is_face(poly: Polyomino, cells: Iterable[Cell], convention: str = INTERVAL) -> bool:
-    """True when no two of the given cells attack each other. Cells are
-    integer pairs, as tuples or lists, as ``Polyomino`` takes them."""
-    masks = attack_graph(poly, convention).masks
-    chosen = 0
-    for c in map(_pair, cells):
-        if c not in poly.cells:
-            raise CellNotInPolyominoError(f"{c} is not a cell of the polyomino")
-        chosen |= 1 << bisect_left(poly.sorted_cells, c)
-    return not any(masks[i] & chosen for i in bits(chosen))
-
-
 def _first_facet(graph: SimpleGraph, size: int) -> int:
     """The first facet of ``size`` cells in sorted-cell-tuple order, as a
     vertex mask of the attack graph ``graph``; one must exist. The first
@@ -403,44 +387,3 @@ def h_from_f(f: Sequence[int]) -> tuple[int, ...]:
         sum((-1) ** (k - i) * comb(d - i, k - i) * f[i] for i in range(k + 1))
         for k in range(d + 1)
     )
-
-
-def is_vertex_decomposable(poly: Polyomino, convention: str = INTERVAL) -> bool:
-    """Whether the (pure) rook complex is vertex decomposable, by a
-    shedding recursion on vertex masks W of the attack graph G.
-
-    Ind(G[W]) is decomposable when G[W] has no edge, or when a shedding
-    vertex v has a decomposable link Ind(G[W - N[v]]) and deletion
-    Ind(G[W - v]). v is shedding when no independent set inside W - N[v]
-    is adjacent to all of N(v) & W (Woodroofe 2009); vertices are tried by
-    falling degree in G[W], far faster than in vertex order. A shedding
-    vertex's deletion keeps only facets of the whole, so a pure complex
-    stays pure throughout and the verdict is the pure definition's.
-    """
-    rc = f_vector(poly, convention)
-    if not rc.pure:
-        raise NotApplicableError("vertex decomposability is only defined for pure complexes")
-    adj = rc.graph.masks
-    memo: dict[int, bool] = {}
-
-    def dominated(todo: int, candidates: int) -> bool:
-        # Whether an independent set inside ``candidates`` dominates ``todo``.
-        if not todo:
-            return True
-        u = (todo & -todo).bit_length() - 1
-        return any(
-            dominated(todo & ~adj[x], candidates & ~adj[x] & ~(1 << x)) for x in bits(adj[u] & candidates)
-        )
-
-    def decomposable(w: int) -> bool:
-        if w not in memo:
-            order = sorted((v for v in bits(w) if adj[v] & w), key=lambda v: -(adj[v] & w).bit_count())
-            memo[w] = not order
-            for v in order:
-                link = w & ~adj[v] & ~(1 << v)
-                if not dominated(adj[v] & w, link) and decomposable(link) and decomposable(w & ~(1 << v)):
-                    memo[w] = True
-                    break
-        return memo[w]
-
-    return decomposable((1 << len(adj)) - 1)

