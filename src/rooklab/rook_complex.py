@@ -18,9 +18,10 @@ Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
 incidence graph. The f-vector, rook number, purity and the facet counts
 by size come from one transfer-matrix sweep over it, into one
-``RookComplex``. Its non-purity witness is found, when first read, by a
-bounded search for the first facet of a given size; facets are listed
-only when ``RookComplex.facets`` is read.
+``RookComplex``. One facet search, ``_facets``, yields the facets of a
+range of sizes in sorted-cell-tuple order: the non-purity witness takes
+the first facet of each of two sizes when first read, and
+``RookComplex.facets`` lists them all.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graphs import SimpleGraph, bits
 from .polyomino import Polyomino, stored_property
@@ -79,21 +80,24 @@ class RookComplex:
     def facets(self) -> tuple[frozenset, ...]:
         """All inclusion-maximal non-attacking cell sets, ordered by their
         sorted cell tuples."""
-        return tuple(_cells_of(self.graph, mask) for mask in _facet_search(self.graph))
+        vertices = self.graph.vertices
+        return tuple(
+            frozenset(vertices[i] for i in bits(mask)) for mask in _facets(self.graph, 0, self.rook_number)
+        )
 
     @stored_property
     def purity(self) -> PurityResult:
         """``pure`` with a witness pair when it fails: the first smallest and
-        the first largest facet in sorted-cell-tuple order. Each is found by
-        ``_first_facet`` at the size that ``facets_by_size`` names, and no
-        facet list is built."""
+        the first largest facet in sorted-cell-tuple order. Each is the
+        first that ``_facets`` yields at the size that ``facets_by_size``
+        names, and no facet list is built."""
         if self.pure:
             return PurityResult(True, None)
         smallest = next(k for k, count in enumerate(self.facets_by_size) if count)
         return PurityResult(
             False,
             tuple(
-                frozenset(self.graph.vertices[i] for i in bits(_first_facet(self.graph, size)))
+                frozenset(self.graph.vertices[i] for i in bits(next(_facets(self.graph, size, size))))
                 for size in (smallest, self.rook_number)
             ),
         )
@@ -243,62 +247,6 @@ def _sweep_counts(columns: list[tuple[tuple[int, ...], int]]) -> tuple[list[int]
     return face_counts, facet_counts
 
 
-def _cells_of(graph: SimpleGraph, facet: int) -> frozenset:
-    """The cells of a facet mask from ``_facet_search``."""
-    return frozenset(graph.vertices[~j] for j in bits(facet))
-
-
-def _facet_search(graph: SimpleGraph) -> list[int]:
-    """Every maximal independent set of ``graph``, by pivoting
-    Bron-Kerbosch: each branch adds one vertex of the pivot's closed
-    neighbourhood, which every maximal set meets, so only maximal sets
-    are reached.
-
-    Bit j of a returned mask stands for vertex n - 1 - j. Facets form an
-    antichain, so in this labelling descending int order is the order of
-    their sorted cell tuples, and the list comes in that order.
-
-    It lists every facet faster than ``_first_facet`` would run without
-    a size bound; that search finds one facet of a given size instead.
-    """
-    n = graph.n
-    closed = [0] * n
-    for i, mask in enumerate(graph.masks):
-        closed[n - 1 - i] = int(f"{mask | 1 << i:0{n}b}"[::-1], 2)
-    found: list[int] = []
-
-    def expand(chosen: int, candidates: int, excluded: int) -> None:
-        if not candidates:
-            if not excluded:
-                found.append(chosen)
-            return
-        # The pivot's closed neighbourhood holds the fewest candidates;
-        # none means some excluded vertex can never be covered.
-        fewest = n + 1
-        pool = candidates | excluded
-        while pool:
-            b = pool & -pool
-            pool ^= b
-            u = b.bit_length() - 1
-            count = (candidates & closed[u]).bit_count()
-            if count < fewest:
-                fewest, pivot = count, u
-                if count <= 1:
-                    break
-        branch = candidates & closed[pivot]
-        while branch:
-            b = branch & -branch
-            branch ^= b
-            v = b.bit_length() - 1
-            expand(chosen | b, candidates & ~closed[v], excluded & ~closed[v])
-            candidates ^= b
-            excluded |= b
-
-    expand(0, (1 << n) - 1, 0)
-    found.sort(reverse=True)
-    return found
-
-
 @_per_shape_cache
 def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     """Exact face counts of the rook complex, its rook number and purity,
@@ -314,63 +262,63 @@ def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), graph, tuple(facets_by_size))
 
 
-def _first_facet(graph: SimpleGraph, size: int) -> int:
-    """The first facet of ``size`` cells in sorted-cell-tuple order, as a
-    vertex mask of the attack graph ``graph``; one must exist. The first
-    bound below reads the graph's lines.
+def _facets(graph: SimpleGraph, lo: int, hi: int) -> Iterator[int]:
+    """The facets of ``lo`` to ``hi`` cells in sorted-cell-tuple order, as
+    vertex masks of the attack graph ``graph``. The first bound below
+    reads the graph's lines.
 
     An include-then-exclude search on the lowest free cell visits the
     maximal independent sets in that order: two facets first differ at
     some cell, and the one holding it is reached first. A free cell is
     neither chosen, nor attacked by a chosen cell, nor excluded. A node
-    with k rooks is pruned when none of its facets can have ``size`` cells:
-    - k + min(#horizontal, #vertical lines meeting the free cells) < size,
+    with k rooks is pruned, by clearing its free cells, when none of its
+    facets can have ``lo`` to ``hi`` cells:
+    - k + min(#horizontal, #vertical lines meeting the free cells) < lo,
       as a face holds at most one cell of a line;
-    - k + ceil(m / 2) > size, where m counts a greedy non-attacking set
+    - k + ceil(m / 2) > hi, where m counts a greedy non-attacking set
       among the cells no rook attacks yet: every one of them must still be
       taken or attacked, and a rook attacks at most two of them, one on
       each of its lines;
     - or some excluded cell has no free neighbour left to attack it.
-    Excluding runs in the frame that included, so the depth stays within
-    ``size``.
+    The search keeps an explicit stack, one frame per chosen rook, so its
+    depth is the rook count and not the interpreter's.
     """
     adj = graph.masks
     closed = [mask | 1 << i for i, mask in enumerate(adj)]
     h_masks, v_masks = graph.lines
-
-    def search(k: int, chosen: int, free: int, excluded: int) -> int | None:
-        while free:
-            room = min(sum(1 for m in h_masks if m & free), sum(1 for m in v_masks if m & free))
-            if k + room < size:
-                return None
+    stack: list[tuple[int, int, int]] = []  # per chosen rook: the node it left, with it excluded
+    chosen, free, excluded = 0, (1 << len(adj)) - 1, 0
+    while True:
+        k = len(stack)
+        if free and k < lo and k + min(sum(1 for m in h_masks if m & free), sum(1 for m in v_masks if m & free)) < lo:
+            free = 0
+        if free:
             open_cells, need = free | excluded, 0
             while open_cells:
                 open_cells &= ~closed[(open_cells & -open_cells).bit_length() - 1]
                 need += 1
-            if k + (need + 1) // 2 > size:
-                return None
+            if k + (need + 1) // 2 > hi:
+                free = 0
+        if free:
             b = free & -free
             v = b.bit_length() - 1
             rest, still = free & ~closed[v], excluded & ~adj[v]
-            if all(adj[x] & rest for x in bits(still)):
-                if rest:
-                    found = search(k + 1, chosen | b, rest, still)
-                    if found is not None:
-                        return found
-                elif k + 1 == size:  # still is empty: a facet
-                    return chosen | b
             free ^= b
             excluded |= b
             # Only v and the excluded cells next to it can have lost their
             # last free neighbour; v always has when no free cell is left.
             if any(not adj[x] & free for x in bits(excluded & closed[v])):
-                return None
-        return None
-
-    facet = search(0, 0, (1 << len(adj)) - 1, 0)
-    if facet is None:
-        raise RuntimeError(f"no facet of size {size}")
-    return facet
+                free = 0
+            if all(adj[x] & rest for x in bits(still)):
+                if rest:
+                    stack.append((chosen, free, excluded))
+                    chosen, free, excluded = chosen | b, rest, still
+                elif k + 1 >= lo:  # still is empty: a facet
+                    yield chosen | b
+        elif stack:
+            chosen, free, excluded = stack.pop()
+        else:
+            return
 
 
 def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:

@@ -305,6 +305,43 @@ def enumerate_complex():
     return _enumerate_complex
 
 
+def _bron_kerbosch(graph):
+    """Every maximal independent set of ``graph`` as a vertex mask, by
+    pivoting Bron-Kerbosch, in the order of their sorted vertex tuples.
+    Each branch adds one vertex of the pivot's closed neighbourhood, which
+    every maximal set meets, so only maximal sets are reached; the pivot's
+    closed neighbourhood holds the fewest candidates.
+
+    Of two sets, the one holding the lowest vertex they differ at comes
+    first, so the order is the descending order of the bit-reversed masks."""
+    n = graph.n
+    closed = [mask | 1 << i for i, mask in enumerate(graph.masks)]
+    found = []
+
+    def expand(chosen, candidates, excluded):
+        if not candidates:
+            if not excluded:
+                found.append(chosen)
+            return
+        pivot = min(bits(candidates | excluded), key=lambda u: (candidates & closed[u]).bit_count())
+        for v in bits(candidates & closed[pivot]):
+            expand(chosen | 1 << v, candidates & ~closed[v], excluded & ~closed[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+
+    expand(0, (1 << n) - 1, 0)
+    found.sort(key=lambda mask: int(f"{mask:0{n}b}"[::-1], 2), reverse=True)
+    return found
+
+
+@pytest.fixture(scope="session")
+def bron_kerbosch():
+    """The facet lister the package used to run; tests use it as an oracle
+    for the include-then-exclude facet search on shapes too large for
+    ``enumerate_complex``."""
+    return _bron_kerbosch
+
+
 def _brush_offset_realizations(lengths):
     """Canonical cell tuples of the pure brushes with the given bristle
     lengths, by the search the package used to run: a horizontal handle,

@@ -325,11 +325,11 @@ class TestVerifyCorpus:
     def test_verify_searches_no_facets(self, monkeypatch):
         # Every check reads purity as the transfer-matrix flag; facets are
         # listed only when RookComplex.facets is read.
-        def refuse(graph):
-            raise AssertionError("verify searched for facets")
+        def refuse(rc):
+            raise AssertionError("verify listed the facets")
 
         rook_complex.f_vector.cache_clear()
-        monkeypatch.setattr(rook_complex, "_facet_search", refuse)
+        monkeypatch.setattr(rook_complex.RookComplex, "facets", property(refuse))
         report = verify_corpus(8)
         assert len(report.results) == len(CHECKS) == 14
         assert report.passed

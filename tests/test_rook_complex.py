@@ -197,6 +197,19 @@ class TestFacets:
                         maximal.add(frozenset(sub))
             assert set(f_vector(poly).facets) == maximal
 
+    @pytest.mark.parametrize("convention", ["interval", "line"])
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            pytest.param(_holed_board(7, 0), id="board-7x7"),
+            pytest.param(_holed_board(7, 3), id="holed-7x7"),
+            pytest.param(STAIRCASE_11X3, id="staircase-11x3"),
+        ],
+    )
+    def test_matches_bron_kerbosch_beyond_census(self, poly, convention, bron_kerbosch):
+        rc = f_vector.__wrapped__(poly, convention)
+        assert list(rc.facets) == [_cells_of(rc.graph, mask) for mask in bron_kerbosch(rc.graph)]
+
 
 class TestFVector:
     @pytest.mark.parametrize(
@@ -320,12 +333,13 @@ class TestIsPure:
                 checked += 1
         assert checked
 
-    def test_matches_facet_listing_on_census(self, census10):
+    def test_matches_facet_listing_on_census(self, census10, bron_kerbosch):
         checked = 0
         for poly in census10:
             for convention in ("interval", "line"):
                 if not f_vector(poly, convention).pure:
-                    assert is_pure(poly, convention).witness == _listing_witness(poly, convention), (poly, convention)
+                    witness = _listing_witness(poly, convention, bron_kerbosch)
+                    assert is_pure(poly, convention).witness == witness, (poly, convention)
                     checked += 1
         assert checked == 12_054
 
@@ -333,23 +347,47 @@ class TestIsPure:
         "poly",
         [pytest.param(STAIRCASE_11X3, id="staircase-11x3"), pytest.param(_holed_board(7, 3), id="holed-7x7")],
     )
-    def test_matches_facet_listing_on_every_image(self, poly, dihedral_images):
+    def test_matches_facet_listing_on_every_image(self, poly, dihedral_images, bron_kerbosch):
         for image in dihedral_images(poly):
             for convention in ("interval", "line"):
                 assert not f_vector(image, convention).pure
-                assert is_pure(image, convention).witness == _listing_witness(image, convention), (image, convention)
+                witness = _listing_witness(image, convention, bron_kerbosch)
+                assert is_pure(image, convention).witness == witness, (image, convention)
 
     @pytest.mark.parametrize("side, hole", [(8, 4), (9, 5)])
-    def test_matches_facet_listing_on_large_holed_boards(self, side, hole):
+    def test_matches_facet_listing_on_large_holed_boards(self, side, hole, bron_kerbosch):
         board = _holed_board(side, hole)
-        assert is_pure(board).witness == _listing_witness(board)
+        assert is_pure(board).witness == _listing_witness(board, "interval", bron_kerbosch)
+
+    def test_witness_on_a_long_comb_within_a_small_recursion_limit(self):
+        # Row 0 of 600 cells with a tooth above every other one: not pure,
+        # rook number 301, so a search recursing once per rook overflows.
+        teeth = 300
+        comb = parse_cells([(x, 0) for x in range(2 * teeth)] + [(2 * i, 1) for i in range(teeth)])
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            witness = f_vector(comb).purity.witness
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [len(face) for face in witness] == [teeth, teeth + 1]
+        h_lines, v_lines = cell_scans.lines(comb, "interval")
+        lines = [frozenset(line) for line in h_lines + v_lines]
+        for face in witness:
+            # Non-attacking: no line holds two of its cells. Maximal: the
+            # lines that hold one cover the shape.
+            assert all(len(face & line) <= 1 for line in lines)
+            assert frozenset().union(*(line for line in lines if face & line)) == comb.cells
 
     def test_witness_lists_no_facets(self, monkeypatch):
-        def refuse(graph):
+        def refuse(rc):
             raise AssertionError("is_pure listed the facets")
 
         f_vector.cache_clear()
-        monkeypatch.setattr(rook_complex, "_facet_search", refuse)
+        monkeypatch.setattr(rook_complex.RookComplex, "facets", property(refuse))
         for poly in (L_TROMINO, STAIRCASE_11X3, _holed_board(9, 5)):
             for convention in ("interval", "line"):
                 assert not is_pure(poly, convention).pure
@@ -362,12 +400,18 @@ class TestIsPure:
         assert cached == {"attack_graph", "f_vector"}
 
 
-def _listing_witness(poly, convention="interval"):
-    """The witness pair picked from the whole facet list: the first facet
-    of the least and of the greatest size in sorted-cell-tuple order."""
-    rc = f_vector(poly, convention)
-    masks = rook_complex._facet_search(rc.graph)
-    return tuple(rook_complex._cells_of(rc.graph, pick(masks, key=int.bit_count)) for pick in (min, max))
+def _cells_of(graph, mask):
+    return frozenset(graph.vertices[i] for i in bits(mask))
+
+
+def _listing_witness(poly, convention, list_facets):
+    """The witness pair picked from the whole facet list that
+    ``list_facets`` returns for the attack graph, as vertex masks: the
+    first facet of the least and of the greatest size in sorted-cell-tuple
+    order."""
+    graph = attack_graph(poly, convention)
+    masks = list_facets(graph)
+    return tuple(_cells_of(graph, pick(masks, key=int.bit_count)) for pick in (min, max))
 
 
 def _witness_problems(cells, pairs, oracle_facets, witness):
