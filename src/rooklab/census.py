@@ -124,11 +124,6 @@ def _cells(codes: tuple[int, ...]) -> tuple[Cell, ...]:
     return tuple([(c >> b, c & mask) for c in codes])
 
 
-def _rank_cells(n: int, mode: str) -> Iterator[tuple[Cell, ...]]:
-    """The sorted cell tuples of rank n, in sorted order, each decoded as it is taken."""
-    return map(_cells, _grow_codes(n, mode))
-
-
 def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
     """All polyominoes of rank n, one per canonical form, in sorted order,
     built unchecked as they are taken. The rank and mode are checked, and
@@ -136,7 +131,7 @@ def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:
     _check_rank(n, "rank")
     if mode not in ("free", "fixed"):
         raise ValueError(f"unknown mode {mode!r}")
-    return map(Polyomino._trusted, _rank_cells(n, mode))
+    return map(Polyomino._trusted, map(_cells, _grow_codes(n, mode)))
 
 
 _FREE_CODES: dict[int, tuple[tuple[int, ...], ...]] = {}

@@ -276,10 +276,9 @@ def brush_decomposition(rec: ShapeRecord) -> BrushDecomposition | None:
             and handle.length == len(bristles) == d
         )
         found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))
-    if not found:
-        return None
-    found.sort(key=lambda b: (not b.pure_brush, not b.short, tuple(sorted(b.lengths)), b.handle.anchor))
-    return found[0]
+    return min(
+        found, key=lambda b: (not b.pure_brush, not b.short, tuple(sorted(b.lengths)), b.handle.anchor), default=None
+    )
 
 
 def classify_chordality(rec: ShapeRecord) -> ChordalityClassification:

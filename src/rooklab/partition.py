@@ -80,6 +80,7 @@ def find_embedding(rec: ShapeRecord, interval: CellInterval) -> tuple[Cell, ...]
         return None
 
     rooks = extend(0, 0)
+    del extend  # it refers to itself; the cycle would wait for a collection
     return None if rooks is None else tuple(graph.vertices[c] for c in rooks)
 
 

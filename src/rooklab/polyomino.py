@@ -17,7 +17,6 @@ shifted copies, the runs by one pass over its columns.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,26 +86,6 @@ _BOX_SYMMETRIES = (
 )
 
 
-def _components(cells: frozenset[Cell]) -> list[set[Cell]]:
-    seen: set[Cell] = set()
-    out: list[set[Cell]] = []
-    for start in sorted(cells):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x, y = queue.popleft()
-            for dx, dy in _STEPS:
-                nb = (x + dx, y + dy)
-                if nb in cells and nb not in comp:
-                    comp.add(nb)
-                    queue.append(nb)
-        seen |= comp
-        out.append(comp)
-    return out
-
-
 @dataclass(frozen=True)
 class Polyomino:
     """An edge-connected set of cells with its lower-left corner at the origin."""
@@ -119,11 +98,18 @@ class Polyomino:
             raise EmptyInputError("a polyomino needs at least one cell")
         if min(x for x, _ in self.cells) != 0 or min(y for _, y in self.cells) != 0:
             raise ValueError("polyomino is not normalized to the origin")
-        comps = _components(self.cells)
-        if len(comps) > 1:
-            first = min(comps[0])
-            other = min(comps[1])
-            raise NotConnectedError((first, other))
+        # One flood fill from the least cell; the witness adds the least cell it misses.
+        start = min(self.cells)
+        reached, todo = {start}, [start]
+        while todo:
+            x, y = todo.pop()
+            for dx, dy in _STEPS:
+                nb = (x + dx, y + dy)
+                if nb in self.cells and nb not in reached:
+                    reached.add(nb)
+                    todo.append(nb)
+        if len(reached) < len(self.cells):
+            raise NotConnectedError((start, min(self.cells - reached)))
 
     @classmethod
     def _trusted(cls, sorted_cells: tuple[Cell, ...]) -> "Polyomino":
@@ -279,12 +265,11 @@ def parse_cells(pairs: Iterable[Sequence[int]]) -> Polyomino:
     cells = [_pair(p) for p in pairs]
     if not cells:
         raise EmptyInputError("cell list is empty")
-    if len(set(cells)) != len(cells):
-        seen: set[Cell] = set()
-        for p in cells:
-            if p in seen:
-                raise DuplicateCellError(f"cell {p} appears twice")
-            seen.add(p)
+    seen: set[Cell] = set()
+    for p in cells:
+        if p in seen:
+            raise DuplicateCellError(f"cell {p} appears twice")
+        seen.add(p)
     return Polyomino.from_cells(cells)
 
 

@@ -12,7 +12,9 @@ cell). Two cells attack when a line holds both, and each cell lies in
 one horizontal and one vertical line, so it is an edge of the bipartite
 line incidence graph. ``attack_graph`` builds the graph from the lines
 and keeps them; every graph layer reads it alone. ``f_vector`` sweeps
-the columns that ``_sweep_columns`` reads off the same lines.
+the columns that ``_sweep_columns`` reads off the same lines. Each keeps
+the shape in hand under both conventions in an ``lru_cache`` keyed on
+the arguments as passed, and every caller passes the convention.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
@@ -27,7 +29,7 @@ the first facet of each of two sizes when first read, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -103,22 +105,6 @@ class RookComplex:
         )
 
 
-def _per_shape_cache(func):
-    """An lru_cache holding the shape in hand under both conventions, as no
-    caller returns to a shape it has left. It keys on (poly, convention)
-    however the convention is passed, so ``f(p)`` and ``f(p, "interval")``
-    share one entry. ``cache_info`` and ``cache_clear`` are the cache's own."""
-    cached = lru_cache(maxsize=2)(func)
-
-    @wraps(func)
-    def lookup(poly: Polyomino, convention: str = INTERVAL):
-        return cached(poly, convention)
-
-    lookup.cache_info = cached.cache_info
-    lookup.cache_clear = cached.cache_clear
-    return lookup
-
-
 def _lines(poly: Polyomino, convention: str) -> Lines:
     """The horizontal and the vertical lines of ``poly`` as masks over its
     sorted cells: the maximal runs of ``poly.runs``, singletons included,
@@ -169,7 +155,7 @@ def _sweep_columns(poly: Polyomino, lines: Lines) -> list[tuple[tuple[int, ...],
     return [(tuple(v), e) for v, e in zip(vertical, ends)]
 
 
-@_per_shape_cache
+@lru_cache(maxsize=2)
 def attack_graph(poly: Polyomino, convention: str = INTERVAL) -> SimpleGraph:
     """The graph on the cells of ``poly`` whose edges are attacking pairs,
     built from the lines of ``_lines``: each line is a clique, and the
@@ -247,7 +233,7 @@ def _sweep_counts(columns: list[tuple[tuple[int, ...], int]]) -> tuple[list[int]
     return face_counts, facet_counts
 
 
-@_per_shape_cache
+@lru_cache(maxsize=2)
 def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
     """Exact face counts of the rook complex, its rook number and purity,
     from one transfer-matrix sweep over the lines of ``attack_graph``,

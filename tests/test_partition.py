@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations, product
 
 import pytest
@@ -131,6 +132,21 @@ class TestFindEmbedding:
         rooks = find_embedding(ShapeRecord(SKEW), handle)
         assert rooks == ((0, 0), (2, 1))
         assert is_embedding(SKEW, handle, rooks)
+
+    def test_search_leaves_no_reference_cycle(self):
+        # The recursive search closure refers to itself; the search must
+        # break that cycle, or every call leaves garbage for the collector.
+        rec = ShapeRecord(parse_cells([(x, y) for x in range(3) for y in range(4)]))
+        assert len(rec.intervals) == 7
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                for iv in rec.intervals:
+                    find_embedding(rec, iv)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_skew_bottom_row_not_embedded(self):
         bottom = interval_of(SKEW, "horizontal", (0, 0))

@@ -97,9 +97,27 @@ class TestParseCells:
             parse_cells([(0, 0), (10**12, 0)])
         assert exc.value.witness == ((0, 0), (10**12, 0))
 
+    @pytest.mark.parametrize(
+        "cells, witness",
+        [
+            ([(0, 0), (0, 2), (2, 0)], ((0, 0), (0, 2))),
+            ([(0, 0), (1, 0), (3, 0), (3, 1), (5, 5)], ((0, 0), (3, 0))),
+        ],
+    )
+    def test_disconnected_witness(self, cells, witness):
+        # The least cell, and the least cell not connected to it.
+        with pytest.raises(NotConnectedError) as exc:
+            parse_cells(cells)
+        assert exc.value.witness == witness
+
     def test_duplicate(self):
         with pytest.raises(DuplicateCellError):
             parse_cells([(0, 0), (1, 0), (0, 0)])
+
+    def test_duplicate_names_first_repeat(self):
+        # The first cell, in input order, that was seen before.
+        with pytest.raises(DuplicateCellError, match=r"^cell \(1, 0\) appears twice$"):
+            parse_cells([(0, 0), (1, 0), (1, 0), (0, 0)])
 
     def test_empty(self):
         with pytest.raises(EmptyInputError):

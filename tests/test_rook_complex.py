@@ -76,12 +76,12 @@ class TestAttackGraph:
             assert attack_graph(poly) == graph_from_pairs(poly.cells, attack_pairs(poly))
 
     def test_one_cache_entry_per_shape(self):
-        # The default convention and the explicit one share a cache entry.
+        # Every caller passes the convention, so a shape takes one entry.
         attack_graph.cache_clear()
         f_vector.cache_clear()
-        f_vector(SKEW)
         f_vector(SKEW, "interval")
-        attack_graph(SKEW)
+        f_vector(SKEW, "interval")
+        attack_graph(SKEW, "interval")
         assert f_vector.cache_info().misses == 1
         assert attack_graph.cache_info().misses == 1
 
