@@ -18,12 +18,12 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .chordal import induced_cycle_lengths
+from .chordal import complement_graph, induced_cycle_lengths
 from .errors import RankOutOfRangeError, UnknownCheckError
 from .partition import find_embedding
 from .polyomino import _BOX_SYMMETRIES, Cell, Polyomino, canonical_cells, render_ascii
 from .record import ShapeRecord
-from .regularity import brush_fh, check_sigma_identities, induced_matching_number, single_cell_intervals
+from .regularity import brush_fh, check_sigma_identities, induced_matching_number, single_cell_runs
 
 __all__ = [
     "CHECKS",
@@ -218,15 +218,17 @@ def _check_embedded_complement(rec: ShapeRecord) -> Iterator[Violation]:
     supers = rec.super_partitions
     if len(supers) != 1:
         return
-    members = set(supers[0].intervals)
-    for iv in rec.intervals:
-        if iv not in members and find_embedding(rec, iv) is None:
+    # A partition is one orientation's whole family; the other's lie outside it.
+    (other,) = rec.intervals.keys() - {supers[0].orientation}
+    for mask in rec.intervals[other]:
+        iv = rec.poly.interval(other, mask)
+        if find_embedding(rec, iv) is None:
             yield _violation(rec.poly, f"interval {iv!r} outside the super partition is not embedded")
 
 
 def _check_cycle_lengths(rec: ShapeRecord) -> Iterator[Violation]:
     """Induced complement cycles have length 3, 4 or 6."""
-    lengths = induced_cycle_lengths(rec.complement, max(rec.poly.rank, 3))
+    lengths = induced_cycle_lengths(complement_graph(rec.attack), max(rec.poly.rank, 3))
     if not lengths <= {3, 4, 6}:
         yield _violation(rec.poly, f"induced complement cycles of lengths {sorted(lengths)}")
 
@@ -254,9 +256,9 @@ def _check_prop_geq2(rec: ShapeRecord) -> Iterator[Violation]:
     """Chordal complement admits at most one interval longer than 2."""
     if not rec.chordality.chordal:
         return
-    long_runs = [iv for iv in rec.intervals if iv.length > 2]
-    if len(long_runs) >= 2:
-        yield _violation(rec.poly, f"chordal complement with {len(long_runs)} intervals longer than 2")
+    long_runs = sum([mask.bit_count() > 2 for masks in rec.intervals.values() for mask in masks])
+    if long_runs >= 2:
+        yield _violation(rec.poly, f"chordal complement with {long_runs} intervals longer than 2")
 
 
 def _check_sigma_identities() -> Iterator[Violation]:
@@ -326,7 +328,7 @@ def _check_matching_bound(rec: ShapeRecord) -> Iterator[Violation]:
     search stops at a witness; only a violation finds the exact nu."""
     if rec.poly.rank < 2 or not rec.predicates.simple:
         return
-    singles = len(single_cell_intervals(rec))
+    singles = len(single_cell_runs(rec))
     nu = induced_matching_number(rec.attack, at_least=singles).size
     if nu < singles:
         yield _violation(rec.poly, f"nu={nu} below single-cell interval count {singles}")

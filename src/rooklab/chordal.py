@@ -6,8 +6,9 @@ handle) met by every other maximal interval (the bristles), and at most
 as many bristles as handle cells. The complement of the attack graph of
 a simple thin polyomino is chordal exactly for short brushes (all
 bristles of length 2); among simple non-thin polyominoes only two small
-exceptional shapes have a chordal complement. A chordless-cycle witness
-is searched for only when read: by ``analyze`` and brush-corollary findings.
+exceptional shapes have a chordal complement, searched for on the attack
+graph: the complement is built for the induced-cycle census and when a
+chordless cycle is read, by ``analyze`` and brush-corollary findings.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import NotApplicableError
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, bits
 # shape_predicates is unused here but stays bound: perfbench/test_checkers.py
 # checks that the tracer patches a layer function in a module importing it.
 from .polyomino import CellInterval, canonical_cells, shape_predicates, stored_property  # noqa: F401
@@ -54,15 +55,15 @@ _EXCEPTIONAL_RANKS = frozenset(len(key) for key in _EXCEPTIONAL_KEYS)
 
 @dataclass(frozen=True)
 class ChordalityResult:
-    """The verdict and its witness; ``chordless_cycle`` is searched for when read."""
+    """The verdict on the complement of ``attack``; ``chordless_cycle`` is searched for when read."""
 
     chordal: bool
     elimination_order: tuple | None
-    graph: SimpleGraph | None = field(repr=False)
+    attack: SimpleGraph | None = field(repr=False)
 
     @stored_property
     def chordless_cycle(self) -> tuple | None:
-        return None if self.chordal else _shortest_chordless_cycle(self.graph)
+        return None if self.chordal else _shortest_chordless_cycle(complement_graph(self.attack))
 
 
 @dataclass(frozen=True)
@@ -90,46 +91,6 @@ def complement_graph(graph: SimpleGraph) -> SimpleGraph:
     )
 
 
-def _mcs_order(graph: SimpleGraph) -> list[int]:
-    """Maximum cardinality search visit order as vertex positions, ties
-    broken by vertex order."""
-    weight = [0] * graph.n
-    by_weight = [(1 << graph.n) - 1] + [0] * graph.n  # unnumbered vertices by weight
-    top, numbered, order = 0, 0, []
-    for _ in range(graph.n):
-        while not by_weight[top]:
-            top -= 1
-        v = (by_weight[top] & -by_weight[top]).bit_length() - 1
-        order.append(v)
-        by_weight[top] ^= 1 << v
-        numbered |= 1 << v
-        rest = graph.masks[v] & ~numbered
-        top += 1
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            by_weight[weight[u]] ^= 1 << u
-            weight[u] += 1
-            by_weight[weight[u]] |= 1 << u
-    return order
-
-
-def _is_perfect_elimination(graph: SimpleGraph, elim: list[int]) -> bool:
-    """Whether in ``elim`` every vertex's later neighbours are all adjacent
-    to the first of them."""
-    later_than = (1 << graph.n) - 1
-    for p, v in enumerate(elim):
-        later_than ^= 1 << v
-        later = graph.masks[v] & later_than
-        if later:
-            for w in elim[p + 1 :]:
-                if later >> w & 1:
-                    break
-            if later & ~(1 << w) & ~graph.masks[w]:
-                return False
-    return True
-
-
 def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple:
     """Shortest cycle of length >= 4 with no chord; the graph is not chordal.
 
@@ -142,7 +103,7 @@ def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple:
     best: tuple | None = None
     for b in range(graph.n):
         blocked = masks[b] | (1 << b)
-        for a, c in combinations([v for v in range(graph.n) if masks[b] >> v & 1], 2):
+        for a, c in combinations(bits(masks[b]), 2):
             if masks[a] >> c & 1:
                 continue
             if best is not None and len(best) == 4:
@@ -157,9 +118,7 @@ def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple:
                     break
                 fresh = masks[u] & allowed
                 allowed ^= fresh
-                while fresh:
-                    w = (fresh & -fresh).bit_length() - 1
-                    fresh &= fresh - 1
+                for w in bits(fresh):
                     parent[w] = u
                     queue.append(w)
             if c not in parent:
@@ -175,16 +134,49 @@ def _shortest_chordless_cycle(graph: SimpleGraph) -> tuple:
     return best
 
 
-def is_chordal(graph: SimpleGraph) -> ChordalityResult:
-    """Maximum cardinality search with elimination-order verification.
-
-    On success the witness is the verified perfect elimination order; on
-    failure it is a shortest chordless cycle of length >= 4, found when read.
+def _complement_chordality(attack: SimpleGraph) -> ChordalityResult:
+    """Maximum cardinality search (Tarjan-Yannakakis) on the complement of
+    ``attack``, run as a minimum cardinality search on ``attack``, ties to
+    the lowest vertex, with unnumbered vertices bucketed as int masks by
+    numbered neighbours. The reversed order is checked as it is made: when
+    v is numbered, its later complement neighbours are L, their first is w,
+    the vertex of L numbered last, and the order fails iff L meets attack[w].
     """
-    elim = _mcs_order(graph)[::-1]
-    if _is_perfect_elimination(graph, elim):
-        return ChordalityResult(True, tuple(graph.vertices[v] for v in elim), graph)
-    return ChordalityResult(False, None, graph)
+    masks, n = attack.masks, attack.n
+    by_count = [(1 << n) - 1] + [0] * n  # unnumbered vertices by numbered neighbours
+    low, numbered, order = 0, 0, []
+    for _ in range(n):
+        while not by_count[low]:
+            low += 1
+        bucket = by_count[low]
+        v = (bucket & -bucket).bit_length() - 1
+        by_count[low] = bucket ^ (1 << v)
+        nbrs = masks[v]
+        later = numbered & ~nbrs
+        if later:
+            for w in reversed(order):
+                if not nbrs >> w & 1:
+                    break
+            if later & masks[w]:
+                return ChordalityResult(False, None, attack)
+        order.append(v)
+        numbered |= 1 << v
+        # Each unnumbered neighbour moves up one bucket: bucket k gives up
+        # those it holds and takes those bucket k - 1 gave up.
+        rest, k, carry = nbrs & ~numbered, low, 0
+        while rest or carry:
+            moved = by_count[k] & rest
+            by_count[k] ^= moved | carry
+            rest ^= moved
+            carry = moved
+            k += 1
+    return ChordalityResult(True, tuple([attack.vertices[v] for v in reversed(order)]), attack)
+
+
+def is_chordal(graph: SimpleGraph) -> ChordalityResult:
+    """Whether ``graph`` is chordal, by the search above on its complement, with a
+    perfect elimination order or, when read, a shortest chordless cycle."""
+    return _complement_chordality(complement_graph(graph))
 
 
 def induced_cycle_lengths(graph: SimpleGraph, max_len: int) -> set[int]:
@@ -208,10 +200,15 @@ def induced_cycle_lengths(graph: SimpleGraph, max_len: int) -> set[int]:
         closes, grows = masks[s] & above, above & ~masks[s]
         if closes.bit_count() < 2:
             continue
-        if 3 not in lengths and any(masks[v] & closes for v in range(s + 1, n) if closes >> v & 1):
+        if 3 not in lengths and any(masks[v] & closes for v in bits(closes)):
             lengths.add(3)
         # earlier: the neighbours of all path vertices but the last.
-        stack = [(m, 1 << m, 0, masks[m] & closes, 1) for m in range(s + 1, n) if grows >> m & 1]
+        stack, rest = [], grows
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m = low.bit_length() - 1
+            stack.append((m, low, 0, masks[m] & closes, 1))
         while stack:
             last, path, earlier, a_side, t = stack.pop()
             if t + 3 not in lengths:
@@ -251,34 +248,35 @@ def brush_decomposition(rec: ShapeRecord) -> BrushDecomposition | None:
         raise NotApplicableError("brush recognition needs a simple thin polyomino")
     if rec.poly.rank < 2:
         raise NotApplicableError("rank 1 has no maximal intervals")
-    ivs, masks = list(rec.intervals), list(rec.intervals.values())
+    ivs = [(orientation, mask) for orientation, masks in rec.intervals.items() for mask in masks]
+    masks = [mask for _, mask in ivs]
     d = rec.rook_complex.rook_number
-    found: list[BrushDecomposition] = []
-    for k, handle in enumerate(ivs):
-        if len(ivs) - 1 > handle.length:
+    found = []
+    for k, handle in enumerate(masks):
+        if len(masks) - 1 > handle.bit_count():
             continue
-        shared = {j: mask & masks[k] for j, mask in enumerate(masks) if j != k}
+        shared = {j: mask & handle for j, mask in enumerate(masks) if j != k}
         if not all(shared.values()):
             continue
         # Bristles in the order of the first cell each shares with the handle.
         order = sorted(shared, key=lambda j: shared[j] & -shared[j])
-        bristles = tuple(ivs[j] for j in order)
-        lengths = tuple(iv.length for iv in bristles)
+        lengths = tuple([masks[j].bit_count() for j in order])
         short = all(l == 2 for l in lengths)
-        union = 0
-        for j in order:
-            union |= masks[j]
-        # Bristles whose lengths sum to the rank and whose union is every
-        # cell partition the cells.
+        # Bristles whose lengths sum to the rank partition the cells iff
+        # their masks sum to every cell, as two that overlap would carry.
         pure = (
             sum(lengths) == rec.poly.rank
-            and union == (1 << rec.poly.rank) - 1
-            and handle.length == len(bristles) == d
+            and sum([masks[j] for j in order]) == (1 << rec.poly.rank) - 1
+            and handle.bit_count() == len(order) == d
         )
-        found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))
-    return min(
-        found, key=lambda b: (not b.pure_brush, not b.short, tuple(sorted(b.lengths)), b.handle.anchor), default=None
-    )
+        # The handle's lowest bit stands for its anchor: bit order is cell order.
+        key = (not pure, not short, tuple(sorted(lengths)), handle & -handle)
+        found.append((key, (k, *order), lengths, short, pure))
+    if not found:
+        return None
+    _, chosen, lengths, short, pure = min(found)  # chosen starts with k: ties keep the first
+    handle, *bristles = [rec.poly.interval(*ivs[j]) for j in chosen]
+    return BrushDecomposition(handle, tuple(bristles), lengths, short, pure, d)
 
 
 def classify_chordality(rec: ShapeRecord) -> ChordalityClassification:

@@ -7,7 +7,8 @@ family can qualify, so a polyomino has at most two. An interval is
 embedded when some non-attacking set pairs each of its cells with an
 attacker from outside; a partition with no embedded member is super.
 Purity of the rook complex is equivalent to the existence of a super
-partition whose size equals the rook number.
+partition whose size equals the rook number. Only partition members are
+built as intervals; the families are the record's interval masks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .errors import IntervalNotInPolyominoError, NotApplicableError
 from .graphs import bits
-from .polyomino import Cell, CellInterval, HORIZONTAL, VERTICAL
+from .polyomino import Cell, CellInterval
 
 if TYPE_CHECKING:
     from .record import ShapeRecord
@@ -57,10 +58,11 @@ def find_embedding(rec: ShapeRecord, interval: CellInterval) -> tuple[Cell, ...]
     run; an embedding can therefore never intersect the interval itself,
     and the candidates for a target cell are its attackers outside the
     interval, the rest of its perpendicular run in increasing order.
-    One lookup in ``rec.intervals`` checks the interval and gives its
-    cells as vertices, in ascending order as the cells are.
+    The interval's cells are the vertices of one of ``rec.intervals``'
+    masks of its orientation, in ascending order as the cells are.
     """
-    target_mask = rec.intervals.get(interval)
+    runs = rec.intervals.get(interval.orientation, ())
+    target_mask = next((run for run in runs if rec.poly.interval(interval.orientation, run) == interval), None)
     if target_mask is None:
         raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
     graph = rec.attack
@@ -94,9 +96,9 @@ def partitions(rec: ShapeRecord) -> list[PartitionSet]:
     if rec.poly.rank < 2:
         raise NotApplicableError("a monomino has no partitions: its interval family is empty")
     out: list[PartitionSet] = []
-    for orientation in (HORIZONTAL, VERTICAL):
-        members = tuple(iv for iv in rec.intervals if iv.orientation == orientation)
-        if sum(iv.length for iv in members) == rec.poly.rank:
+    for orientation, masks in rec.intervals.items():
+        if sum([mask.bit_count() for mask in masks]) == rec.poly.rank:
+            members = tuple([rec.poly.interval(orientation, mask) for mask in masks])
             is_super = all(find_embedding(rec, iv) is None for iv in members)
             out.append(PartitionSet(members, orientation, is_super))
     return out

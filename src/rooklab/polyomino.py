@@ -199,6 +199,11 @@ class Polyomino:
             prev = col
         return tuple(h_runs), tuple(v_runs)
 
+    def interval(self, orientation: str, run: int) -> "CellInterval":
+        """The interval of ``orientation`` whose cells are the bits of ``run``."""
+        cells = self.sorted_cells
+        return CellInterval(orientation, tuple([cells[i] for i in bits(run)]))
+
     def __repr__(self) -> str:
         return f"Polyomino({list(self.sorted_cells)!r})"
 
@@ -286,9 +291,8 @@ def maximal_intervals(poly: Polyomino) -> dict[CellInterval, int]:
     more, mapped to its run: the mask of its cells over the sorted cells.
     Horizontal intervals come first, each side ordered by anchor cell; a
     lone cell in its row contributes no horizontal interval."""
-    cells = poly.sorted_cells
     return {
-        CellInterval(orientation, tuple([cells[i] for i in bits(run)])): run
+        poly.interval(orientation, run): run
         for orientation, runs in zip((HORIZONTAL, VERTICAL), poly.runs)
         for run in runs
         if run & (run - 1)

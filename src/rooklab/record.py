@@ -4,7 +4,7 @@ Every result rooklab derives from a shape is a field of its record. A
 field is computed on first use, by the function that computes its layer,
 from inputs the record already holds, and is kept after that. The census
 checks and ``rooklab analyze`` read records, so a shape is analyzed once
-however many checks look at it. Graphs are held as int neighbour masks.
+however many checks look at it. Graphs and intervals are int vertex masks.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ __all__ = ["ShapeRecord"]
 
 class GraphRecord:
     """The attack graph of one polyomino under one attack convention, and
-    what is read off it: its complement, the rook complex (purity and its
-    witness included), chordality of the complement and the induced
-    matching number.
+    what is read off it: the rook complex (purity and its witness
+    included), chordality of the complement, searched on ``attack``
+    without building the complement, and the induced matching number.
     ``attack`` is ``attack_graph``'s, which ``rook_complex`` also holds,
     so no graph field waits for the face sweep."""
 
@@ -34,10 +34,6 @@ class GraphRecord:
         return attack_graph(self.poly, self.convention)
 
     @stored_property
-    def complement(self) -> SimpleGraph:
-        return chordal.complement_graph(self.attack)
-
-    @stored_property
     def rook_complex(self) -> RookComplex:
         return f_vector(self.poly, self.convention)
 
@@ -47,8 +43,8 @@ class GraphRecord:
 
     @stored_property
     def chordality(self) -> chordal.ChordalityResult:
-        """Chordality of the complement, with its witness."""
-        return chordal.is_chordal(self.complement)
+        """Chordality of the complement, with its witness, searched on ``attack``."""
+        return chordal._complement_chordality(self.attack)
 
     @stored_property
     def matching(self) -> regularity.MatchingCertificate:
@@ -68,12 +64,12 @@ class ShapeRecord(GraphRecord):
         super().__init__(poly, INTERVAL)
 
     @stored_property
-    def intervals(self) -> dict[polyomino.CellInterval, int]:
-        """Each maximal interval, in order, with its vertex mask. One lookup
-        gives an interval's mask and tells whether it is one of this
-        shape's; two intervals meet when their masks share a bit, the
-        lowest shared bit is their first shared cell, and a union is an OR."""
-        return polyomino.maximal_intervals(self.poly)
+    def intervals(self) -> dict[str, tuple[int, ...]]:
+        """The maximal intervals by orientation, as the vertex masks of the
+        runs of ``poly.runs`` of two cells or more; ``poly.interval`` builds
+        a ``CellInterval`` only for what is returned or printed."""
+        sides = [tuple([run for run in runs if run & (run - 1)]) for runs in self.poly.runs]
+        return dict(zip((polyomino.HORIZONTAL, polyomino.VERTICAL), sides))
 
     @stored_property
     def predicates(self) -> polyomino.ShapePredicates:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import NotApplicableError
 from .graphs import SimpleGraph, bits
-from .polyomino import Cell, CellInterval
+from .polyomino import HORIZONTAL, VERTICAL, Cell
 
 if TYPE_CHECKING:
     from .record import ShapeRecord
@@ -32,7 +32,7 @@ __all__ = [
     "check_sigma_identities",
     "induced_matching_number",
     "regularity_pure_thin",
-    "single_cell_intervals",
+    "single_cell_runs",
 ]
 
 
@@ -206,17 +206,15 @@ def _verify_induced_matching(graph: SimpleGraph, pairs: list[tuple[int, int]]) -
             raise RuntimeError("matching certificate is not induced")
 
 
-def single_cell_intervals(rec: ShapeRecord) -> list[CellInterval]:
-    """Intervals owning at least two cells that belong to no other interval."""
+def single_cell_runs(rec: ShapeRecord) -> list[tuple[str, int]]:
+    """The intervals owning at least two cells that belong to no other
+    interval, as (orientation, vertex mask) pairs of ``rec.intervals``;
+    ``rec.poly.interval`` builds one as a ``CellInterval``."""
     if rec.poly.rank < 2:
         raise NotApplicableError("rank 1 has no maximal intervals")
-    # A cell lies in at most two intervals, one of each orientation.
-    once = twice = 0
-    for mask in rec.intervals.values():
-        twice |= once & mask
-        once |= mask
-    single = once & ~twice
-    return [iv for iv, mask in rec.intervals.items() if (mask & single).bit_count() >= 2]
+    # Intervals of one orientation are disjoint: a cell lies in one iff in one union.
+    single = sum(rec.intervals[HORIZONTAL]) ^ sum(rec.intervals[VERTICAL])
+    return [(o, mask) for o, masks in rec.intervals.items() for mask in masks if (mask & single).bit_count() >= 2]
 
 
 def regularity_pure_thin(rec: ShapeRecord) -> int:
@@ -237,6 +235,6 @@ def check_reg_eq_nu(rec: ShapeRecord) -> RegularityMatchReport:
         raise NotApplicableError("input is not a pure brush polyomino")
     reg = rec.regularity
     nu = rec.matching.size
-    singles = len(single_cell_intervals(rec))
+    singles = len(single_cell_runs(rec))
     consistent = (reg == nu) and (nu >= singles)
     return RegularityMatchReport(reg, nu, singles, consistent)

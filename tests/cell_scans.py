@@ -106,7 +106,7 @@ def shape_predicates(poly):
 
 def brush_decomposition(rec):
     """The handle-and-bristles search on the intervals' cell sets."""
-    ivs = rec.intervals
+    ivs = maximal_intervals(rec.poly)
     found = []
     for handle in ivs:
         bristles = tuple(iv for iv in ivs if iv != handle)
@@ -133,8 +133,9 @@ def brush_decomposition(rec):
 def single_cell_intervals(rec):
     """Intervals with two or more cells in no other interval, by a
     membership count per cell."""
+    ivs = maximal_intervals(rec.poly)
     membership = {c: 0 for c in rec.poly.cells}
-    for iv in rec.intervals:
+    for iv in ivs:
         for c in iv.cells:
             membership[c] += 1
-    return [iv for iv in rec.intervals if sum(1 for c in iv.cells if membership[c] == 1) >= 2]
+    return [iv for iv in ivs if sum(1 for c in iv.cells if membership[c] == 1) >= 2]

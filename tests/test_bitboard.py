@@ -10,7 +10,7 @@ from rooklab import Polyomino, ShapeRecord, free_census, rook_complex
 from rooklab.chordal import brush_decomposition
 from rooklab.graphs import bits
 from rooklab.polyomino import HORIZONTAL, VERTICAL, maximal_intervals, shape_predicates
-from rooklab.regularity import single_cell_intervals
+from rooklab.regularity import single_cell_runs
 
 CONVENTIONS = ("interval", "line")
 CENTRAL_3X3 = {(x, y) for x in range(2, 5) for y in range(2, 5)}
@@ -105,4 +105,5 @@ class TestAgainstCellScans:
             if poly.rank < 2 or not (rec.predicates.simple and rec.predicates.thin):
                 continue
             assert brush_decomposition(rec) == cell_scans.brush_decomposition(rec), poly
-            assert single_cell_intervals(rec) == cell_scans.single_cell_intervals(rec), poly
+            singles = [poly.interval(*run) for run in single_cell_runs(rec)]
+            assert singles == cell_scans.single_cell_intervals(rec), poly

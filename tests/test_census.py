@@ -23,7 +23,7 @@ from rooklab import (
     is_pure,
     polyomino,
     rook_complex,
-    single_cell_intervals,
+    single_cell_runs,
     verify_corpus,
 )
 from rooklab.cli import analyze_polyomino, report_json
@@ -389,29 +389,27 @@ class TestVerifyCorpus:
             assert calls == {"f_vector": 1 if convention == "interval" else 2, "is_pure": 0}, (cells, convention)
 
     def test_each_record_builds_its_intervals_once(self, monkeypatch):
+        # A record reads its interval masks off ``poly.runs`` once, however
+        # many of its layers read them, and a pass over the census builds
+        # one record per shape. No layer builds the ``CellInterval`` table:
         # polyomino.maximal_intervals is wrapped, as the benchmark tracer
-        # wraps it, in every rooklab module that binds it. A record's
-        # interval table is one call, however many of its layers read it,
-        # and a pass over the census builds one record per shape.
-        calls = Counter()
+        # wraps it, in every rooklab module that binds it, and never runs.
+        calls, tables = Counter(), Counter()
+        build = ShapeRecord.intervals.func
+        monkeypatch.setattr(ShapeRecord.intervals, "func", lambda rec: calls.update([rec.poly]) or build(rec))
         original = polyomino.maximal_intervals
-
-        def counted(poly):
-            calls[poly] += 1
-            return original(poly)
-
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "rooklab":
                 for attr, value in list(vars(module).items()):
                     if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+                        monkeypatch.setattr(module, attr, lambda poly: tables.update([poly]) or original(poly))
         for poly in free_census(6):
             calls.clear()
             rec = ShapeRecord(poly)
             assert rec.intervals is rec.intervals
             if poly.rank >= 2:
                 rec.super_partitions, rec.purity_theorem, rec.brush, rec.classification
-                single_cell_intervals(rec)
+                single_cell_runs(rec)
             for spec in CHECKS.values():
                 if not spec.census_wide:
                     list(spec.func(rec))
@@ -426,6 +424,7 @@ class TestVerifyCorpus:
             poly = Polyomino.from_cells(cells)
             analyze_polyomino(poly, convention)
             assert calls == {poly: 1}, (cells, convention)
+        assert not tables
 
     def test_empty_or_repeated_check_list(self):
         with pytest.raises(UnknownCheckError):

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import families
 from conftest import adjacent, graph_from_pairs
 
 from rooklab import (
@@ -20,6 +21,7 @@ from rooklab import (
 )
 from rooklab.census import _is_chordless_complement_cycle
 from rooklab.graphs import bits
+from rooklab.record import GraphRecord
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -35,6 +37,56 @@ def graph(n, edges):
 
 def cycle_graph(n):
     return graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _mcs_order(graph):
+    """Maximum cardinality search on ``graph`` itself, as vertex positions,
+    ties broken by vertex order: the dense search the package ran on the
+    complement before it searched the attack graph, kept as the oracle."""
+    weight = [0] * graph.n
+    by_weight = [(1 << graph.n) - 1] + [0] * graph.n  # unnumbered vertices by weight
+    top, numbered, order = 0, 0, []
+    for _ in range(graph.n):
+        while not by_weight[top]:
+            top -= 1
+        v = (by_weight[top] & -by_weight[top]).bit_length() - 1
+        order.append(v)
+        by_weight[top] ^= 1 << v
+        numbered |= 1 << v
+        rest = graph.masks[v] & ~numbered
+        top += 1
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            by_weight[weight[u]] ^= 1 << u
+            weight[u] += 1
+            by_weight[weight[u]] |= 1 << u
+    return order
+
+
+def _is_perfect_elimination(graph, elim):
+    """Whether in ``elim`` every vertex's later neighbours are all adjacent
+    to the first of them."""
+    later_than = (1 << graph.n) - 1
+    for p, v in enumerate(elim):
+        later_than ^= 1 << v
+        later = graph.masks[v] & later_than
+        if later:
+            for w in elim[p + 1 :]:
+                if later >> w & 1:
+                    break
+            if later & ~(1 << w) & ~graph.masks[w]:
+                return False
+    return True
+
+
+def _dense_verdict(graph):
+    """The oracle's verdict on ``graph`` with its elimination order as
+    vertices, or None when it is not chordal."""
+    elim = _mcs_order(graph)[::-1]
+    if not _is_perfect_elimination(graph, elim):
+        return False, None
+    return True, tuple(graph.vertices[v] for v in elim)
 
 
 def _path_search_cycle_lengths(g, max_len):
@@ -219,6 +271,78 @@ class TestIsChordal:
             candidates.append(graph(10, edges))
         for g in candidates:
             assert is_chordal(g).chordal == self._brute_chordal(g)
+
+
+class TestSearchOnTheAttackGraph:
+    # ``GraphRecord.chordality`` runs maximum cardinality search of the
+    # complement as a minimum cardinality search on the attack graph and
+    # checks the order as it goes; the oracle builds the complement and
+    # runs the dense search and the elimination check on it.
+    @staticmethod
+    def _agrees(poly, convention):
+        rec = GraphRecord(poly, convention)
+        res = rec.chordality
+        assert (res.chordal, res.elimination_order) == _dense_verdict(complement_graph(rec.attack)), (
+            poly,
+            convention,
+        )
+        return res.chordal
+
+    @pytest.mark.parametrize("convention", ["interval", "line"])
+    def test_census_to_rank_ten(self, census10, convention):
+        chordal = sum(self._agrees(poly, convention) for poly in census10)
+        assert chordal == {"interval": 228, "line": 87}[convention]
+
+    @pytest.mark.parametrize("convention", ["interval", "line"])
+    def test_families(self, convention):
+        shapes = (
+            [families.board(m, n) for m in range(1, 7) for n in range(m, 8)]
+            + [families.board(15, 20), families.holed_board(7, 3), families.holed_board(13, 5)]
+            + [families.thin_staircase(n) for n in (*range(1, 13), 41, 200)]
+            + [families.comb(teeth) for teeth in (*range(1, 8), 40, 150)]
+            + [families.spiral(turns) for turns in (*range(1, 11), 16, 24)]
+        )
+        verdicts = [self._agrees(poly, convention) for poly in shapes]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_is_chordal_matches_the_oracle_on_random_graphs(self):
+        import random
+
+        rng = random.Random(36)
+        for _ in range(600):
+            n, density = rng.randint(1, 12), rng.uniform(0.1, 0.95)
+            g = graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+            res = is_chordal(g)
+            assert (res.chordal, res.elimination_order) == _dense_verdict(g), g.masks
+
+    def test_board_100_by_100(self):
+        # Simple, not thin and not exceptional: no chordal complement. The
+        # dense search took over a minute here; the search on the attack
+        # graph stops at its first failing vertex.
+        poly = families.board(100, 100)
+        res = GraphRecord(poly).chordality
+        assert not res.chordal and res.elimination_order is None
+        assert _is_chordless_complement_cycle(poly, res.chordless_cycle)
+        assert len(res.chordless_cycle) == 4
+
+    def test_spiral_of_100_turns(self):
+        # Simple and thin but no brush: no chordal complement.
+        poly = families.spiral(100)
+        assert poly.rank == 5101
+        res = GraphRecord(poly).chordality
+        assert not res.chordal and res.elimination_order is None
+        assert _is_chordless_complement_cycle(poly, res.chordless_cycle)
+
+    def test_comb_of_300_teeth(self):
+        # A short brush: the complement is chordal, and the order passes
+        # the dense elimination check on the complement.
+        poly = families.comb(300)
+        rec = GraphRecord(poly)
+        order = rec.chordality.elimination_order
+        comp = complement_graph(rec.attack)
+        assert sorted(order) == list(poly.sorted_cells)
+        position = {cell: i for i, cell in enumerate(poly.sorted_cells)}
+        assert _is_perfect_elimination(comp, [position[cell] for cell in order])
 
 
 class TestInducedCycleLengths:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from rooklab import census as census_mod
 from rooklab import Polyomino, cli, free_census, parse_cells, regularity
 from rooklab.census import CensusReport, CheckResult, Violation
 from rooklab.cli import EXIT_CLOSED_PIPE, analyze_polyomino, main, report_exit_code
+from rooklab.record import GraphRecord
 
 SKEW_TEXT = ".##\n##.\n"
 # The 7x7 board less its central 3x3.
@@ -199,6 +201,21 @@ class TestWitnessBytes:
         )
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "convention, counts, digest",
+        [
+            ("interval", {7: 17, 8: 32, 9: 53, 10: 99}, "fc06805e5c192eec24b3bae0c23945c1f1327b009f59c3a83bcf6ea74831a71e"),
+            ("line", {7: 10, 8: 14, 9: 17, 10: 22}, "8c03286fda2a33f8c01bb69c2537e09afe430223ccaf70c74801ede5ca2eb1e8"),
+        ],
+    )
+    def test_analyze_chordal_complements_rank_seven_to_ten_bytes(self, census10, convention, counts, digest):
+        # Every shape of rank 7 to 10 whose complement is chordal under the
+        # convention, so each report carries an elimination order. Recorded
+        # while the dense search on the complement still wrote them.
+        shapes = [poly for poly in census10 if poly.rank >= 7 and GraphRecord(poly, convention).chordality.chordal]
+        assert Counter(poly.rank for poly in shapes) == counts
+        out = "".join(json.dumps(analyze_polyomino(poly, convention), indent=2) + "\n" for poly in shapes)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "cells, convention, digest",

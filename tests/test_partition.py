@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+import cell_scans
 from conftest import adjacent
 
 from rooklab import (
@@ -137,12 +138,13 @@ class TestFindEmbedding:
         # The recursive search closure refers to itself; the search must
         # break that cycle, or every call leaves garbage for the collector.
         rec = ShapeRecord(parse_cells([(x, y) for x in range(3) for y in range(4)]))
-        assert len(rec.intervals) == 7
+        intervals = list(maximal_intervals(rec.poly))
+        assert len(intervals) == 7
         gc.collect()
         gc.disable()
         try:
             for _ in range(100):
-                for iv in rec.intervals:
+                for iv in intervals:
                     find_embedding(rec, iv)
             assert gc.collect() == 0
         finally:
@@ -161,6 +163,24 @@ class TestFindEmbedding:
     @pytest.mark.parametrize(
         "interval",
         [
+            CellInterval("horizontal", ((0, 0), (1, 0))),
+            CellInterval("vertical", ((0, 0), (1, 0), (2, 0))),
+            CellInterval("horizontal", ((2, 0), (1, 0), (0, 0))),
+            CellInterval("diagonal", ((0, 0), (1, 0), (2, 0))),
+        ],
+        ids=["not-maximal", "wrong-orientation", "cells-reversed", "no-orientation"],
+    )
+    def test_lookup_takes_only_a_maximal_interval_as_built(self, interval):
+        # The search finds the interval's mask by building each interval of
+        # its orientation back from the record's masks; anything else raises.
+        rec = ShapeRecord(parse_cells([(0, 0), (1, 0), (2, 0), (0, 1)]))
+        assert find_embedding(rec, CellInterval("horizontal", ((0, 0), (1, 0), (2, 0)))) is None
+        with pytest.raises(IntervalNotInPolyominoError):
+            find_embedding(rec, interval)
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
             CellInterval("horizontal", ((5, 5), (6, 5))),
             # Cells of the shape, but not a maximal interval of it.
             CellInterval("horizontal", ((0, 0), (1, 0))),
@@ -173,13 +193,19 @@ class TestFindEmbedding:
 
     def test_interval_masks_align_with_intervals(self, census10):
         # Each interval's mask holds exactly the vertices of its cells, and
-        # the record's intervals are the maximal intervals, in their order.
+        # the record's masks are those of the maximal intervals, by
+        # orientation and in their order, each building its interval back.
         for poly in census10:
             rec = ShapeRecord(poly)
             vertex = {cell: i for i, cell in enumerate(poly.sorted_cells)}
-            assert list(rec.intervals.items()) == list(maximal_intervals(poly).items()), poly
-            for iv in rec.intervals:
-                assert rec.intervals[iv] == sum(1 << vertex[c] for c in iv.cells), (poly, iv)
+            expected = [
+                (iv.orientation, sum(1 << vertex[c] for c in iv.cells)) for iv in cell_scans.maximal_intervals(poly)
+            ]
+            masks = [(orientation, mask) for orientation, side in rec.intervals.items() for mask in side]
+            assert list(rec.intervals) == ["horizontal", "vertical"], poly
+            assert masks == expected, poly
+            assert [poly.interval(*pair) for pair in masks] == cell_scans.maximal_intervals(poly), poly
+            assert maximal_intervals(poly) == {poly.interval(*pair): pair[1] for pair in masks}, poly
 
     def test_matches_subset_oracle(self, census6):
         # An embedding is an independent set, disjoint from the interval,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import adjacent, edge_pairs, graph_from_pairs
+from families import thin_staircase
 
 from rooklab import (
     NotApplicableError,
@@ -25,7 +26,7 @@ from rooklab import (
     pure_brush_realizations,
     regularity_pure_thin,
     shape_predicates,
-    single_cell_intervals,
+    single_cell_runs,
 )
 from rooklab.census import _SIGMA_SAMPLES, _SIGMA_SEED
 from rooklab.graphs import bits
@@ -45,12 +46,6 @@ BRUSH_33 = parse_cells([(0, 0), (0, 1), (0, 2), (1, 0), (1, -1), (1, -2)])
 BRUSH_322 = parse_cells(
     [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, -1), (2, 1)]
 )
-
-
-def staircase(n):
-    """The thin staircase (0, 0), (1, 0), (1, 1), (2, 1), ... of ``n``
-    cells, whose attack graph is a path through its sorted cells."""
-    return parse_cells([((k + 1) // 2, k // 2) for k in range(n)])
 
 
 def _expansion(values):
@@ -260,7 +255,7 @@ class TestInducedMatching:
     def test_long_path_does_not_hit_the_recursion_limit(self):
         # The search holds one frame per matched edge, and nu = 1,100 is
         # past the interpreter's default recursion limit of 1,000.
-        poly = staircase(3300)
+        poly = thin_staircase(3300)
         cert = induced_matching_number(attack_graph(poly))
         cells = poly.sorted_cells
         assert cert.size == 1100
@@ -316,7 +311,7 @@ class TestInducedMatching:
         # sorted cells: the greedy first leaf {c0c1, c3c4} has two edges,
         # and nu = 2 is first met by that leaf. On the monomino, a graph
         # without edges, the only leaf is empty.
-        poly = staircase(7)
+        poly = thin_staircase(7)
         g, c = attack_graph(poly), poly.sorted_cells
         assert induced_matching_number(g, at_least=1).edges == ((c[0], c[1]), (c[3], c[4]))
         assert induced_matching_number(g, at_least=3) == induced_matching_number(g)
@@ -481,22 +476,26 @@ class TestIntervalMatchingView:
         assert adjacent(g, (1, 0), (3, 0))  # extra edge the view misses
 
 
+def single_cell_intervals(poly):
+    return [poly.interval(*run) for run in single_cell_runs(ShapeRecord(poly))]
+
+
 class TestSingleCellIntervals:
     def test_straight_interval(self):
         bar = parse_ascii("####")
-        assert single_cell_intervals(ShapeRecord(bar)) == list(maximal_intervals(bar))
+        assert single_cell_intervals(bar) == list(maximal_intervals(bar))
 
     def test_skew_has_none(self):
-        assert single_cell_intervals(ShapeRecord(SKEW)) == []
+        assert single_cell_intervals(SKEW) == []
 
     def test_brush_33_has_both_bristles(self):
-        singles = single_cell_intervals(ShapeRecord(BRUSH_33))
+        singles = single_cell_intervals(BRUSH_33)
         assert len(singles) == 2
         assert all(iv.length == 3 for iv in singles)
 
     def test_monomino_raises(self):
         with pytest.raises(NotApplicableError, match="rank 1 has no maximal intervals"):
-            single_cell_intervals(ShapeRecord(parse_cells([(0, 0)])))
+            single_cell_intervals(parse_cells([(0, 0)]))
 
 
 class TestRegularity:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cell_scans
+import families
 from conftest import adjacent, edge_pairs, graph_from_pairs
 
 from rooklab import (
@@ -36,14 +37,6 @@ MONOMINO = parse_cells([(0, 0)])
 U_PENTOMINO = parse_cells([(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)])
 # A thin staircase whose rook complex is not pure: row y holds x = y .. y + 2.
 STAIRCASE_11X3 = parse_cells([(x, y) for y in range(11) for x in range(y, y + 3)])
-
-
-def _holed_board(side, hole):
-    """The side x side board less a centred hole x hole block."""
-    lo = (side - hole) // 2
-    return parse_cells(
-        [(x, y) for x in range(side) for y in range(side) if not (lo <= x < lo + hole and lo <= y < lo + hole)]
-    )
 
 
 class TestAttackGraph:
@@ -201,8 +194,8 @@ class TestFacets:
     @pytest.mark.parametrize(
         "poly",
         [
-            pytest.param(_holed_board(7, 0), id="board-7x7"),
-            pytest.param(_holed_board(7, 3), id="holed-7x7"),
+            pytest.param(families.holed_board(7, 0), id="board-7x7"),
+            pytest.param(families.holed_board(7, 3), id="holed-7x7"),
             pytest.param(STAIRCASE_11X3, id="staircase-11x3"),
         ],
     )
@@ -238,6 +231,21 @@ class TestFVector:
             d = max(k for k, c in enumerate(counts) if c)
             assert rc.rook_number == d
             assert rc.f_vector == tuple(counts[: d + 1])
+
+    @pytest.mark.parametrize("convention, inequalities", [("interval", 18679), ("line", 16049)])
+    def test_newton_inequalities_on_the_census(self, census10, convention, inequalities):
+        # Under either convention the rook numbers r_k count the k-edge
+        # matchings of a bipartite line incidence graph, whose matching
+        # polynomial is real-rooted (Heilmann-Lieb), so Newton's
+        # inequalities hold for 0 < k < d, with d the rook number.
+        count = 0
+        for poly in census10:
+            r = f_vector(poly, convention).f_vector
+            d = len(r) - 1
+            for k in range(1, d):
+                assert r[k] ** 2 * k * (d - k) >= r[k - 1] * r[k + 1] * (k + 1) * (d - k + 1), (poly, k)
+            count += max(d - 1, 0)
+        assert count == inequalities
 
     def test_face_total_matches_independent_set_count(self, census6):
         for poly in census6:
@@ -345,7 +353,7 @@ class TestIsPure:
 
     @pytest.mark.parametrize(
         "poly",
-        [pytest.param(STAIRCASE_11X3, id="staircase-11x3"), pytest.param(_holed_board(7, 3), id="holed-7x7")],
+        [pytest.param(STAIRCASE_11X3, id="staircase-11x3"), pytest.param(families.holed_board(7, 3), id="holed-7x7")],
     )
     def test_matches_facet_listing_on_every_image(self, poly, dihedral_images, bron_kerbosch):
         for image in dihedral_images(poly):
@@ -356,14 +364,14 @@ class TestIsPure:
 
     @pytest.mark.parametrize("side, hole", [(8, 4), (9, 5)])
     def test_matches_facet_listing_on_large_holed_boards(self, side, hole, bron_kerbosch):
-        board = _holed_board(side, hole)
+        board = families.holed_board(side, hole)
         assert is_pure(board).witness == _listing_witness(board, "interval", bron_kerbosch)
 
     def test_witness_on_a_long_comb_within_a_small_recursion_limit(self):
         # Row 0 of 600 cells with a tooth above every other one: not pure,
         # rook number 301, so a search recursing once per rook overflows.
         teeth = 300
-        comb = parse_cells([(x, 0) for x in range(2 * teeth)] + [(2 * i, 1) for i in range(teeth)])
+        comb = families.comb(teeth)
         depth, frame = 0, sys._getframe()
         while frame:
             depth, frame = depth + 1, frame.f_back
@@ -388,7 +396,7 @@ class TestIsPure:
 
         f_vector.cache_clear()
         monkeypatch.setattr(rook_complex.RookComplex, "facets", property(refuse))
-        for poly in (L_TROMINO, STAIRCASE_11X3, _holed_board(9, 5)):
+        for poly in (L_TROMINO, STAIRCASE_11X3, families.holed_board(9, 5)):
             for convention in ("interval", "line"):
                 assert not is_pure(poly, convention).pure
 
