@@ -155,33 +155,26 @@ class Polyomino:
         return int.from_bytes(buf, "little")
 
     @stored_property
-    def columns(self) -> tuple[int, ...]:
-        """The row mask of each column of ``board``, by x, read by shifting
-        the board once per column; a connected shape has no empty column."""
-        board, stride = self.board, self.height + 1
-        mask = (1 << stride) - 1
-        columns = []
-        while board:
-            columns.append(board & mask)
-            board >>= stride
-        return tuple(columns)
-
-    @stored_property
     def runs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The maximal horizontal and the maximal vertical runs, singletons
         included, as masks over the sorted cells (bit i for
         ``sorted_cells[i]``), each side ordered by first cell. Every cell
         lies in one run of each orientation.
 
-        One pass over the columns numbers each cell by the count of cells
-        before it: a cell starts a horizontal run when the previous column
-        lacks its row, and a vertical run when its column lacks the row
-        below."""
+        One pass over the columns, shifting ``board`` once per column (a
+        connected shape has none empty), numbers each cell by the count of
+        cells before it: a cell starts a horizontal run when the previous
+        column lacks its row, and a vertical run when its column lacks the
+        row below."""
+        board, stride = self.board, self.height + 1
+        mask = (1 << stride) - 1
         h_runs: list[int] = []
         v_runs: list[int] = []
         open_run = [0] * self.height  # row -> position in h_runs of its latest run
         prev, i = 0, 0
-        for col in self.columns:
+        while board:
+            col = board & mask
+            board >>= stride
             rest = col
             while rest:
                 low = rest & -rest
@@ -215,16 +208,9 @@ class CellInterval:
     orientation: str
     cells: tuple[Cell, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.cells)
-
-    @property
-    def anchor(self) -> Cell:
-        return self.cells[0]
-
     def __repr__(self) -> str:
-        return f"CellInterval({self.orientation[0]}, {self.cells[0]}..{self.cells[-1]})"
+        span = f"{self.cells[0]}..{self.cells[-1]}" if self.cells else "no cells"
+        return f"CellInterval({self.orientation[:1]}, {span})"
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ class GraphRecord:
     what is read off it: the rook complex (purity and its witness
     included), chordality of the complement, searched on ``attack``
     without building the complement, and the induced matching number.
-    ``attack`` is ``attack_graph``'s, which ``rook_complex`` also holds,
-    so no graph field waits for the face sweep."""
+    ``attack`` is the one graph every field reads: ``rook_complex`` is
+    swept from it and holds it, so no graph field waits for the sweep."""
 
     def __init__(self, poly: polyomino.Polyomino, convention: str = INTERVAL):
         self.poly = poly
@@ -35,7 +35,7 @@ class GraphRecord:
 
     @stored_property
     def rook_complex(self) -> RookComplex:
-        return f_vector(self.poly, self.convention)
+        return f_vector(self.attack)
 
     @stored_property
     def h_vector(self) -> tuple[int, ...]:

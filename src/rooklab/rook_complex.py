@@ -11,10 +11,10 @@ and columns under ``line``, as vertex masks (bit i for the i-th sorted
 cell). Two cells attack when a line holds both, and each cell lies in
 one horizontal and one vertical line, so it is an edge of the bipartite
 line incidence graph. ``attack_graph`` builds the graph from the lines
-and keeps them; every graph layer reads it alone. ``f_vector`` sweeps
-the columns that ``_sweep_columns`` reads off the same lines. Each keeps
-the shape in hand under both conventions in an ``lru_cache`` keyed on
-the arguments as passed, and every caller passes the convention.
+and keeps them; no later layer reads the shape. ``f_vector`` sweeps the
+columns that ``_sweep_columns`` reads off the graph's cells and lines.
+Each keeps its last two results in an ``lru_cache`` that no layer needs,
+as a record holds its graph and the complex swept from it.
 
 Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
@@ -123,26 +123,26 @@ def _lines(poly: Polyomino, convention: str) -> Lines:
     raise ValueError(f"unknown attack convention {convention!r}")
 
 
-def _sweep_columns(poly: Polyomino, lines: Lines) -> list[tuple[tuple[int, ...], int]]:
-    """The columns that ``_sweep_counts`` sweeps, read off the ``lines`` of
-    ``_lines``: each column as the row masks of its vertical lines and the
-    mask of the rows whose horizontal line ends in it. The board is
+def _sweep_columns(graph: SimpleGraph) -> list[tuple[tuple[int, ...], int]]:
+    """The columns that ``_sweep_counts`` sweeps, read off an attack graph's
+    cells and lines: each column as the row masks of its vertical lines and
+    the mask of the rows whose horizontal line ends in it. The shape is
     transposed when it is taller than wide, so that rows are the shorter
     side, and then its horizontal lines are the ones swept as vertical.
 
     A line holds every cell of its row or column between its first and
     its last cell, so a vertical line is its column's row mask cut to
     those ends, and a horizontal line ends in the column of its last cell."""
-    cells = poly.sorted_cells
-    h_lines, v_lines = lines
-    if poly.height > poly.width:
+    cells = graph.vertices
+    h_lines, v_lines = graph.lines
+    width, height = 1 + cells[-1][0], 1 + max([y for _, y in cells])
+    if height > width:
         cells = [(y, x) for x, y in cells]
         h_lines, v_lines = v_lines, h_lines
-        columns = [0] * poly.height
-        for x, y in cells:
-            columns[x] |= 1 << y
-    else:
-        columns = poly.columns
+        width = height
+    columns = [0] * width
+    for x, y in cells:
+        columns[x] |= 1 << y
     vertical = [[] for _ in columns]
     ends = [0] * len(columns)
     for line in v_lines:
@@ -234,16 +234,17 @@ def _sweep_counts(columns: list[tuple[tuple[int, ...], int]]) -> tuple[list[int]
 
 
 @lru_cache(maxsize=2)
-def f_vector(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
-    """Exact face counts of the rook complex, its rook number and purity,
-    from one transfer-matrix sweep over the lines of ``attack_graph``,
-    whose graph the result keeps. The facet counts by size are kept on
-    the result; facets are built when first read.
+def f_vector(graph: SimpleGraph) -> RookComplex:
+    """Exact face counts of the rook complex of the attack graph ``graph``,
+    its rook number and purity, from one transfer-matrix sweep over the
+    graph's lines; a graph without them raises ValueError. The result keeps
+    the graph and the facet counts by size; facets are built when first read.
 
     The rook number is the size of the largest non-attacking placement.
     """
-    graph = attack_graph(poly, convention)
-    faces, facets_by_size = _sweep_counts(_sweep_columns(poly, graph.lines))
+    if graph.lines is None:
+        raise ValueError("f_vector needs an attack graph: its sweep reads the graph's lines")
+    faces, facets_by_size = _sweep_counts(_sweep_columns(graph))
     d = len(faces) - 1
     return RookComplex(tuple(faces), d, not any(facets_by_size[:d]), graph, tuple(facets_by_size))
 
@@ -309,8 +310,8 @@ def _facets(graph: SimpleGraph, lo: int, hi: int) -> Iterator[int]:
 
 def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:
     """Whether all facets share the top cardinality, with a witness pair
-    otherwise: ``RookComplex.purity`` of the shape's complex."""
-    return f_vector(poly, convention).purity
+    otherwise: ``RookComplex.purity`` of the complex of the shape's attack graph."""
+    return f_vector(attack_graph(poly, convention)).purity
 
 
 def h_from_f(f: Sequence[int]) -> tuple[int, ...]:

@@ -110,23 +110,23 @@ def brush_decomposition(rec):
     found = []
     for handle in ivs:
         bristles = tuple(iv for iv in ivs if iv != handle)
-        if len(bristles) > handle.length:
+        if len(bristles) > len(handle.cells):
             continue
         if any(set(iv.cells).isdisjoint(handle.cells) for iv in bristles):
             continue
         bristles = tuple(sorted(bristles, key=lambda iv: min(frozenset(iv.cells) & frozenset(handle.cells))))
-        lengths = tuple(iv.length for iv in bristles)
+        lengths = tuple(len(iv.cells) for iv in bristles)
         short = all(length == 2 for length in lengths)
         d = rec.rook_complex.rook_number
         pure = (
             sum(lengths) == rec.poly.rank
             and frozenset().union(*(frozenset(iv.cells) for iv in bristles)) == rec.poly.cells
-            and handle.length == len(bristles) == d
+            and len(handle.cells) == len(bristles) == d
         )
         found.append(BrushDecomposition(handle, bristles, lengths, short, pure, d))
     if not found:
         return None
-    found.sort(key=lambda b: (not b.pure_brush, not b.short, tuple(sorted(b.lengths)), b.handle.anchor))
+    found.sort(key=lambda b: (not b.pure_brush, not b.short, tuple(sorted(b.lengths)), b.handle.cells[0]))
     return found[0]
 
 

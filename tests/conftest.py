@@ -242,7 +242,7 @@ def _is_embedding(poly, interval, rooks):
     is a maximal interval of the shape by the cell scans."""
     if interval not in cell_scans.maximal_intervals(poly):
         raise IntervalNotInPolyominoError(f"{interval!r} is not a maximal interval")
-    if len(rooks) != interval.length or len(set(rooks)) != len(rooks) or not set(rooks) <= poly.cells:
+    if len(rooks) != len(interval.cells) or len(set(rooks)) != len(rooks) or not set(rooks) <= poly.cells:
         return False
     attacks = _attack_pairs(poly)
 

@@ -14,6 +14,15 @@ def board(m, n):
     return Polyomino.from_cells((x, y) for x in range(m) for y in range(n))
 
 
+def ferrers(heights):
+    """The Ferrers board whose column x holds rows 0 .. heights[x] - 1, for
+    positive non-decreasing heights b_1 <= ... <= b_n. Convex, so both
+    conventions agree on it; by Goldman, Joichi and White (1975) its rook
+    numbers r_k satisfy sum_k r_k (x)_(n - k) = prod_i (x + b_i - i + 1),
+    with (x)_j = x (x - 1) ... (x - j + 1)."""
+    return Polyomino.from_cells((x, y) for x, height in enumerate(heights) for y in range(height))
+
+
 def holed_board(side, hole):
     """The side x side board less its central hole x hole square; not
     simple, so its complement is never chordal."""

@@ -180,7 +180,7 @@ def test_criterion_12_brush_realizations():
                 assert realizations, lengths
                 expected = brush_fh(lengths).f
                 for poly in realizations:
-                    rc = f_vector(poly)
+                    rc = f_vector(attack_graph(poly))
                     assert (rc.rook_number, rc.f_vector) == (d, expected), (lengths, poly)
 
 
@@ -193,5 +193,5 @@ def test_criterion_13_board_f_vector():
             board = parse_cells([(x, y) for x in range(n) for y in range(n)])
             expected = tuple(comb(n, k) ** 2 * factorial(k) for k in range(n + 1))
             for convention in ("interval", "line"):
-                rc = f_vector(board, convention)
+                rc = f_vector(attack_graph(board, convention))
                 assert (rc.f_vector, rc.rook_number, rc.pure) == (expected, n, True), (n, convention)

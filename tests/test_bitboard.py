@@ -21,9 +21,10 @@ def _box_less(width, height, removed):
 
 
 def _assert_matches_scans(poly, counts=True):
-    """Every bitboard kernel equals its cell scan on ``poly``; with
-    ``counts``, the attack graph and the sweep's counts from ``f_vector``
-    too (the sweep of a long staircase takes seconds)."""
+    """Every bitboard kernel equals its cell scan on ``poly``, the attack
+    graph and the columns swept from it included; with ``counts``, the
+    sweep's counts from ``f_vector`` too (the sweep of a long staircase
+    takes seconds)."""
     cells = poly.sorted_cells
     for orientation, runs in zip((HORIZONTAL, VERTICAL), poly.runs):
         assert [tuple(cells[i] for i in bits(run)) for run in runs] == cell_scans.runs(poly.cells, orientation)
@@ -33,13 +34,14 @@ def _assert_matches_scans(poly, counts=True):
     for convention in CONVENTIONS:
         lines = rook_complex._lines(poly, convention)
         assert lines == cell_scans.line_masks(poly, convention), convention
+        # Uncached, so that no graph outlives its shape.
+        graph = rook_complex.attack_graph.__wrapped__(poly, convention)
+        assert graph.masks == cell_scans.attack_masks(poly, convention), convention
+        assert graph.lines == lines
         columns = cell_scans.sweep_columns(poly, convention)
-        assert rook_complex._sweep_columns(poly, lines) == columns, convention
+        assert rook_complex._sweep_columns(graph) == columns, convention
         if counts:
-            # Uncached, so that no record outlives its shape.
-            rc = rook_complex.f_vector.__wrapped__(poly, convention)
-            assert rc.graph.masks == cell_scans.attack_masks(poly, convention), convention
-            assert rc.graph.lines == lines
+            rc = rook_complex.f_vector.__wrapped__(graph)
             faces, facets_by_size = rook_complex._sweep_counts(columns)
             assert (rc.f_vector, rc.facets_by_size) == (tuple(faces), tuple(facets_by_size)), convention
 
@@ -53,13 +55,10 @@ class TestBoard:
             positions = [x * stride + y for x, y in poly.sorted_cells]
             assert poly.board == sum(1 << p for p in positions), poly
             assert [(poly.board & ((1 << p) - 1)).bit_count() for p in positions] == list(range(poly.rank))
-            assert poly.columns == tuple(
-                sum(1 << y for x, y in poly.sorted_cells if x == col) for col in range(poly.width)
-            )
 
     def test_built_only_when_read(self):
         polys = free_census(5)
-        assert not any(key in poly.__dict__ for poly in polys for key in ("board", "columns", "runs"))
+        assert not any(key in poly.__dict__ for poly in polys for key in ("board", "runs"))
         shape_predicates(polys[-1])
         assert "board" in polys[-1].__dict__ and "runs" not in polys[-1].__dict__
 

@@ -27,6 +27,7 @@ from rooklab import (
     verify_corpus,
 )
 from rooklab.cli import analyze_polyomino, report_json
+from rooklab.record import GraphRecord
 
 # Published counts for the standard enumeration sequences, n = 1..8.
 FREE_COUNTS = (1, 1, 2, 5, 12, 35, 108, 369)
@@ -224,7 +225,7 @@ class TestFreeCensusCache:
         before = [o for o in gc.get_objects() if isinstance(o, Polyomino)]  # held, so ids stay unique
         known = {id(o) for o in before}
         assert verify_corpus(8).passed
-        # The per-shape caches keep the shape in hand, under both conventions.
+        # The caches keep the last two graphs and the last two complexes.
         rook_complex.f_vector.cache_clear()
         rook_complex.attack_graph.cache_clear()
         gc.collect()
@@ -387,6 +388,37 @@ class TestVerifyCorpus:
             calls.update(f_vector=0)
             analyze_polyomino(Polyomino.from_cells(cells), convention)
             assert calls == {"f_vector": 1 if convention == "interval" else 2, "is_pure": 0}, (cells, convention)
+
+    def test_each_record_sweeps_the_graph_it_built(self, monkeypatch):
+        # With attack_graph and f_vector uncached in every rooklab module
+        # that binds them, each record builds its graph once and sweeps it
+        # once, its complex holds that very graph, and no output changes:
+        # the caches serve no layer.
+        expected = verify_corpus(8), [analyze_polyomino(Polyomino.from_cells(c), v) for c, v in ANALYZE_SHAPES]
+        records, built, swept = [], [], []
+        init = GraphRecord.__init__
+        monkeypatch.setattr(GraphRecord, "__init__", lambda rec, *args: records.append(rec) or init(rec, *args))
+
+        cached = rook_complex.attack_graph, rook_complex.f_vector
+
+        def build(poly, convention):
+            built.append(cached[0].__wrapped__(poly, convention))
+            return built[-1]
+
+        def sweep(graph):
+            swept.append(graph)
+            return cached[1].__wrapped__(graph)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rooklab":
+                for func, uncached in zip(cached, (build, sweep)):
+                    if getattr(module, func.__name__, None) is func:
+                        monkeypatch.setattr(module, func.__name__, uncached)
+        assert (verify_corpus(8), [analyze_polyomino(Polyomino.from_cells(c), v) for c, v in ANALYZE_SHAPES]) == expected
+        with_graph = [rec for rec in records if "attack" in vars(rec)]
+        with_complex = [rec for rec in records if "rook_complex" in vars(rec)]
+        assert len(built) == len(with_graph) and len(swept) == len(with_complex) > 0
+        assert all(rec.rook_complex.graph is rec.attack for rec in with_complex)
 
     def test_each_record_builds_its_intervals_once(self, monkeypatch):
         # A record reads its interval masks off ``poly.runs`` once, however

@@ -1,5 +1,7 @@
 """Census-wide invariants at the ranks where they are stated."""
 
+import cell_scans
+
 from rooklab import (
     ShapeRecord,
     attack_graph,
@@ -51,7 +53,7 @@ class TestProofSteps:
             rec = ShapeRecord(poly)
             if poly.rank < 2:
                 continue
-            fs = f_vector(poly).facets
+            fs = f_vector(attack_graph(poly)).facets
             for iv in maximal_intervals(poly):
                 if find_embedding(rec, iv) is None:
                     assert all(f & frozenset(iv.cells) for f in fs)
@@ -65,14 +67,14 @@ class TestConventions:
                     attack_graph(poly, "interval").edges
                     == attack_graph(poly, "line").edges
                 )
-                interval, line = (f_vector(poly, c) for c in ("interval", "line"))
+                # Uncached: the two graphs are equal and would share an entry.
+                interval, line = (f_vector.__wrapped__(attack_graph(poly, c)) for c in ("interval", "line"))
                 assert (interval.f_vector, interval.rook_number, interval.pure) == (
                     line.f_vector,
                     line.rook_number,
                     line.pure,
                 ), poly
-                interval_sweep, line_sweep = (
-                    rook_complex._sweep_counts(rook_complex._sweep_columns(poly, rook_complex._lines(poly, c)))
-                    for c in ("interval", "line")
-                )
+                columns = [rook_complex._sweep_columns(attack_graph(poly, c)) for c in ("interval", "line")]
+                assert columns == [cell_scans.sweep_columns(poly, c) for c in ("interval", "line")], poly
+                interval_sweep, line_sweep = map(rook_complex._sweep_counts, columns)
                 assert interval_sweep == line_sweep, poly

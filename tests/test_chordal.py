@@ -468,11 +468,11 @@ class TestBrushDecomposition:
             variants = []
             for handle in ivs:
                 bristles = [iv for iv in ivs if iv != handle]
-                if len(bristles) > handle.length:
+                if len(bristles) > len(handle.cells):
                     continue
                 if any(set(iv.cells).isdisjoint(handle.cells) for iv in bristles):
                     continue
-                short = all(iv.length == 2 for iv in bristles)
+                short = all(len(iv.cells) == 2 for iv in bristles)
                 covered = set()
                 disjoint = True
                 for iv in bristles:
@@ -480,12 +480,12 @@ class TestBrushDecomposition:
                         disjoint = False
                         break
                     covered |= frozenset(iv.cells)
-                d = f_vector(poly).rook_number
+                d = f_vector(attack_graph(poly)).rook_number
                 pure = (
                     bool(bristles)
                     and disjoint
                     and covered == set(poly.cells)
-                    and handle.length == len(bristles) == d
+                    and len(handle.cells) == len(bristles) == d
                 )
                 variants.append((short, pure))
             chosen = brush_decomposition(ShapeRecord(poly))

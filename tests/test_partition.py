@@ -10,6 +10,7 @@ from rooklab import (
     CellInterval,
     ShapeRecord,
     IntervalNotInPolyominoError,
+    attack_graph,
     NotApplicableError,
     check_purity_theorem,
     f_vector,
@@ -47,7 +48,7 @@ def embeddings_from_cells(poly, iv, attacks):
 
 def interval_of(poly, orientation, anchor):
     for iv in maximal_intervals(poly):
-        if iv.orientation == orientation and iv.anchor == anchor:
+        if iv.orientation == orientation and iv.cells[0] == anchor:
             return iv
     raise AssertionError(f"no {orientation} interval at {anchor}")
 
@@ -167,8 +168,9 @@ class TestFindEmbedding:
             CellInterval("vertical", ((0, 0), (1, 0), (2, 0))),
             CellInterval("horizontal", ((2, 0), (1, 0), (0, 0))),
             CellInterval("diagonal", ((0, 0), (1, 0), (2, 0))),
+            CellInterval("horizontal", ()),
         ],
-        ids=["not-maximal", "wrong-orientation", "cells-reversed", "no-orientation"],
+        ids=["not-maximal", "wrong-orientation", "cells-reversed", "no-orientation", "no-cells"],
     )
     def test_lookup_takes_only_a_maximal_interval_as_built(self, interval):
         # The search finds the interval's mask by building each interval of
@@ -210,8 +212,6 @@ class TestFindEmbedding:
     def test_matches_subset_oracle(self, census6):
         # An embedding is an independent set, disjoint from the interval,
         # in which every rook attacks a distinct interval cell.
-        from rooklab import attack_graph
-
         for poly in census6:
             rec = ShapeRecord(poly)
             if poly.rank < 2:
@@ -221,7 +221,7 @@ class TestFindEmbedding:
             for iv in maximal_intervals(poly):
                 outside = [c for c in cells if c not in iv.cells]
                 exists = False
-                for sub in combinations(outside, iv.length):
+                for sub in combinations(outside, len(iv.cells)):
                     if any(adjacent(graph, u, v) for u, v in combinations(sub, 2)):
                         continue
                     targets = set()
@@ -305,7 +305,7 @@ class TestProofStepInvariants:
                 continue
             for iv in maximal_intervals(poly):
                 if find_embedding(rec, iv) is None:
-                    assert all(f & frozenset(iv.cells) for f in f_vector(poly).facets)
+                    assert all(f & frozenset(iv.cells) for f in f_vector(attack_graph(poly)).facets)
 
     def test_embedding_can_be_steered_into_crossing_interval(self, census6, attack_pairs):
         # If an interval is embedded and some interval meets both it and

@@ -208,7 +208,7 @@ class TestMaximalIntervals:
     def test_rectangle_count(self):
         ivs = maximal_intervals(RECT_2X3)
         assert len(ivs) == 5
-        assert sorted(iv.length for iv in ivs) == [2, 2, 2, 3, 3]
+        assert sorted(len(iv.cells) for iv in ivs) == [2, 2, 2, 3, 3]
 
     def test_monomino_empty(self):
         assert list(maximal_intervals(parse_cells([(0, 0)]))) == []

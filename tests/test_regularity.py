@@ -139,12 +139,12 @@ class TestBrushFH:
 
     def test_domino_realizes_degenerate_case(self):
         domino = parse_cells([(0, 0), (1, 0)])
-        rc = f_vector(domino)
+        rc = f_vector(attack_graph(domino))
         assert rc.f_vector == brush_fh((2,)).f
         assert h_from_f(rc.f_vector) == brush_fh((2,)).h
 
     def test_brush_33_matches_brute_force(self):
-        rc = f_vector(BRUSH_33)
+        rc = f_vector(attack_graph(BRUSH_33))
         vectors = brush_fh((3, 3))
         assert rc.f_vector == vectors.f
         assert h_from_f(rc.f_vector) == vectors.h
@@ -155,7 +155,7 @@ class TestBrushFH:
         assert shapes
         expected = brush_fh(lengths)
         for poly in shapes:
-            rc = f_vector(poly)
+            rc = f_vector(attack_graph(poly))
             assert rc.f_vector == expected.f
             assert h_from_f(rc.f_vector) == expected.h
 
@@ -491,7 +491,7 @@ class TestSingleCellIntervals:
     def test_brush_33_has_both_bristles(self):
         singles = single_cell_intervals(BRUSH_33)
         assert len(singles) == 2
-        assert all(iv.length == 3 for iv in singles)
+        assert all(len(iv.cells) == 3 for iv in singles)
 
     def test_monomino_raises(self):
         with pytest.raises(NotApplicableError, match="rank 1 has no maximal intervals"):

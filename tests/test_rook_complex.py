@@ -28,6 +28,7 @@ from rooklab import (
 )
 from rooklab.cli import analyze_polyomino
 from rooklab.graphs import bits
+from rooklab.record import GraphRecord
 
 SKEW = parse_cells([(0, 0), (1, 0), (1, 1), (2, 1)])
 L_TROMINO = parse_cells([(0, 0), (1, 0), (1, 1)])
@@ -68,24 +69,33 @@ class TestAttackGraph:
         for poly in census8:
             assert attack_graph(poly) == graph_from_pairs(poly.cells, attack_pairs(poly))
 
-    def test_one_cache_entry_per_shape(self):
-        # Every caller passes the convention, so a shape takes one entry.
+    def test_one_cache_entry_per_graph(self):
+        # attack_graph is keyed on the shape and the convention, f_vector on
+        # the graph: a convex shape's two graphs are equal and take one entry.
         attack_graph.cache_clear()
         f_vector.cache_clear()
-        f_vector(SKEW, "interval")
-        f_vector(SKEW, "interval")
-        attack_graph(SKEW, "interval")
+        graph = attack_graph(SKEW, "interval")
+        f_vector(graph)
+        f_vector(attack_graph(SKEW, "line"))
+        assert f_vector(attack_graph(SKEW, "interval")).graph is graph
         assert f_vector.cache_info().misses == 1
-        assert attack_graph.cache_info().misses == 1
+        assert attack_graph.cache_info().misses == 2
 
-    def test_complex_holds_the_attack_graph(self, census8):
-        # f_vector sweeps the lines of attack_graph's graph and keeps that
-        # graph, so both caches hand out one object per shape.
-        attack_graph.cache_clear()
-        f_vector.cache_clear()
-        for poly in census8:
+    def test_complex_holds_the_attack_graph(self, census10):
+        # A record's complex is swept from its attack graph and keeps it, or
+        # an equal graph: equal graphs share a cache entry, so a convex
+        # shape's complex may hold the graph of its other convention.
+        for poly in census10:
             for convention in ("interval", "line"):
-                assert f_vector(poly, convention).graph is attack_graph(poly, convention)
+                rec = GraphRecord(poly, convention)
+                assert rec.rook_complex.graph == rec.attack, (poly, convention)
+
+    def test_sweep_needs_an_attack_graph(self):
+        # Uncached, so that an equal attack graph swept before cannot answer.
+        graph = attack_graph(L_TROMINO)
+        for g in (SimpleGraph(graph.vertices, graph.masks), complement_graph(graph)):
+            with pytest.raises(ValueError, match="needs an attack graph"):
+                f_vector.__wrapped__(g)
 
     def test_graph_layers_need_no_sweep(self, monkeypatch):
         # The attack graph, nu and chordality of the complement are read
@@ -150,9 +160,9 @@ class TestAttackGraph:
     [
         lambda c: rook_complex._lines(RECT_2X3, c),
         lambda c: attack_graph(RECT_2X3, c),
-        lambda c: f_vector(RECT_2X3, c),
+        lambda c: is_pure(RECT_2X3, c),
     ],
-    ids=["_lines", "attack_graph", "f_vector"],
+    ids=["_lines", "attack_graph", "is_pure"],
 )
 def test_unknown_convention_raises(call):
     with pytest.raises(ValueError, match="unknown attack convention 'rows'"):
@@ -161,20 +171,20 @@ def test_unknown_convention_raises(call):
 
 class TestFacets:
     def test_l_tromino(self):
-        assert f_vector(L_TROMINO).facets == (
+        assert f_vector(attack_graph(L_TROMINO)).facets == (
             frozenset({(0, 0), (1, 1)}),
             frozenset({(1, 0)}),
         )
 
     def test_square_diagonals(self):
-        assert f_vector(SQUARE).facets == (
+        assert f_vector(attack_graph(SQUARE)).facets == (
             frozenset({(0, 0), (1, 1)}),
             frozenset({(0, 1), (1, 0)}),
         )
 
     def test_domino(self):
         domino = parse_cells([(0, 0), (1, 0)])
-        assert f_vector(domino).facets == (frozenset({(0, 0)}), frozenset({(1, 0)}))
+        assert f_vector(attack_graph(domino)).facets == (frozenset({(0, 0)}), frozenset({(1, 0)}))
 
     def test_against_subset_oracle(self, census5):
         for poly in census5:
@@ -188,7 +198,7 @@ class TestFacets:
                     rest = [u for u in cells if u not in sub]
                     if all(any(adjacent(graph, u, v) for v in sub) for u in rest):
                         maximal.add(frozenset(sub))
-            assert set(f_vector(poly).facets) == maximal
+            assert set(f_vector(graph).facets) == maximal
 
     @pytest.mark.parametrize("convention", ["interval", "line"])
     @pytest.mark.parametrize(
@@ -200,7 +210,7 @@ class TestFacets:
         ],
     )
     def test_matches_bron_kerbosch_beyond_census(self, poly, convention, bron_kerbosch):
-        rc = f_vector.__wrapped__(poly, convention)
+        rc = f_vector.__wrapped__(attack_graph(poly, convention))
         assert list(rc.facets) == [_cells_of(rc.graph, mask) for mask in bron_kerbosch(rc.graph)]
 
 
@@ -214,7 +224,7 @@ class TestFVector:
         ],
     )
     def test_examples(self, poly, f, d):
-        rc = f_vector(poly)
+        rc = f_vector(attack_graph(poly))
         assert rc.f_vector == f
         assert rc.rook_number == d
 
@@ -227,7 +237,7 @@ class TestFVector:
                 for sub in combinations(cells, r):
                     if not any(adjacent(graph, u, v) for u, v in combinations(sub, 2)):
                         counts[r] += 1
-            rc = f_vector(poly)
+            rc = f_vector(graph)
             d = max(k for k, c in enumerate(counts) if c)
             assert rc.rook_number == d
             assert rc.f_vector == tuple(counts[: d + 1])
@@ -240,7 +250,7 @@ class TestFVector:
         # inequalities hold for 0 < k < d, with d the rook number.
         count = 0
         for poly in census10:
-            r = f_vector(poly, convention).f_vector
+            r = f_vector(attack_graph(poly, convention)).f_vector
             d = len(r) - 1
             for k in range(1, d):
                 assert r[k] ** 2 * k * (d - k) >= r[k - 1] * r[k + 1] * (k + 1) * (d - k + 1), (poly, k)
@@ -249,7 +259,8 @@ class TestFVector:
 
     def test_face_total_matches_independent_set_count(self, census6):
         for poly in census6:
-            assert sum(f_vector(poly).f_vector) == independent_set_count(attack_graph(poly))
+            graph = attack_graph(poly)
+            assert sum(f_vector(graph).f_vector) == independent_set_count(graph)
 
 
 def independent_set_count(graph):
@@ -282,15 +293,15 @@ class TestSweep:
     def test_matches_enumeration_on_census(self, census10, enumerate_complex):
         for convention in ("interval", "line"):
             for poly in census10:
-                oracle_facets, counts = enumerate_complex(attack_graph(poly, convention))
-                line_masks = rook_complex._lines(poly, convention)
-                faces, facets_by_size = rook_complex._sweep_counts(rook_complex._sweep_columns(poly, line_masks))
+                graph = attack_graph(poly, convention)
+                oracle_facets, counts = enumerate_complex(graph)
+                faces, facets_by_size = rook_complex._sweep_counts(rook_complex._sweep_columns(graph))
                 d = len(faces) - 1
                 assert faces == counts[: d + 1] and not any(counts[d + 1 :]), poly
                 sizes = Counter(len(f) for f in oracle_facets)
                 assert facets_by_size == [sizes[k] for k in range(d + 1)], poly
                 # Uncached, so that no facet list outlives its shape.
-                rc = f_vector.__wrapped__(poly, convention)
+                rc = f_vector.__wrapped__(graph)
                 assert (rc.f_vector, rc.rook_number, rc.pure) == (tuple(faces), d, len(sizes) == 1)
                 assert rc.facets_by_size == tuple(facets_by_size), poly
                 assert rc.graph.lines == tuple(
@@ -306,9 +317,9 @@ class TestSweep:
             for convention in ("interval", "line"):
                 seen = set()
                 for image in dihedral_images(poly):
-                    rc = f_vector(image, convention)
-                    lines = rook_complex._lines(image, convention)
-                    sizes = tuple(rook_complex._sweep_counts(rook_complex._sweep_columns(image, lines))[1])
+                    graph = attack_graph(image, convention)
+                    rc = f_vector(graph)
+                    sizes = tuple(rook_complex._sweep_counts(rook_complex._sweep_columns(graph))[1])
                     seen.add((rc.f_vector, rc.rook_number, rc.pure, sizes))
                 assert len(seen) == 1, (poly, convention, seen)
 
@@ -331,7 +342,7 @@ class TestIsPure:
         checked = 0
         for poly in census8:
             for convention in ("interval", "line"):
-                if f_vector(poly, convention).pure:
+                if f_vector(attack_graph(poly, convention)).pure:
                     continue
                 pairs = attack_pairs(poly, convention)
                 oracle_facets, _ = enumerate_complex(graph_from_pairs(poly.cells, pairs))
@@ -345,7 +356,7 @@ class TestIsPure:
         checked = 0
         for poly in census10:
             for convention in ("interval", "line"):
-                if not f_vector(poly, convention).pure:
+                if not f_vector(attack_graph(poly, convention)).pure:
                     witness = _listing_witness(poly, convention, bron_kerbosch)
                     assert is_pure(poly, convention).witness == witness, (poly, convention)
                     checked += 1
@@ -358,7 +369,7 @@ class TestIsPure:
     def test_matches_facet_listing_on_every_image(self, poly, dihedral_images, bron_kerbosch):
         for image in dihedral_images(poly):
             for convention in ("interval", "line"):
-                assert not f_vector(image, convention).pure
+                assert not f_vector(attack_graph(image, convention)).pure
                 witness = _listing_witness(image, convention, bron_kerbosch)
                 assert is_pure(image, convention).witness == witness, (image, convention)
 
@@ -378,7 +389,7 @@ class TestIsPure:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
-            witness = f_vector(comb).purity.witness
+            witness = f_vector(attack_graph(comb)).purity.witness
         finally:
             sys.setrecursionlimit(limit)
         assert [len(face) for face in witness] == [teeth, teeth + 1]
