@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -47,14 +47,19 @@ _CHUNKS_PER_JOB = 16
 
 
 def max_rank_limit() -> int:
-    """Census ceiling; the environment variable overrides the default."""
+    """Census ceiling; the environment variable overrides the default.
+    Raises ``RankOutOfRangeError``, naming the variable, unless its value
+    is a positive integer."""
     raw = os.environ.get(MAX_RANK_ENV)
     if raw is None:
         return DEFAULT_MAX_RANK
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise RankOutOfRangeError(f"{MAX_RANK_ENV}={raw!r} is not an integer rank") from None
+    if limit < 1:
+        raise RankOutOfRangeError(f"{MAX_RANK_ENV}={raw!r} is not a positive rank")
+    return limit
 
 
 def _check_rank(n: int, what: str) -> None:
@@ -117,11 +122,19 @@ def _grow_codes(n: int, mode: str) -> list[tuple[int, ...]]:
     return kept
 
 
+@lru_cache(maxsize=None)
+def _cell_of(n: int) -> Callable[[int], Cell]:
+    """Code -> cell for the code tuples of rank n, as a lookup in a table
+    built once per rank: a rank-n shape at the origin has x, y < n, so its
+    codes lie below ``n << b``. Shapes share the table's cell tuples."""
+    b = n.bit_length()
+    mask = (1 << b) - 1
+    return [(c >> b, c & mask) for c in range(n << b)].__getitem__
+
+
 def _cells(codes: tuple[int, ...]) -> tuple[Cell, ...]:
     """The sorted cells of a code tuple of ``_grow_codes``, whose rank is its length."""
-    b = len(codes).bit_length()
-    mask = (1 << b) - 1
-    return tuple([(c >> b, c & mask) for c in codes])
+    return tuple([*map(_cell_of(len(codes)), codes)])  # a list first: tuple(map(...)) grows, then shrinks, its tuple
 
 
 def generate(n: int, mode: str = "free") -> Iterator[Polyomino]:

@@ -254,15 +254,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.emit == "coords":
-        render, sep = (lambda poly: json.dumps({"cells": _order_json(poly.sorted_cells)})), "\n"
-    else:
-        render, sep = render_ascii, "\n\n"
     try:
         shapes = census_mod.generate(args.rank, args.mode)
     except RankOutOfRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.emit == "coords":
+        # Each line is what json.dumps({"cells": [[x, y], ...]}) prints,
+        # joined from the text of each cell; every cell of a shape of the
+        # checked rank n at the origin lies in the n x n box.
+        n = args.rank
+        text = {(x, y): f"[{x}, {y}]" for x in range(n) for y in range(n)}.__getitem__
+        render, sep = (lambda poly: '{"cells": [' + ", ".join(map(text, poly.sorted_cells)) + "]}"), "\n"
+    else:
+        render, sep = render_ascii, "\n\n"
     for i, poly in enumerate(shapes):
         sys.stdout.write(sep + render(poly) if i else render(poly))
     sys.stdout.write("\n")

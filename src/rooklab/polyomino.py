@@ -265,11 +265,17 @@ def parse_cells(pairs: Iterable[Sequence[int]]) -> Polyomino:
 
 
 def render_ascii(poly: Polyomino) -> str:
-    """Inverse of parse_ascii: '#' for cells, '.' elsewhere in the bounding box."""
-    rows = []
-    for y in range(poly.height - 1, -1, -1):
-        rows.append("".join("#" if (x, y) in poly.cells else "." for x in range(poly.width)))
-    return "\n".join(rows)
+    """Inverse of parse_ascii: '#' for cells, '.' elsewhere in the bounding box.
+
+    One byte buffer holds the rows, largest y first, each ended by a
+    newline; every cell of ``sorted_cells`` sets its own byte, so no square
+    of the box is looked up."""
+    width, stride = poly.width, poly.width + 1
+    top = (poly.height - 1) * stride
+    buf = bytearray((b"." * width + b"\n") * poly.height)
+    for x, y in poly.sorted_cells:
+        buf[top - y * stride + x] = 35  # '#'
+    return buf[:-1].decode()
 
 
 def maximal_intervals(poly: Polyomino) -> dict[CellInterval, int]:

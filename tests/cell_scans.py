@@ -1,5 +1,6 @@
 """The cell-scan kernels that the package ran before it read shapes off
-one int bitboard, kept as oracles for the bitboard kernels.
+one int bitboard, kept as oracles for the bitboard kernels, and the
+renderer it ran before it wrote grids from the sorted cells.
 
 Each one works on cell tuples and frozenset lookups: runs are found by
 walking from every cell without a predecessor, lines are bucketed by
@@ -139,3 +140,11 @@ def single_cell_intervals(rec):
         for c in iv.cells:
             membership[c] += 1
     return [iv for iv in ivs if sum(1 for c in iv.cells if membership[c] == 1) >= 2]
+
+
+def render_ascii(poly):
+    """The grid by a set lookup for every square of the bounding box, top row first."""
+    rows = []
+    for y in range(poly.height - 1, -1, -1):
+        rows.append("".join("#" if (x, y) in poly.cells else "." for x in range(poly.width)))
+    return "\n".join(rows)

@@ -298,11 +298,13 @@ class TestVerify:
         [("verify", "--max-rank", "4", "--check", "purity-theorem"), ("enumerate", "--rank", "3")],
     )
     def test_malformed_env_ceiling_exit_1(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv(census_mod.MAX_RANK_ENV, "abc")
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "error:" in err and census_mod.MAX_RANK_ENV in err
+        # Not an integer, or an integer ceiling below rank 1.
+        for value in ("abc", "0", "-1"):
+            monkeypatch.setenv(census_mod.MAX_RANK_ENV, value)
+            code, out, err = run(capsys, *argv)
+            assert code == 1, value
+            assert out == ""
+            assert "error:" in err and census_mod.MAX_RANK_ENV in err, err
 
 
 class TestEnumerate:
@@ -338,6 +340,21 @@ class TestEnumerate:
     )
     def test_rank_eight_bytes(self, capsys, mode, emit, digest):
         code, out, _ = run(capsys, "enumerate", "--rank", "8", "--mode", mode, "--emit", emit)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # SHA-256 of the whole output of `enumerate --rank 11`, recorded before
+    # each line was written straight from the shape's sorted cells.
+    @pytest.mark.parametrize(
+        "emit, digest",
+        [
+            ("ascii", "e772ad81c0d4d1a842f95596158e1c8b0e337c931daf8f147f56f45535e4a1fb"),
+            ("coords", "accd44ebe9e1bc2cca44c2c2aecd03bf8f1e2afc1a8df8d36eab84ad2389a12b"),
+        ],
+    )
+    def test_rank_eleven_bytes(self, capsys, monkeypatch, emit, digest):
+        monkeypatch.setenv(census_mod.MAX_RANK_ENV, "11")
+        code, out, _ = run(capsys, "enumerate", "--rank", "11", "--emit", emit)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+import cell_scans
+import families
 from rooklab import (
     BadCellError,
     BadCharacterError,
@@ -14,6 +16,7 @@ from rooklab import (
     NotConnectedError,
     Polyomino,
     canonical_cells,
+    free_census,
     generate,
     maximal_intervals,
     parse_ascii,
@@ -412,6 +415,24 @@ class TestRenderAscii:
     def test_round_trip(self, census6):
         for poly in census6:
             assert parse_ascii(render_ascii(poly)) == poly
+
+    def test_matches_set_lookup_on_census(self):
+        for poly in free_census(9):
+            assert render_ascii(poly) == cell_scans.render_ascii(poly), poly
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            families.holed_board(7, 3),
+            families.spiral(8),
+            families.comb(6),
+            Polyomino.from_cells([(0, y) for y in range(7)]),
+            Polyomino.from_cells([(x, 0) for x in range(7)]),
+        ],
+        ids=["holed board", "spiral", "comb", "one cell wide", "one cell tall"],
+    )
+    def test_matches_set_lookup_on_families(self, poly):
+        assert render_ascii(poly) == cell_scans.render_ascii(poly)
 
     @given(st.integers(0, 7))
     def test_round_trip_random_shape(self, seed):
