@@ -312,7 +312,7 @@ def _pure_brush_records(lengths: Sequence[int]) -> Iterator[ShapeRecord]:
         for order in set(permutations(lengths))
     }
     for key in sorted(keys):
-        rec = ShapeRecord(Polyomino(frozenset(key)))
+        rec = ShapeRecord(Polyomino(key))
         brush = rec.brush
         if brush is not None and brush.pure_brush and tuple(sorted(brush.lengths)) == lengths:
             yield rec

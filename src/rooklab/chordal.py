@@ -294,7 +294,7 @@ def classify_chordality(rec: ShapeRecord) -> ChordalityClassification:
     elif preds.simple and preds.thin:
         brush = rec.brush
         category = SHORT_BRUSH if brush is not None and brush.short else OTHER
-    elif preds.simple and rec.poly.rank in _EXCEPTIONAL_RANKS and canonical_cells(rec.poly.cells) in _EXCEPTIONAL_KEYS:
+    elif preds.simple and rec.poly.rank in _EXCEPTIONAL_RANKS and canonical_cells(rec.poly.sorted_cells) in _EXCEPTIONAL_KEYS:
         category = EXCEPTIONAL_NONTHIN
     else:
         category = OTHER

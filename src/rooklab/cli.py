@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_polyomino(path: str, fmt: str) -> Polyomino:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte order mark is dropped
         text = fh.read()
     if fmt == "json":
         data = json.loads(text)
@@ -50,7 +50,8 @@ def _load_polyomino(path: str, fmt: str) -> Polyomino:
 
 
 def _cells_json(cells) -> list[list[int]]:
-    return [[x, y] for x, y in sorted(cells)]
+    """Cells as [x, y] lists, in the order given."""
+    return [[x, y] for x, y in cells]
 
 
 def analyze_polyomino(poly: Polyomino, convention: str = INTERVAL) -> dict:
@@ -64,7 +65,6 @@ def analyze_polyomino(poly: Polyomino, convention: str = INTERVAL) -> dict:
     view = rec if convention == INTERVAL else GraphRecord(poly, convention)
     preds = rec.predicates
     rc = view.rook_complex
-    purity = rc.purity
     chord = view.chordality
     classification = rec.classification
     matching = view.matching
@@ -105,15 +105,15 @@ def analyze_polyomino(poly: Polyomino, convention: str = INTERVAL) -> dict:
         pass
 
     if chord.chordal:
-        witness = {"eliminationOrder": _order_json(chord.elimination_order)}
+        witness = {"eliminationOrder": _cells_json(chord.elimination_order)}
     else:
-        witness = {"chordlessCycle": _order_json(chord.chordless_cycle)}
+        witness = {"chordlessCycle": _cells_json(chord.chordless_cycle)}
 
     return {
         "schemaVersion": SCHEMA_VERSION,
         "convention": convention,
-        "input": {"ascii": render_ascii(poly), "cells": _cells_json(poly.cells)},
-        "cells": _cells_json(poly.cells),
+        "input": {"ascii": render_ascii(poly), "cells": _cells_json(poly.sorted_cells)},
+        "cells": _cells_json(poly.sorted_cells),
         "rank": poly.rank,
         "predicates": {
             "simple": preds.simple,
@@ -125,12 +125,12 @@ def analyze_polyomino(poly: Polyomino, convention: str = INTERVAL) -> dict:
         "fVector": list(rc.f_vector),
         "hVector": list(view.h_vector),
         "rookNumber": rc.rook_number,
-        "pure": purity.pure,
+        "pure": rc.pure,
         "pureWitness": None
-        if purity.witness is None
+        if rc.witness is None
         else {
-            "small": _cells_json(purity.witness[0]),
-            "large": _cells_json(purity.witness[1]),
+            "small": _cells_json(sorted(rc.witness[0])),
+            "large": _cells_json(sorted(rc.witness[1])),
         },
         "superPartitions": supers,
         "complementChordal": chord.chordal,
@@ -146,10 +146,6 @@ def analyze_polyomino(poly: Polyomino, convention: str = INTERVAL) -> dict:
             "regEqNu": reg_nu_flag,
         },
     }
-
-
-def _order_json(cells) -> list[list[int]]:
-    return [[x, y] for x, y in cells]
 
 
 def _report_text(report: dict) -> str:
@@ -193,7 +189,7 @@ def _report_text(report: dict) -> str:
 def _cmd_analyze(args) -> int:
     try:
         poly = _load_polyomino(args.path, args.format)
-    except (RookLabError, OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (RookLabError, OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     report = analyze_polyomino(poly, args.convention)

@@ -3,16 +3,17 @@ and shape predicates.
 
 Cells are unit lattice squares identified by their lower-left corner
 ``(x, y)``. A polyomino is a finite, edge-connected, non-empty set of
-cells, always stored translated so that ``min x = min y = 0``.
-
-Each polyomino also holds its cells as one int bitboard, built when
-first read: column-major, bit ``x * (height + 1) + y``, with an empty
-guard row on top of every column. Bit order is sorted-cell order, so the
-rank of a cell's bit is its index in ``sorted_cells``, and that index is
-its vertex in the attack graph. The maximal runs (as masks over those
-indices), the maximal intervals with their masks and the shape
-predicates are all read off the board: the predicates by popcounts of
-shifted copies, the runs by one pass over its columns.
+cells, translated so that ``min x = min y = 0`` and stored once, as its
+sorted cell tuple ``sorted_cells``; equality and hashing read that tuple.
+Every other form is built from it when first read: ``cells``, a
+frozenset for membership tests, and one int bitboard, column-major, bit
+``x * (height + 1) + y``, with an empty guard row on top of every
+column. Bit order is sorted-cell order, so the rank of a cell's bit is
+its index in ``sorted_cells``, and that index is its vertex in the
+attack graph. The maximal runs (as masks over those indices), the
+maximal intervals with their masks and the shape predicates are all
+read off the board: the predicates by popcounts of shifted copies, the
+runs by one pass over its columns.
 """
 
 from __future__ import annotations
@@ -88,48 +89,52 @@ _BOX_SYMMETRIES = (
 
 @dataclass(frozen=True)
 class Polyomino:
-    """An edge-connected set of cells with its lower-left corner at the origin."""
+    """An edge-connected set of cells with its lower-left corner at the
+    origin. It takes its cells in any order, as pairs of ints, and keeps
+    them sorted without repeats."""
 
-    cells: frozenset[Cell]
+    sorted_cells: tuple[Cell, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(map(_pair, self.cells)))
-        if not self.cells:
+        cells = set(map(_pair, self.sorted_cells))
+        if not cells:
             raise EmptyInputError("a polyomino needs at least one cell")
-        if min(x for x, _ in self.cells) != 0 or min(y for _, y in self.cells) != 0:
+        object.__setattr__(self, "sorted_cells", tuple(sorted(cells)))
+        if self.sorted_cells[0][0] != 0 or min([y for _, y in cells]) != 0:
             raise ValueError("polyomino is not normalized to the origin")
         # One flood fill from the least cell; the witness adds the least cell it misses.
-        start = min(self.cells)
+        start = self.sorted_cells[0]
         reached, todo = {start}, [start]
         while todo:
             x, y = todo.pop()
             for dx, dy in _STEPS:
                 nb = (x + dx, y + dy)
-                if nb in self.cells and nb not in reached:
+                if nb in cells and nb not in reached:
                     reached.add(nb)
                     todo.append(nb)
-        if len(reached) < len(self.cells):
-            raise NotConnectedError((start, min(self.cells - reached)))
+        if len(reached) < len(cells):
+            raise NotConnectedError((start, min(cells - reached)))
 
     @classmethod
     def _trusted(cls, sorted_cells: tuple[Cell, ...]) -> "Polyomino":
-        """Unchecked, and fills ``sorted_cells``: the cells must be sorted, normalized, connected."""
+        """Unchecked: the cells must be sorted, normalized and connected."""
         poly = object.__new__(cls)
-        poly.__dict__.update(cells=frozenset(sorted_cells), sorted_cells=sorted_cells)
+        poly.__dict__["sorted_cells"] = sorted_cells
         return poly
 
     @classmethod
     def from_cells(cls, cells: Iterable[Cell]) -> "Polyomino":
         """Build a polyomino from any translate of its cell set."""
-        return cls(frozenset(_normalized(map(_pair, cells))))
+        return cls(_normalized(map(_pair, cells)))
 
     @property
     def rank(self) -> int:
-        return len(self.cells)
+        return len(self.sorted_cells)
 
     @stored_property
-    def sorted_cells(self) -> tuple[Cell, ...]:
-        return tuple(sorted(self.cells))
+    def cells(self) -> frozenset[Cell]:
+        """The cells as a set, for membership tests."""
+        return frozenset(self.sorted_cells)
 
     @stored_property
     def width(self) -> int:

@@ -20,8 +20,9 @@ Faces of the rook complex are the non-attacking cell sets, i.e. the
 independent sets of the attack graph, and so the matchings of the line
 incidence graph. The f-vector, rook number, purity and the facet counts
 by size come from one transfer-matrix sweep over it, into one
-``RookComplex``. One facet search, ``_facets``, yields the facets of a
-range of sizes in sorted-cell-tuple order: the non-purity witness takes
+``RookComplex``; purity is its ``pure`` flag, and ``is_pure`` returns the
+complex itself. One facet search, ``_facets``, yields the facets of a
+range of sizes in sorted-cell-tuple order: ``RookComplex.witness`` takes
 the first facet of each of two sizes when first read, and
 ``RookComplex.facets`` lists them all.
 """
@@ -37,7 +38,6 @@ from .graphs import SimpleGraph, bits
 from .polyomino import Polyomino, stored_property
 
 __all__ = [
-    "PurityResult",
     "RookComplex",
     "attack_graph",
     "f_vector",
@@ -52,20 +52,14 @@ Lines = tuple[tuple[int, ...], tuple[int, ...]]  # horizontal, vertical: vertex 
 
 
 @dataclass(frozen=True)
-class PurityResult:
-    pure: bool
-    witness: tuple[frozenset, frozenset] | None
-
-
-@dataclass(frozen=True)
 class RookComplex:
     """Face counts, rook number and purity of the rook complex.
 
     ``f_vector`` has length ``rook_number + 1``; entry k counts the faces
     of size k, so it starts with 1 for the empty face. ``pure`` holds when
-    every facet has ``rook_number`` cells. ``purity``, the flag with its
-    witness pair, and ``facets`` are searched for on the attack graph when
-    first read.
+    every facet has ``rook_number`` cells. ``witness``, the pair of facets
+    that shows a complex is not pure, and ``facets`` are searched for on
+    the attack graph when first read.
 
     Two fields are kept for later searches and are left out of
     comparisons: ``graph``, the attack graph with its lines, and
@@ -88,20 +82,17 @@ class RookComplex:
         )
 
     @stored_property
-    def purity(self) -> PurityResult:
-        """``pure`` with a witness pair when it fails: the first smallest and
-        the first largest facet in sorted-cell-tuple order. Each is the
-        first that ``_facets`` yields at the size that ``facets_by_size``
-        names, and no facet list is built."""
+    def witness(self) -> tuple[frozenset, frozenset] | None:
+        """None when ``pure``, else the first smallest and the first largest
+        facet in sorted-cell-tuple order. Each is the first that ``_facets``
+        yields at the size that ``facets_by_size`` names, and no facet list
+        is built."""
         if self.pure:
-            return PurityResult(True, None)
+            return None
         smallest = next(k for k, count in enumerate(self.facets_by_size) if count)
-        return PurityResult(
-            False,
-            tuple(
-                frozenset(self.graph.vertices[i] for i in bits(next(_facets(self.graph, size, size))))
-                for size in (smallest, self.rook_number)
-            ),
+        return tuple(
+            frozenset(self.graph.vertices[i] for i in bits(next(_facets(self.graph, size, size))))
+            for size in (smallest, self.rook_number)
         )
 
 
@@ -308,10 +299,10 @@ def _facets(graph: SimpleGraph, lo: int, hi: int) -> Iterator[int]:
             return
 
 
-def is_pure(poly: Polyomino, convention: str = INTERVAL) -> PurityResult:
-    """Whether all facets share the top cardinality, with a witness pair
-    otherwise: ``RookComplex.purity`` of the complex of the shape's attack graph."""
-    return f_vector(attack_graph(poly, convention)).purity
+def is_pure(poly: Polyomino, convention: str = INTERVAL) -> RookComplex:
+    """The rook complex of the shape's attack graph, read for purity: its
+    ``pure`` flag, and its ``witness`` pair when that fails."""
+    return f_vector(attack_graph(poly, convention))
 
 
 def h_from_f(f: Sequence[int]) -> tuple[int, ...]:

@@ -101,6 +101,7 @@ class TestGenerate:
             previous = None
             for poly in generate(n, mode):
                 assert poly == Polyomino.from_cells(poly.cells)
+                assert hash(poly) == hash(Polyomino.from_cells(poly.cells))
                 assert poly.sorted_cells == tuple(sorted(poly.cells))
                 assert previous is None or previous < poly.sorted_cells
                 previous = poly.sorted_cells

@@ -76,6 +76,18 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out) == first
 
+    @pytest.mark.parametrize(
+        "fmt, text", [("ascii", SKEW_TEXT), ("json", '{"cells": [[1, 1], [2, 1], [0, 0], [1, 0]]}')], ids=["ascii", "json"]
+    )
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, fmt, text):
+        # Some editors start a UTF-8 file with a byte order mark.
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        code, out, _ = run(capsys, "analyze", str(plain), "--format", fmt, "--out", "json")
+        assert code == 0
+        assert run(capsys, "analyze", str(marked), "--format", fmt, "--out", "json") == (0, out, "")
+
     def test_line_convention_runs(self, capsys, tmp_path):
         path = tmp_path / "u.txt"
         path.write_text("#.#\n###\n")
@@ -199,6 +211,21 @@ class TestWitnessBytes:
             json.dumps(analyze_polyomino(poly, convention), indent=2) + "\n"
             for poly in free_census(6)
         )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "convention, non_pure, digest",
+        [
+            ("interval", 435, "2ec2a293babc7b42c103a199758590009476ddd2abb4964d7eb6fbde2a504a81"),
+            ("line", 410, "8e181bb39692ef506ec10853a45a3ebae34d444f58f830e8efb59034daf6fb23"),
+        ],
+    )
+    def test_analyze_rank_seven_and_eight_bytes(self, convention, non_pure, digest):
+        # All 477 free shapes of rank 7 and 8; most are not pure, so the
+        # purity witness is pinned as well.
+        reports = [analyze_polyomino(poly, convention) for poly in free_census(8) if poly.rank >= 7]
+        assert (len(reports), sum(not report["pure"] for report in reports)) == (477, non_pure)
+        out = "".join(json.dumps(report, indent=2) + "\n" for report in reports)
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(

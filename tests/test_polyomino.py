@@ -25,6 +25,7 @@ from rooklab import (
     shape_predicates,
 )
 from rooklab.chordal import ChordalityResult
+from rooklab.cli import analyze_polyomino
 from rooklab.polyomino import _normalized, stored_property
 from rooklab.record import GraphRecord, ShapeRecord
 from rooklab.rook_complex import RookComplex
@@ -128,9 +129,10 @@ class TestParseCells:
 
 
 class TestPolyominoCells:
-    def test_list_is_stored_as_a_frozenset(self):
-        poly = Polyomino([(0, 0), (1, 0)])
-        assert isinstance(poly.cells, frozenset)
+    def test_list_is_stored_as_its_sorted_cells(self):
+        poly = Polyomino([(1, 0), (0, 0), (1, 0)])
+        assert poly.__dict__ == {"sorted_cells": ((0, 0), (1, 0))}
+        assert poly.cells == frozenset(poly.sorted_cells) and poly.cells is poly.cells
         assert poly == parse_cells([(0, 0), (1, 0)]) and hash(poly) == hash(parse_cells([(0, 0), (1, 0)]))
         assert poly.sorted_cells == ((0, 0), (1, 0)) and poly.board == 0b101
         assert ShapeRecord(poly).matching.size == 1
@@ -193,6 +195,16 @@ class TestStoredProperty:
         assert "board" not in poly.__dict__ and "matching" not in rec.__dict__
         assert poly.board is poly.__dict__["board"]
         assert rec.matching is rec.matching is rec.__dict__["matching"]
+
+    def test_cells_set_is_built_only_when_read(self):
+        # Shapes hold their sorted cells alone: neither the census nor a
+        # full report builds the cell set, which only independent checkers read.
+        shapes = [*generate(8), *free_census(8)]
+        for poly in free_census(5):
+            analyze_polyomino(poly, "interval")
+            analyze_polyomino(poly, "line")
+            shapes.append(poly)
+        assert not [poly for poly in shapes if "cells" in poly.__dict__]
 
     def test_no_cached_property_is_left(self):
         for cls in (Polyomino, GraphRecord, ShapeRecord, RookComplex, ChordalityResult):

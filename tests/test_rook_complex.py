@@ -389,7 +389,7 @@ class TestIsPure:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
-            witness = f_vector(attack_graph(comb)).purity.witness
+            witness = f_vector(attack_graph(comb)).witness
         finally:
             sys.setrecursionlimit(limit)
         assert [len(face) for face in witness] == [teeth, teeth + 1]
